@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .hamio import IntegralTable, ValidationError
 from .rdm import RdmMeta, RdmPair
@@ -79,18 +77,6 @@ def _apply_ladder(det, ops):
     return d, sign
 
 
-def _connections(det, n_so):
-    """Yield (det', ops) for identity, single and double excitations."""
-    occ = [p for p in range(n_so) if (det >> p) & 1]
-    virt = [p for p in range(n_so) if not (det >> p) & 1]
-    for i in occ:
-        for a in virt:
-            yield [(a, True), (i, False)]
-    for i, j in combinations(occ, 2):
-        for a, b in combinations(virt, 2):
-            yield [(a, True), (b, True), (j, False), (i, False)]
-
-
 def _matrix_elements(table: IntegralTable, basis: SectorBasis):
     """Yield (row, col, value) of the sector Hamiltonian (col <= row side only
     for off-diagonals is not assumed; every nonzero is emitted once)."""
@@ -132,6 +118,7 @@ def sector_hamiltonian(table: IntegralTable, basis: SectorBasis, dense=None):
         for r, c, v in _matrix_elements(table, basis):
             ham[r, c] += v
         return ham
+    import scipy.sparse  # here, not at module level: it adds ~30 MiB to the process
     rows, cols, vals = [], [], []
     for r, c, v in _matrix_elements(table, basis):
         rows.append(r)
@@ -163,6 +150,7 @@ def fci_ground_state(table: IntegralTable, n_elec=None, sz2=0,
     if dim < 10:
         w, v = np.linalg.eigh(ham.toarray())
         return float(w[0]), v[:, 0]
+    import scipy.sparse.linalg
     w, v = scipy.sparse.linalg.eigsh(ham, k=1, which="SA")
     return float(w[0]), v[:, 0]
 

@@ -24,10 +24,6 @@ class ValidationError(ValueError):
     """Raised when inputs violate a structural precondition."""
 
 
-def spin_of(p: int) -> int:
-    return p & 1
-
-
 def spatial_of(p: int) -> int:
     return p >> 1
 

@@ -1,5 +1,7 @@
-"""Statevector simulation: Jordan-Wigner operators, the 3-parameter ansatz,
-stochastic-Pauli noise trajectories, shot sampling and readout mitigation.
+"""Qubit-register simulation: Jordan-Wigner operators, the 3-parameter
+ansatz, statevectors for exact expectations, an exact density-matrix channel
+(depolarizing gate noise, readout confusion) that draws each circuit's shots
+in one multinomial, and readout mitigation.
 
 Qubit k hosts spin orbital k (alpha/beta interleaved).  Basis states are
 little-endian: bit k of the amplitude index is the occupation of qubit k, and
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -270,29 +271,6 @@ def _apply_gate_batch(states, gate, n_qubits):
     return t.reshape(batch, 1 << n_qubits)
 
 
-def _expand_matrix(matrix, qubits, n_qubits):
-    """Embed a 1- or 2-qubit gate matrix into the full 2^n unitary.
-
-    Batched trajectory evolution then reduces to one matmul per gate, which
-    is much faster than axis shuffling for small registers.
-    """
-    dim = 1 << n_qubits
-    m = len(qubits)
-    full = np.zeros((dim, dim), dtype=complex)
-    rest = [q for q in range(n_qubits) if q not in qubits]
-    for loc_in in range(1 << m):
-        base_in = sum(((loc_in >> (m - 1 - k)) & 1) << qubits[k] for k in range(m))
-        for loc_out in range(1 << m):
-            amp = matrix[loc_out, loc_in]
-            if amp == 0:
-                continue
-            base_out = sum(((loc_out >> (m - 1 - k)) & 1) << qubits[k] for k in range(m))
-            for fill in range(1 << len(rest)):
-                extra = sum(((fill >> k) & 1) << rest[k] for k in range(len(rest)))
-                full[base_out | extra, base_in | extra] = amp
-    return full
-
-
 def _apply_pauli(psi, pauli: PauliString):
     n = pauli.n_qubits
     out = psi.copy()
@@ -356,11 +334,6 @@ HF_INDEX = 0b0011  # qubits 0 and 1 occupied
 # Noise model and sampling
 # ---------------------------------------------------------------------------
 
-_PAULIS_1Q = [_PAULI_MATS[c] for c in "XYZ"]
-_PAULIS_2Q = [np.kron(_PAULI_MATS[a], _PAULI_MATS[b])
-              for a in "IXYZ" for b in "IXYZ"][1:]  # drop II
-
-
 @dataclass
 class NoiseModel:
     """Depolarizing-plus-readout noise description.
@@ -392,8 +365,10 @@ class NoiseModel:
                    readout=np.array([np.eye(2)] * n_qubits), n_qubits=n_qubits)
 
     @classmethod
-    def from_json(cls, path):
-        cfg = json.loads(open(path).read())
+    def from_dict(cls, cfg):
+        unknown = sorted(set(cfg) - {"p1", "p2", "readout", "n_qubits"})
+        if unknown:
+            raise ValidationError(f"unknown noise-model keys: {', '.join(unknown)}")
         n = int(cfg.get("n_qubits", 4))
         readout = cfg.get("readout")
         if isinstance(readout, (int, float)):
@@ -403,16 +378,17 @@ class NoiseModel:
                    readout=np.asarray(readout) if readout is not None else None,
                    n_qubits=n)
 
-    def to_json(self, path):
-        cfg = {"p1": self.p1, "p2": self.p2, "n_qubits": self.n_qubits,
-               "readout": self.readout.tolist()}
-        with open(path, "w") as fh:
-            json.dump(cfg, fh, indent=2, sort_keys=True)
+    @classmethod
+    def from_json(cls, path):
+        return cls.from_dict(json.loads(open(path).read()))
 
-    @property
-    def is_trivial(self):
-        return (self.p1 == 0.0 and self.p2 == 0.0
-                and np.allclose(self.readout, np.eye(2)[None, :, :], atol=0))
+    def to_dict(self) -> dict:
+        return {"p1": float(self.p1), "p2": float(self.p2), "n_qubits": self.n_qubits,
+                "readout": self.readout.tolist()}
+
+    def to_json(self, path):
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
 
 def bitstring(index: int, n_qubits: int) -> str:
@@ -437,9 +413,6 @@ class ShotTable:
     shots: int
     seed: int = 0
     n_qubits: int = 4
-
-    def total(self) -> float:
-        return float(sum(self.counts.values()))
 
     def count_vector(self) -> np.ndarray:
         v = np.zeros(1 << self.n_qubits)
@@ -477,63 +450,84 @@ def _rng_for(seed, *key):
         np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))))
 
 
-def apply_noise(circuit: Circuit, model: NoiseModel, seed: int):
-    """A seeded noisy sampling channel for one circuit (trajectory method).
+def _depolarize(rho, qubits, p, n_qubits):
+    """Depolarizing channel on ``qubits`` of a 2^n x 2^n density matrix.
 
-    Returns a callable shots -> {bitstring: count}.  With a trivial model the
-    channel samples the exact Born distribution.
+    The d^2 - 1 non-identity Paulis of a d = 2^k dimensional gate sum to
+    d (I_gate x Tr_gate rho) - rho, so the channel
+    (1 - p) rho + p/(d^2 - 1) sum_P P rho P needs one partial trace.
     """
+    d = 1 << len(qubits)
+    t = rho.reshape((2,) * (2 * n_qubits))
+    for q in qubits:  # trace out qubit q and put the identity in its place
+        row, col = n_qubits - 1 - q, 2 * n_qubits - 1 - q
+        eye = np.eye(2).reshape([2 if ax in (row, col) else 1
+                                 for ax in range(2 * n_qubits)])
+        t = np.expand_dims(np.trace(t, axis1=row, axis2=col), (row, col)) * eye
+    twirl = t.reshape(rho.shape)
+    return (1 - p) * rho + p / (d * d - 1) * (d * twirl - rho)
 
-    def sample(shots: int) -> dict:
-        if shots <= 0:
-            raise ValidationError("shots must be positive")
-        rng = _rng_for(seed, 0)
-        n = circuit.n_qubits
-        if model is None or model.is_trivial:
-            probs = simulate(circuit).probabilities()
-            counts = rng.multinomial(shots, probs / probs.sum())
-            return {bitstring(i, n): int(c) for i, c in enumerate(counts) if c}
-        compiled = [(_expand_matrix(g.matrix, g.qubits, n).T.copy(), g.arity, g.qubits)
-                    for g in circuit.gates]
-        err_cache = {}
 
-        def error_matrix(arity, qubits, k):
-            key = (arity, qubits, k)
-            if key not in err_cache:
-                pm = (_PAULIS_1Q if arity == 1 else _PAULIS_2Q)[k]
-                err_cache[key] = _expand_matrix(pm, qubits, n).T.copy()
-            return err_cache[key]
+def _evolve(rho, gates, model: NoiseModel):
+    """Apply each gate as rho -> U rho U^dagger followed by its noise."""
+    n = model.n_qubits
+    for gate in gates:
+        rho = _apply_gate_batch(rho.T, gate, n).T
+        rho = _apply_gate_batch(rho.conj(), gate, n).conj()
+        p = model.p1 if gate.arity == 1 else model.p2
+        if p > 0:
+            rho = _depolarize(rho, gate.qubits, p, n)
+    return rho
 
-        states = np.zeros((shots, 1 << n), dtype=complex)
-        states[:, 0] = 1.0
-        for full_t, arity, qubits in compiled:
-            states = states @ full_t
-            p_err = model.p1 if arity == 1 else model.p2
-            if p_err <= 0:
-                continue
-            hit = rng.random(shots) < p_err
-            if not hit.any():
-                continue
-            n_paulis = 3 if arity == 1 else 15
-            which = rng.integers(0, n_paulis, size=shots)
-            for k in range(n_paulis):
-                rows = np.where(hit & (which == k))[0]
-                if rows.size:
-                    states[rows] = states[rows] @ error_matrix(arity, qubits, k)
-        probs = np.abs(states) ** 2
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = rng.random(shots)
-        outcomes = (probs.cumsum(axis=1) > u[:, None]).argmax(axis=1)
-        # readout confusion, one flip decision per qubit
-        for q in range(n):
-            bit = (outcomes >> q) & 1
-            p_flip = np.where(bit == 0, model.readout[q][1, 0], model.readout[q][0, 1])
-            flip = rng.random(shots) < p_flip
-            outcomes = outcomes ^ (flip.astype(np.int64) << q)
-        vals, cnts = np.unique(outcomes, return_counts=True)
-        return {bitstring(int(i), n): int(c) for i, c in zip(vals, cnts)}
 
-    return sample
+def _per_qubit(v, mats):
+    """Apply the 2x2 matrix mats[q] to qubit q of a 2^n vector."""
+    n = len(mats)
+    t = v.reshape((2,) * n)
+    for q, m in enumerate(mats):
+        axis = n - 1 - q
+        t = np.moveaxis(np.tensordot(m, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
+    return t.reshape(-1)
+
+
+def _model_for(circuit: Circuit, model) -> NoiseModel:
+    if model is None:
+        return NoiseModel.ideal(circuit.n_qubits)
+    if model.n_qubits != circuit.n_qubits:
+        raise ValidationError(f"noise model is for {model.n_qubits} qubits, "
+                              f"the circuit has {circuit.n_qubits}")
+    return model
+
+
+def noisy_density_matrix(circuit: Circuit, model: NoiseModel | None) -> np.ndarray:
+    """The exact density matrix of ``circuit`` run from |0...0> under the
+    model's gate noise (readout noise acts only on measurement)."""
+    model = _model_for(circuit, model)
+    rho = np.zeros((1 << model.n_qubits,) * 2, dtype=complex)
+    rho[0, 0] = 1.0
+    return _evolve(rho, circuit.gates, model)
+
+
+def _draw(rho, model: NoiseModel, shots: int, seed) -> dict:
+    """One multinomial draw from the readout-confused Born distribution."""
+    if shots <= 0:
+        raise ValidationError("shots must be positive")
+    probs = np.clip(_per_qubit(rho.diagonal().real, model.readout), 0.0, None)
+    counts = _rng_for(seed, 0).multinomial(shots, probs / probs.sum())
+    return {bitstring(i, model.n_qubits): int(c) for i, c in enumerate(counts) if c}
+
+
+def apply_noise(circuit: Circuit, model: NoiseModel | None, seed: int):
+    """A seeded noisy sampling channel for one circuit.
+
+    The circuit's exact noisy density matrix is evolved once; the returned
+    callable shots -> {bitstring: count} draws all shots in one multinomial
+    over the readout-confused outcome distribution.  ``model=None`` samples
+    the exact Born distribution.
+    """
+    model = _model_for(circuit, model)
+    rho = noisy_density_matrix(circuit, model)
+    return lambda shots: _draw(rho, model, shots, seed)
 
 
 def qwc_groups(observables):
@@ -580,14 +574,19 @@ def basis_rotation(basis: str) -> Circuit:
 
 
 def measure_pauli_sets(circuit, observables, shots, model=None, seed=0):
-    """Sample every observable, one circuit per qubit-wise commuting group."""
+    """Sample every observable, one circuit per qubit-wise commuting group.
+
+    The noisy state is evolved once and each group adds its basis rotation,
+    so a group's counts equal ``apply_noise`` on its rotated circuit."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
+    model = _model_for(circuit, model)
     bases, _ = qwc_groups(observables)
+    prefix = noisy_density_matrix(circuit, model)
     tables = []
     for gi, basis in enumerate(bases):
-        rotated = circuit.extended(basis_rotation(basis))
-        counts = apply_noise(rotated, model, seed=_group_seed(seed, gi))(shots)
+        rho = _evolve(prefix, basis_rotation(basis).gates, model)
+        counts = _draw(rho, model, shots, _group_seed(seed, gi))
         tables.append(ShotTable(basis=basis, counts=counts, shots=shots,
                                 seed=seed, n_qubits=circuit.n_qubits))
     return tables
@@ -605,16 +604,13 @@ def mitigate_readout(table: ShotTable, model: NoiseModel) -> ShotTable:
     n = table.n_qubits
     v = table.count_vector()
     total = v.sum()
-    t = v.reshape((2,) * n)
+    invs = []
     for q in range(n):
         try:
-            inv = np.linalg.inv(model.readout[q])
+            invs.append(np.linalg.inv(model.readout[q]))
         except np.linalg.LinAlgError as exc:
             raise ValidationError(f"singular confusion matrix on qubit {q}") from exc
-        axis = n - 1 - q
-        t = np.moveaxis(np.tensordot(inv, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
-    v = t.reshape(-1)
-    v = np.clip(v, 0.0, None)
+    v = np.clip(_per_qubit(v, invs), 0.0, None)
     if v.sum() <= 0:
         raise ValidationError("mitigation annihilated all counts")
     v *= total / v.sum()

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hamio import ValidationError
-from .qsim import PauliString, ShotTable, jw_hermitian, mitigate_readout, qwc_groups
+from .qsim import PauliString, ShotTable, jw_hermitian
 
 
 class CoverageError(ValidationError):
@@ -32,7 +32,6 @@ class RdmMeta:
     n_electrons: int = 2
     sz_enforced: bool = False
     reflection_averaged: bool = False
-    imag_norm: float = 0.0
     purification: dict | None = None
 
 
@@ -64,9 +63,6 @@ class RdmPair:
             raise ValidationError("rho2 violates ket antisymmetry")
         if not np.allclose(r2, r2.transpose(2, 3, 0, 1), atol=tol):
             raise ValidationError("rho2 is not hermitian")
-        n = self.meta.n_electrons
-        if abs(self.trace1() - n) > max(tol, 1e-6) * max(1, n):
-            pass  # raw traces are only within measurement tolerance
         return self
 
     def to_json(self) -> dict:
@@ -81,7 +77,6 @@ class RdmPair:
                 "n_electrons": self.meta.n_electrons,
                 "sz_enforced": self.meta.sz_enforced,
                 "reflection_averaged": self.meta.reflection_averaged,
-                "imag_norm": self.meta.imag_norm,
                 "purification": self.meta.purification,
             },
             "trace1": self.trace1(),
@@ -153,9 +148,6 @@ class MeasurementSchedule:
     decomp1: dict
     decomp2: dict
     observables: tuple
-
-    def group_bases(self):
-        return qwc_groups(list(self.observables))[0]
 
 
 def _order_element(t):

@@ -8,7 +8,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -253,16 +253,19 @@ class ScanSpec:
 
     @classmethod
     def from_json(cls, path) -> "ScanSpec":
+        """Read a spec file; ``noise`` is null, "default", a dict of
+        ``NoiseModel`` fields (as ``records.json`` settings hold it) or the
+        path of a noise-model file.  Unknown keys are rejected."""
         cfg = json.loads(Path(path).read_text())
+        unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown scan-spec keys: {', '.join(unknown)}")
         noise = cfg.get("noise")
         model = None
         if noise == "default":
             model = qsim.NoiseModel()
         elif isinstance(noise, dict):
-            model = qsim.NoiseModel(
-                p1=float(noise.get("p1", 0.001)), p2=float(noise.get("p2", 0.01)),
-                readout=np.asarray(noise["readout"]) if "readout" in noise else None,
-                n_qubits=int(noise.get("n_qubits", 4)))
+            model = qsim.NoiseModel.from_dict(noise)
         elif isinstance(noise, str) and noise:
             model = qsim.NoiseModel.from_json(noise)
         opt = OptimizerSettings(**cfg.get("optimizer", {}))
@@ -399,7 +402,8 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
                        seed=spec.seed,
                        settings={"shots": spec.shots, "mirror": spec.mirror,
                                  "optimizer": asdict(spec.optimizer),
-                                 "noise": "default" if spec.noise else None,
+                                 "noise": (spec.noise.to_dict()
+                                           if spec.noise is not None else None),
                                  "bootstrap_resamples": spec.bootstrap_resamples,
                                  "start": list(spec.start)})
     state = {"n": 0}

@@ -1,14 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from rdmpt2 import qsim
+from rdmpt2 import qsim, rdm
 from rdmpt2.hamio import ValidationError
 from rdmpt2.qsim import (Circuit, NoiseModel, PauliString, ShotTable,
                          apply_noise, basis_rotation, build_ansatz,
                          jw_hermitian, jw_ladder, jw_operator,
-                         measure_pauli_sets, mitigate_readout, qwc_groups,
-                         simulate)
+                         measure_pauli_sets, mitigate_readout,
+                         noisy_density_matrix, qwc_groups, simulate)
+
+from oracles import trajectory_counts
 
 
 def ladder_matrix(p, n, dagger):
@@ -177,6 +183,77 @@ def test_full_depolarizing_two_qubit_gate():
     assert chi2 < 11.34
 
 
+def test_density_matrix_channel_matches_trajectories():
+    # two-sample chi-square between the exact channel and the per-shot
+    # trajectory sampler it replaced, over all 16 outcomes
+    circuit = build_ansatz((0.7, -0.4, 0.3)).extended(basis_rotation("XYZX"))
+    model = NoiseModel()
+    shots = 200_000
+    exact_counts = apply_noise(circuit, model, seed=1)(shots)
+    traj_counts = trajectory_counts(circuit, model, shots, seed=2)
+    outcomes = set(exact_counts) | set(traj_counts)
+    assert len(outcomes) == 16
+    chi2 = sum((exact_counts.get(b, 0) - traj_counts.get(b, 0)) ** 2
+               / (exact_counts.get(b, 0) + traj_counts.get(b, 0)) for b in outcomes)
+    # 15 degrees of freedom; chi2 < 30.58 is p > 0.01
+    assert chi2 < 30.58
+
+
+def test_depolarizing_closed_form_matches_pauli_sum():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    p = 0.3
+    # every qubit and qubit pair a gate of the ansatz or a basis rotation uses
+    gates = build_ansatz((0.1, 0.2, 0.3)).extended(basis_rotation("XYXY")).gates
+    qubit_sets = sorted({g.qubits for g in gates})
+    assert {len(q) for q in qubit_sets} == {1, 2}
+    for qubits in qubit_sets:
+        words = []
+        for letters in itertools.product("IXYZ", repeat=len(qubits)):
+            if set(letters) == {"I"}:
+                continue
+            ops = ["I"] * 4
+            for q, c in zip(qubits, letters):
+                ops[q] = c
+            words.append(PauliString("".join(ops)).matrix())
+        assert len(words) == 4 ** len(qubits) - 1
+        explicit = (1 - p) * rho + p / len(words) * sum(w @ rho @ w for w in words)
+        closed = qsim._depolarize(rho, qubits, p, 4)
+        assert np.abs(closed - explicit).max() < 1e-12, qubits
+
+
+def test_shared_prefix_matches_per_circuit_channel():
+    circuit = build_ansatz((0.5, -0.3, 0.8))
+    observables = list(rdm.build_schedule(4).observables)
+    model = NoiseModel(p1=0.004, p2=0.03)
+    seed = 6
+    tables = measure_pauli_sets(circuit, observables, 4096, model=model, seed=seed)
+    bases, _ = qwc_groups(observables)
+    assert [t.basis for t in tables] == bases
+    for gi, table in enumerate(tables):
+        rotated = circuit.extended(basis_rotation(table.basis))
+        alone = apply_noise(rotated, model, qsim._group_seed(seed, gi))(4096)
+        assert table.counts == alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+       basis=st.text(alphabet="XYZ", min_size=4, max_size=4),
+       p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
+def test_noisy_density_matrix_is_a_state(angles, basis, p1, p2):
+    circuit = build_ansatz(angles).extended(basis_rotation(basis))
+    rho = noisy_density_matrix(circuit, NoiseModel(p1=p1, p2=p2))
+    assert np.abs(rho - rho.conj().T).max() < 1e-12
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def test_channel_rejects_mismatched_register():
+    with pytest.raises(ValidationError, match="2 qubits"):
+        apply_noise(build_ansatz((0.1, 0.2, 0.3)), NoiseModel(n_qubits=2), seed=0)
+
+
 def test_shot_noise_scaling():
     circuit = build_ansatz((0.5, 0.2, -0.1))
     obs = PauliString("ZIII")
@@ -211,6 +288,15 @@ def test_readout_confusion_biases_expectation():
     assert abs(raw - 0.8) < 5 / np.sqrt(shots)
     fixed = mitigate_readout(tables[0], model)
     assert abs(fixed.expectation(PauliString("Z")) - 1.0) < 7 / np.sqrt(shots)
+
+
+def test_asymmetric_readout_conditions_on_true_bit():
+    # readout[q][m, t] = P(measured m | true t): a prepared 1 reads 0 with 0.3
+    readout = np.array([[[0.9, 0.3], [0.1, 0.7]]])
+    model = NoiseModel(p1=0.0, p2=0.0, readout=readout, n_qubits=1)
+    shots = 100_000
+    counts = apply_noise(Circuit(1).x(0), model, seed=8)(shots)
+    assert abs(counts["0"] / shots - 0.3) < 5 * np.sqrt(0.3 * 0.7 / shots)
 
 
 def test_mitigation_identity_confusion_is_noop():
@@ -270,6 +356,8 @@ def test_noise_model_config_round_trip(tmp_path):
     again = NoiseModel.from_json(path)
     assert again.p1 == model.p1 and again.p2 == model.p2
     assert np.allclose(again.readout, model.readout)
+    with pytest.raises(ValidationError, match="p_2"):
+        NoiseModel.from_dict({"p1": 0.002, "p_2": 0.02})
 
 
 def test_noise_model_validation():

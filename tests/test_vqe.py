@@ -132,6 +132,36 @@ def test_scanspec_from_json(tmp_path):
     assert spec.bootstrap_resamples == 100
 
 
+def test_scanspec_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7],
+                                "shot": 1024, "sead": 2}))
+    with pytest.raises(hamio.ValidationError, match="sead, shot"):
+        ScanSpec.from_json(path)
+
+
+def test_records_settings_reproduce_noise_model(tmp_path):
+    # a non-default noise model survives records.json -> ScanSpec.from_json,
+    # and the recovered spec reruns to identical records
+    readout = np.array([[[0.97, 0.05], [0.03, 0.95]], [[0.99, 0.02], [0.01, 0.98]],
+                        [[0.96, 0.04], [0.04, 0.96]], [[0.98, 0.03], [0.02, 0.97]]])
+    model = qsim.NoiseModel(p1=0.003, p2=0.02, readout=readout)
+    spec = ScanSpec(molecule="h2", geometries=[0.7], shots=512, noise=model,
+                    seed=4, optimizer=OptimizerSettings(maxfev=4))
+    run_scan(spec, out_dir=tmp_path / "a")
+    first = json.loads((tmp_path / "a" / "records.json").read_text())
+    rec = first["records"][0]
+    cfg = {"molecule": "h2", "geometries": [rec["geometry"]], "seed": rec["seed"],
+           **rec["settings"]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(cfg))
+    again = ScanSpec.from_json(path)
+    assert (again.noise.p1, again.noise.p2, again.noise.n_qubits) == (0.003, 0.02, 4)
+    assert np.array_equal(again.noise.readout, readout)
+    run_scan(again, out_dir=tmp_path / "b")
+    assert json.loads((tmp_path / "b" / "records.json").read_text()) == first
+
+
 def test_pure_energy_feeds_optimizer_not_pt2():
     # the recorded objective history must match the pure-energy series exactly
     spec = ScanSpec(molecule="h2", geometries=[0.7], shots=None, noise=None,
