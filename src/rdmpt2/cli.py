@@ -39,7 +39,8 @@ def _add_common(p):
     p.add_argument("--shots", type=int, default=8192,
                    help="shots per measurement circuit; 0 = exact expectations")
     p.add_argument("--noise", default="default",
-                   help="'default', 'none', or a noise-model JSON file")
+                   help="'default', 'none', or a noise-model JSON file "
+                        "(--shots 0 needs 'none')")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bootstrap", type=int, default=0,
                    help="bootstrap resamples at the final point")
@@ -80,7 +81,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        spec = _spec_from_args(args, [args.geometry])
+        try:
+            spec = _spec_from_args(args, [args.geometry])
+        except hamio.ValidationError as exc:
+            p_run.error(str(exc))
         records = vqe.run_scan(spec, out_dir=args.out)
         _summarize(records)
         return 0

@@ -5,6 +5,13 @@ The numerators are the real parts of commutator expectations
 (plus a reducible 3-RDM reconstruction when more than two electrons are
 present); the denominators use transformed orbital energies obtained from the
 same RDMs.  On a determinant RDM everything collapses to textbook MP2.
+
+Everything here is array code over the occupied/virtual blocks of the
+reference: the numerators and transformed energies are block contractions,
+the denominators are broadcast sums, one comparison per excitation rank finds
+a degenerate channel, and ``math.fsum`` adds the kept terms, so the sum does
+not depend on their order.  The scalar (per-element, loop) forms these were
+derived from are kept in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -38,201 +45,120 @@ def _check_pt2_input(rdm: RdmPair):
             f"got provenance {rdm.meta.provenance!r}")
 
 
-def _check_roles(ref: ReferenceDeterminant, occ_idx, virt_idx):
-    occ = set(ref.occupied)
-    for i in occ_idx:
-        if i not in occ:
-            raise ValidationError(f"index {i} is not occupied in the reference")
-    for a in virt_idx:
-        if a in occ:
-            raise ValidationError(f"index {a} is not virtual in the reference")
+def _index(idx):
+    """``idx`` as a slice when it is one ascending run of spin orbitals (as
+    both sets of an aufbau reference are), so blocks cut with it are views
+    rather than copies; otherwise as a list."""
+    idx = list(idx)
+    if idx and idx == list(range(idx[0], idx[-1] + 1)):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
 
 
-# ---------------------------------------------------------------------------
-# Reducible 3-RDM
-# ---------------------------------------------------------------------------
-
-def _pair_cumulant(rdm: RdmPair) -> np.ndarray:
-    """lambda2 = rho2 - rho1 ^ rho1 (vanishes on a determinant)."""
-    r1 = rdm.rho1
-    return rdm.rho2 - (np.einsum("pr,qs->pqrs", r1, r1)
-                       - np.einsum("ps,qr->pqrs", r1, r1))
-
-
-def reducible_3rdm(rdm: RdmPair, indices) -> float:
-    """Reconstruct rho_pqrstu from rho2 and rho1 (cumulant truncation).
-
-    det3(rho1) plus the antisymmetrized pair-cumulant term
-    (1 - P_pr - P_qr)(1 - P_su - P_tu) lambda_pqst rho_ru, each permutation
-    operator swapping its index pair in every factor to its right.  Exact on
-    determinants and, blockwise, on core (x) active product states everywhere
-    except fully active index blocks (the dropped three-body cumulant).
-    """
-    p, q, r, s, t, u = indices
-    r1 = rdm.rho1
-    lam = _pair_cumulant(rdm)
-
-    m = r1[np.ix_([p, q, r], [s, t, u])]
-    det3 = (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
-
-    def block(p_, q_, r_):
-        return (lam[p_, q_, s, t] * r1[r_, u]
-                - lam[p_, q_, u, t] * r1[r_, s]
-                - lam[p_, q_, s, u] * r1[r_, t])
-
-    return float(det3 + block(p, q, r) - block(r, q, p) - block(p, r, q))
+def _wedge(a, b) -> np.ndarray:
+    """(a ^ b)_pqrs = a_pr b_qs - a_ps b_qr."""
+    return a[:, None, :, None] * b[None, :, None, :] - a[:, None, None, :] * b[None, :, :, None]
 
 
 # ---------------------------------------------------------------------------
 # Transformed matrix elements (numerators)
 # ---------------------------------------------------------------------------
 
-def fbar(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
-         i: int, a: int) -> float:
-    """Re <[a+_i a_a, H]> from the RDMs (exact given the true 2-RDM)."""
-    _check_pt2_input(rdm)
-    _check_roles(ref, [i], [a])
-    h, g = table.h, table.g
-    r1, r2 = rdm.rho1, rdm.rho2
-    n = table.n_so
-    val = sum(h[a, m] * r1[m, i] - h[i, m] * r1[m, a] for m in range(n))
-    acc = 0.0
-    for m in range(n):
-        for v in range(n):
-            for w in range(n):
-                acc += g[a, m, v, w] * r2[v, w, i, m] - g[i, m, v, w] * r2[v, w, a, m]
-    return float(val + 0.5 * acc)
-
-
 def _fbar_matrix(rdm: RdmPair, table: IntegralTable, occ, virt) -> np.ndarray:
+    """All Re <[a+_i a_a, H]> at once, shape (occ, virt)."""
     h, g = table.h, table.g
     r1, r2 = rdm.rho1, rdm.rho2
+    occ, virt = _index(occ), _index(virt)
     one = (h[virt] @ r1[:, occ]).T - h[occ] @ r1[:, virt]
-    two = 0.5 * (np.einsum("amvw,vwim->ia", g[virt], r2[:, :, occ, :], optimize=True)
-                 - np.einsum("imvw,vwam->ia", g[occ], r2[:, :, virt, :], optimize=True))
-    return one + two
-
-
-def gammabar(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
-             i: int, j: int, a: int, b: int, include_3rdm=None) -> float:
-    """Re <[a+_i a+_j a_b a_a, H]> from the RDMs.
-
-    The two 3-RDM contractions are evaluated through reducible_3rdm; they
-    vanish identically for 2-electron states and are skipped there unless
-    ``include_3rdm`` forces them.
-    """
-    _check_pt2_input(rdm)
-    _check_roles(ref, [i, j], [a, b])
-    h, g = table.h, table.g
-    r1, r2 = rdm.rho1, rdm.rho2
-    n = table.n_so
-    if include_3rdm is None:
-        include_3rdm = rdm.meta.n_electrons > 2
-
-    def bracket(i_, j_, a_, b_):
-        val = 0.0
-        for m in range(n):
-            val += h[i_, m] * r2[m, j_, a_, b_] - h[j_, m] * r2[m, i_, a_, b_]
-            val -= h[a_, m] * r2[i_, j_, m, b_] - h[b_, m] * r2[i_, j_, m, a_]
-        for m in range(n):
-            for v in range(n):
-                val += 0.5 * (g[i_, j_, m, v] * r2[m, v, a_, b_]
-                              - g[m, v, a_, b_] * r2[i_, j_, m, v])
-        if include_3rdm:
-            t3 = 0.0
-            for m in range(n):
-                for v in range(n):
-                    for w in range(n):
-                        t3 -= 0.5 * (
-                            g[i_, w, m, v] * reducible_3rdm(rdm, (m, v, j_, a_, b_, w))
-                            - g[j_, w, m, v] * reducible_3rdm(rdm, (m, v, i_, a_, b_, w)))
-                        t3 += 0.5 * (
-                            g[m, v, a_, w] * reducible_3rdm(rdm, (i_, j_, w, b_, m, v))
-                            - g[m, v, b_, w] * reducible_3rdm(rdm, (i_, j_, w, a_, m, v)))
-            val += t3
-        return val
-
-    return float(-bracket(i, j, a, b))
+    # sum_mvw g_amvw rho_vwim  and  sum_mvw g_imvw rho_vwam
+    up = np.tensordot(g[virt], r2[:, :, occ], axes=([1, 2, 3], [3, 0, 1]))
+    down = np.tensordot(g[occ], r2[:, :, virt], axes=([1, 2, 3], [3, 0, 1]))
+    return one + 0.5 * (up.T - down)
 
 
 def _gammabar_tensor(rdm: RdmPair, table: IntegralTable, occ, virt,
                      include_3rdm=None) -> np.ndarray:
-    """All gammabar_ijab at once (same contractions, einsum form)."""
+    """All Re <[a+_i a+_j a_b a_a, H]> at once, shape (occ, occ, virt, virt).
+
+    The 3-RDM contractions vanish identically for 2-electron states and are
+    skipped there unless ``include_3rdm`` forces them.
+    """
     h, g = table.h, table.g
     r2 = rdm.rho2
+    o, v, n = len(occ), len(virt), table.n_so
     if include_3rdm is None:
         include_3rdm = rdm.meta.n_electrons > 2
-    r2_ovv = r2[:, occ][:, :, virt][:, :, :, virt]   # (m, j, a, b)
-    r2_oov = r2[occ][:, occ][:, :, :, virt]          # (i, j, m, b)
-    one = np.einsum("im,mjab->ijab", h[occ], r2_ovv)
+    three = _gamma_3rdm_terms(rdm, table, occ, virt) if include_3rdm else None
+    occ, virt = _index(occ), _index(virt)
+    r2_oo = r2[occ][:, occ]                           # (i, j, m, n)
+    r2_vv = r2[:, :, virt][:, :, :, virt]             # (m, n, a, b)
+    one = (h[occ] @ r2_vv[:, occ].reshape(n, -1)).reshape(o, o, v, v)
     one = one - one.transpose(1, 0, 2, 3)
-    two = np.einsum("am,ijmb->ijab", h[virt], r2_oov)
+    two = h[virt] @ r2_oo[:, :, :, virt]
     two = two - two.transpose(0, 1, 3, 2)
-    gpart = 0.5 * (np.einsum("ijmn,mnab->ijab", g[occ][:, occ],
-                             r2[:, :, virt][:, :, :, virt], optimize=True)
-                   - np.einsum("mnab,ijmn->ijab", g[:, :, virt][:, :, :, virt],
-                               r2[occ][:, occ], optimize=True))
-    bracket = one - two + gpart
+    gpart = 0.5 * (g[occ][:, occ].reshape(o * o, -1) @ r2_vv.reshape(-1, v * v)
+                   - r2_oo.reshape(o * o, -1) @ g[:, :, virt][:, :, :, virt].reshape(-1, v * v))
+    bracket = one - two + gpart.reshape(o, o, v, v)
     if include_3rdm:
-        bracket = bracket + _gamma_3rdm_terms(rdm, table, occ, virt)
+        bracket = bracket + three
     return -bracket
 
 
 def _gamma_3rdm_terms(rdm: RdmPair, table: IntegralTable, occ, virt) -> np.ndarray:
-    """The two three-body contractions of the bracket, evaluated through the
-    cumulant-truncated reconstruction without materializing a six-index
-    tensor."""
+    """The two three-body contractions of the bracket,
+    -1/2 A_ij sum_mnv g_ivmn rho_mnj,abv + 1/2 A_ab sum_mnv g_mnav rho_ijv,bmn,
+    through the cumulant-truncated reconstruction (Mazziotti, Phys. Rev. A 57,
+    4219, 1998) without materializing a six-index tensor.
+
+    The reconstruction det3(rho1) + A(lambda ^ rho1), lambda = rho2 - rho1 ^ rho1,
+    equals A(rho2 ^ rho1) - 2 det3(rho1), because the nine-term antisymmetrizer
+    A counts each of the six products of det3 three times in
+    A((rho1 ^ rho1) ^ rho1).  Against g, antisymmetric in its index pairs, the
+    nine pair/single splits and the six det3 products coincide in pairs, and
+    every term factors through a few rho1-contracted intermediates: the mean
+    field F_pq = sum_st g_psqt rho_ts, G_ijmn = sum_v g_ivmn rho_jv,
+    H_ivna = sum_m g_ivnm rho_ma, K_mnab = sum_v g_mnav rho_vb and
+    R_miav = sum_n g_mnav rho_in.  The det3 products that share a
+    contraction with a rho2 term fold into M = rho2 - 2 rho1 ^ rho1.
+    """
     g = table.g
-    r1 = rdm.rho1
-    lam = _pair_cumulant(rdm)
-    gi = g[occ]            # (i, v, m, n)
-    gav = g[:, :, virt]    # (m, n, a, v)
-    kw = {"optimize": True}
+    r1, r2 = rdm.rho1, rdm.rho2
+    o, v, n = len(occ), len(virt), table.n_so
+    occ, virt = _index(occ), _index(virt)
+    g_o = g[occ]                   # g_ivmn
+    g_v = g[:, :, virt]            # g_mnav
+    r1_o, r1_v = r1[occ], r1[:, virt]
+    r1_ov = r1_o[:, virt]
+    fock = np.tensordot(g, r1, axes=([1, 3], [1, 0]))
+    f_o, f_v = fock[occ], fock[:, virt]
 
-    def contract_a(t2):
-        """1/2 sum_mnv g_ivmn X_{mnj,abv} for the nine pair/single splits."""
-        return (np.einsum("ivmn,mnab,jv->ijab", gi, t2[:, :, virt][:, :, :, virt], r1[occ], **kw)
-                - np.einsum("ivmn,mnvb,ja->ijab", gi, t2[:, :, :, virt], r1[occ][:, virt], **kw)
-                - np.einsum("ivmn,mnav,jb->ijab", gi, t2[:, :, virt], r1[occ][:, virt], **kw)
-                - np.einsum("ivmn,jnab,mv->ijab", gi, t2[occ][:, :, virt][:, :, :, virt], r1, **kw)
-                + np.einsum("ivmn,jnvb,ma->ijab", gi, t2[occ][:, :, :, virt], r1[:, virt], **kw)
-                + np.einsum("ivmn,jnav,mb->ijab", gi, t2[occ][:, :, virt], r1[:, virt], **kw)
-                - np.einsum("ivmn,mjab,nv->ijab", gi, t2[:, occ][:, :, virt][:, :, :, virt], r1, **kw)
-                + np.einsum("ivmn,mjvb,na->ijab", gi, t2[:, occ][:, :, :, virt], r1[:, virt], **kw)
-                + np.einsum("ivmn,mjav,nb->ijab", gi, t2[:, occ][:, :, virt], r1[:, virt], **kw))
+    # occupied side: sum_mnv g_ivmn rho_mnj,abv
+    gr = (r1_o @ g_o.reshape(o, n, n * n)).reshape(o * o, n * n)             # G_ij,mn
+    m_vv = r2[:, :, virt][:, :, :, virt] - 2 * _wedge(r1_v, r1_v)
+    pair_a = (gr @ m_vv.reshape(n * n, v * v)).reshape(o, o, v, v)
+    y = np.tensordot(g_o, r2[:, :, :, virt], axes=([1, 2, 3], [2, 0, 1]))     # (i, b)
+    x = 0.5 * y + 2 * (f_o @ r1_v)
+    xr = x[:, None, :, None] * r1_ov[None, :, None, :]
+    hv = g_o @ r1_v                                                           # H_ivna
+    t5 = np.tensordot(hv, r2[occ][:, :, :, virt], axes=([1, 2], [2, 1])).transpose(0, 2, 1, 3)
+    t4 = (f_o @ r2[occ][:, :, virt][:, :, :, virt].reshape(o, n, v * v)).reshape(o, o, v, v)
+    ta = (0.5 * pair_a + xr - xr.transpose(0, 1, 3, 2) + t4.transpose(1, 0, 2, 3)
+          - t5 + t5.transpose(0, 1, 3, 2))
 
-    def contract_b(t2):
-        """1/2 sum_mnv g_mnav X_{ijv,bmn} for the nine pair/single splits."""
-        t2_oo = t2[occ][:, occ]
-        return (np.einsum("mnav,ijbm,vn->ijab", gav, t2_oo[:, :, virt], r1, **kw)
-                - np.einsum("mnav,ijnm,vb->ijab", gav, t2_oo, r1[:, virt], **kw)
-                - np.einsum("mnav,ijbn,vm->ijab", gav, t2_oo[:, :, virt], r1, **kw)
-                - np.einsum("mnav,vjbm,in->ijab", gav, t2[:, occ][:, :, virt], r1[occ], **kw)
-                + np.einsum("mnav,vjnm,ib->ijab", gav, t2[:, occ], r1[occ][:, virt], **kw)
-                + np.einsum("mnav,vjbn,im->ijab", gav, t2[:, occ][:, :, virt], r1[occ], **kw)
-                - np.einsum("mnav,ivbm,jn->ijab", gav, t2[occ][:, :, virt], r1[occ], **kw)
-                + np.einsum("mnav,ivnm,jb->ijab", gav, t2[occ], r1[occ][:, virt], **kw)
-                + np.einsum("mnav,ivbn,jm->ijab", gav, t2[occ][:, :, virt], r1[occ], **kw))
+    # virtual side: sum_mnv g_mnav rho_ijv,bmn
+    k = (g_v @ r1_v).reshape(n * n, v * v)                                    # K_mn,ab
+    m_oo = r2[occ][:, occ] - 2 * _wedge(r1_o, r1_o)
+    pair_b = (m_oo.reshape(o * o, n * n) @ k).reshape(o, o, v, v)
+    b1 = r2[occ][:, occ][:, :, virt] @ f_v                                    # (i, j, b, a)
+    rv = r1_o @ g_v.reshape(n, n, v * n)                                      # R_mi,av
+    b4 = np.tensordot(rv.reshape(n, o, v, n), r2[:, occ][:, :, virt],
+                      axes=([0, 3], [3, 0])).transpose(0, 2, 1, 3)
+    s = np.tensordot(g_v, r2[:, occ], axes=([0, 1, 3], [3, 2, 0]))           # (a, j)
+    w = 0.5 * s.T - 2 * (r1_o @ f_v)
+    b45 = -b4 + r1_ov[:, None, None, :] * w[None, :, :, None]
+    tb = 0.5 * pair_b + b1.transpose(0, 1, 3, 2) + b45 - b45.transpose(1, 0, 2, 3)
 
-    # det3(rho1) parts: X_{mnj,abv} -> rho_ma (rho_nb rho_jv - rho_nv rho_jb) - ...
-    det_a = (np.einsum("ivmn,ma,nb,jv->ijab", gi, r1[:, virt], r1[:, virt], r1[occ], **kw)
-             - np.einsum("ivmn,ma,nv,jb->ijab", gi, r1[:, virt], r1, r1[occ][:, virt], **kw)
-             - np.einsum("ivmn,mb,na,jv->ijab", gi, r1[:, virt], r1[:, virt], r1[occ], **kw)
-             + np.einsum("ivmn,mb,nv,ja->ijab", gi, r1[:, virt], r1, r1[occ][:, virt], **kw)
-             + np.einsum("ivmn,mv,na,jb->ijab", gi, r1, r1[:, virt], r1[occ][:, virt], **kw)
-             - np.einsum("ivmn,mv,nb,ja->ijab", gi, r1, r1[:, virt], r1[occ][:, virt], **kw))
-    det_b = (np.einsum("mnav,ib,jm,vn->ijab", gav, r1[occ][:, virt], r1[occ], r1, **kw)
-             - np.einsum("mnav,ib,jn,vm->ijab", gav, r1[occ][:, virt], r1[occ], r1, **kw)
-             - np.einsum("mnav,im,jb,vn->ijab", gav, r1[occ], r1[occ][:, virt], r1, **kw)
-             + np.einsum("mnav,in,jb,vm->ijab", gav, r1[occ], r1[occ][:, virt], r1, **kw)
-             + np.einsum("mnav,im,jn,vb->ijab", gav, r1[occ], r1[occ], r1[:, virt], **kw)
-             - np.einsum("mnav,in,jm,vb->ijab", gav, r1[occ], r1[occ], r1[:, virt], **kw))
-
-    ta = 0.5 * (contract_a(lam) + det_a)
     ta = ta - ta.transpose(1, 0, 2, 3)
-    tb = 0.5 * (contract_b(lam) + det_b)
     tb = tb - tb.transpose(0, 1, 3, 2)
     return -ta + tb
 
@@ -248,33 +174,62 @@ def transformed_energies(rdm: RdmPair, table: IntegralTable,
     Correlation pushes occupied levels down and virtual levels up, widening
     the denominators (this is what keeps stretched-bond corrections from
     overbinding); on a determinant RDM both formulas collapse to the bare
-    Fock diagonal.  Returns (eps_occ, eps_virt) keyed by spin-orbital index.
+    Fock diagonal.  Returns (eps_occ, eps_virt), arrays ordered like
+    ``ref.occupied`` and ``ref.virtual``.
     """
     _check_pt2_input(rdm)
     h, g = table.h, table.g
     r1, r2 = rdm.rho1, rdm.rho2
-    occ = list(ref.occupied)
-    virt = list(ref.virtual)
-    eps_occ = {}
-    for i in occ:
-        val = h[i, i] + sum(g[i, j, i, j] for j in occ)
-        val += sum(h[i, a] * r1[a, i] for a in virt)
-        val += 0.5 * sum(g[i, j, a, b] * r2[a, b, i, j]
-                         for j in occ for a in virt for b in virt)
-        eps_occ[i] = float(val)
-    eps_virt = {}
-    for a in virt:
-        val = h[a, a] + sum(g[a, j, a, j] for j in occ)
-        val -= sum(h[a, i] * r1[i, a] for i in occ)
-        val -= 0.5 * sum(g[a, b, i, j] * r2[i, j, a, b]
-                         for i in occ for j in occ for b in virt)
-        eps_virt[a] = float(val)
+    occ, virt = _index(ref.occupied), _index(ref.virtual)
+    bare = h.diagonal() + np.einsum("pjpj->pj", g)[:, occ].sum(axis=1)
+    g_oovv = g[occ][:, occ][:, :, virt][:, :, :, virt]
+    g_vvoo = g[virt][:, virt][:, :, occ][:, :, :, occ]
+    r2_oovv = r2[occ][:, occ][:, :, virt][:, :, :, virt]
+    r2_vvoo = r2[virt][:, virt][:, :, occ][:, :, :, occ]
+    eps_occ = (bare[occ] + (h[occ][:, virt] * r1[virt][:, occ].T).sum(axis=1)
+               + 0.5 * (g_oovv * r2_vvoo.transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
+    eps_virt = (bare[virt] - (h[virt][:, occ] * r1[occ][:, virt].T).sum(axis=1)
+                - 0.5 * (g_vvoo * r2_oovv.transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
     return eps_occ, eps_virt
 
 
 # ---------------------------------------------------------------------------
 # The second-order energy
 # ---------------------------------------------------------------------------
+
+def _second_order_sum(eps_occ, eps_virt, fmat, gten, occ, virt, internal=None) -> float:
+    """fsum of fmat_ia^2 / (e_i - e_a) + 1/4 gten_ijab^2 / (e_i + e_j - e_a - e_b).
+
+    ``internal`` (the active spin orbitals, or None) drops every channel
+    whose indices all lie in it.  A kept denominator below the floor raises
+    DegenerateDenominatorError naming the first such channel in (i, a),
+    then (i, j, a, b), order.
+    """
+    d1 = eps_occ[:, None] - eps_virt
+    d2 = eps_occ[:, None, None, None] + eps_occ[:, None, None] - eps_virt[:, None] - eps_virt
+    nums = (fmat ** 2, 0.25 * gten ** 2)
+    roles = ((occ, virt), (occ, occ, virt, virt))
+    keeps = (None, None)
+    if internal is not None:
+        act = np.zeros(len(occ) + len(virt), dtype=bool)
+        act[list(internal)] = True
+        act_o, act_v = act[occ], act[virt]
+        keeps = (~(act_o[:, None] & act_v),
+                 ~((act_o[:, None] & act_o)[:, :, None, None] & (act_v[:, None] & act_v)))
+    terms = []
+    for num, d, keep, role in zip(nums, (d1, d2), keeps, roles):
+        small = np.abs(d) < DENOMINATOR_FLOOR
+        if keep is not None:
+            small &= keep
+        if small.any():
+            first = tuple(np.argwhere(small)[0])
+            raise DegenerateDenominatorError(
+                tuple(int(idx[k]) for idx, k in zip(role, first)), d[first])
+        if keep is not None:
+            num, d = num[keep], d[keep]
+        terms += (num / d).ravel().tolist()
+    return math.fsum(terms)
+
 
 def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
             space: ActiveSpaceSpec | None = None, warn_positive=True) -> float:
@@ -292,33 +247,11 @@ def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
     _check_pt2_input(rdm)
     occ = list(ref.occupied)
     virt = list(ref.virtual)
-    internal = set(space.active) if space is not None else set()
     eps_occ, eps_virt = transformed_energies(rdm, table, ref)
-    fmat = _fbar_matrix(rdm, table, occ, virt)
-    gten = _gammabar_tensor(rdm, table, occ, virt)
-
-    terms = []
-    for ii, i in enumerate(occ):
-        for aa, a in enumerate(virt):
-            if i in internal and a in internal:
-                continue
-            denom = eps_occ[i] - eps_virt[a]
-            if abs(denom) < DENOMINATOR_FLOOR:
-                raise DegenerateDenominatorError((i, a), denom)
-            terms.append(fmat[ii, aa] ** 2 / denom)
-    for ii, i in enumerate(occ):
-        for jj, j in enumerate(occ):
-            for aa, a in enumerate(virt):
-                for bb, b in enumerate(virt):
-                    if (i in internal and j in internal
-                            and a in internal and b in internal):
-                        continue
-                    num = gten[ii, jj, aa, bb] ** 2
-                    denom = eps_occ[i] + eps_occ[j] - eps_virt[a] - eps_virt[b]
-                    if abs(denom) < DENOMINATOR_FLOOR:
-                        raise DegenerateDenominatorError((i, j, a, b), denom)
-                    terms.append(0.25 * num / denom)
-    total = math.fsum(terms)
+    total = _second_order_sum(
+        eps_occ, eps_virt, _fbar_matrix(rdm, table, occ, virt),
+        _gammabar_tensor(rdm, table, occ, virt), occ, virt,
+        internal=space.active if space is not None else None)
     if total > 0 and warn_positive:
         log.warning("positive second-order correction %.3e Ha (ground-state "
                     "corrections are expected to be negative)", total)
@@ -369,26 +302,12 @@ def embed_active_rdm(active_rdm: RdmPair, spec: ActiveSpaceSpec) -> RdmPair:
 def hf_mp2(table: IntegralTable, ref: ReferenceDeterminant) -> float:
     """Textbook second-order correction for the Hartree-Fock reference.
 
-    Independent of the RDM machinery on purpose: a direct sum over Fock
-    matrix elements and bare integrals.
+    Independent of the RDM machinery on purpose: a sum over Fock matrix
+    elements and bare integrals.
     """
-    occ = list(ref.occupied)
-    virt = list(ref.virtual)
-    f = table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
-    g = table.g
-    terms = []
-    for i in occ:
-        for a in virt:
-            denom = f[i, i] - f[a, a]
-            if abs(denom) < DENOMINATOR_FLOOR:
-                raise DegenerateDenominatorError((i, a), denom)
-            terms.append(f[i, a] ** 2 / denom)
-    for i in occ:
-        for j in occ:
-            for a in virt:
-                for b in virt:
-                    denom = f[i, i] + f[j, j] - f[a, a] - f[b, b]
-                    if abs(denom) < DENOMINATOR_FLOOR:
-                        raise DegenerateDenominatorError((i, j, a, b), denom)
-                    terms.append(0.25 * g[i, j, a, b] ** 2 / denom)
-    return float(math.fsum(terms))
+    occ, virt = list(ref.occupied), list(ref.virtual)
+    o_ix, v_ix = _index(occ), _index(virt)
+    f = table.h + np.einsum("piqi->pq", table.g[:, o_ix][:, :, :, o_ix])
+    eps = f.diagonal()
+    g_oovv = table.g[o_ix][:, o_ix][:, :, v_ix][:, :, :, v_ix]
+    return _second_order_sum(eps[o_ix], eps[v_ix], f[o_ix][:, v_ix], g_oovv, occ, virt)

@@ -250,6 +250,10 @@ class ScanSpec:
     def __post_init__(self):
         if not self.geometries:
             raise ValidationError("a scan needs at least one geometry")
+        if self.shots is None and self.noise is not None:
+            raise ValidationError(
+                "exact expectations (shots=None, CLI --shots 0) cannot apply a "
+                "noise model; pass noise=None (CLI --noise none) or a shot count")
 
     @classmethod
     def from_json(cls, path) -> "ScanSpec":

@@ -2,13 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rdmpt2 import exact, hamio, pt2, qsim, rdm
+import oracles
+from conftest import random_rdm_pair
+from oracles import fbar, gammabar, reducible_3rdm
+from rdmpt2 import exact, hamio, pt2, purify, qsim, rdm, vqe
 from rdmpt2.hamio import (ActiveSpaceSpec, IntegralTable, ReferenceDeterminant,
                           ValidationError)
-from rdmpt2.pt2 import (DegenerateDenominatorError, embed_active_rdm, fbar,
-                        gammabar, hf_mp2, rdm_pt2, reducible_3rdm,
-                        transformed_energies)
+from rdmpt2.pt2 import (DegenerateDenominatorError, embed_active_rdm, hf_mp2,
+                        rdm_pt2, transformed_energies)
 
 
 def exact_active_rdm(table, entry):
@@ -18,6 +22,43 @@ def exact_active_rdm(table, entry):
     e_active, amps = exact.fci_ground_state(active)
     basis = exact.SectorBasis.build(active.n_so, 2, 0)
     return space, active, e_active, exact.rdms_from_amplitudes(amps, basis)
+
+
+ANGLES = st.tuples(*[st.floats(-np.pi, np.pi)] * 3)
+
+
+@pytest.fixture(scope="module")
+def pipelines():
+    return {mol: vqe.PointPipeline(vqe.ScanSpec(molecule=mol, geometries=[r], shots=None), r)
+            for mol, r in (("h2", 0.7), ("lih", 1.5949), ("nah", 1.8874))}
+
+
+def purified_rdm(pipe, theta):
+    raw = rdm.rdm_from_state(qsim.simulate(qsim.build_ansatz(theta)), pipe.schedule)
+    try:
+        return purify.purify_rdm(rdm.symmetrize(raw))
+    except purify.PurificationError:
+        # e.g. theta = (0, 0, pi) prepares one open-shell determinant, which
+        # spin-reflection averaging turns into an even two-state mixture
+        assume(False)
+
+
+def pipeline_pt2_case(pipe, theta):
+    """(rdm, table, ref, space) as the pipeline's last PT2 call sees them:
+    frozen-space without a frozen core, embedded full-space with one."""
+    pure = purified_rdm(pipe, theta)
+    if not pipe.has_frozen:
+        return pure, pipe.table, pipe.ref, None
+    return (embed_active_rdm(pure, pipe.space), pipe.table_full, pipe.ref_full,
+            pipe.space)
+
+
+def diagonal_table(h_spatial, n_electrons):
+    """A table with no two-body part: the Fock diagonal is h itself."""
+    n_so = 2 * len(h_spatial)
+    return IntegralTable(n_spatial=len(h_spatial), n_electrons=n_electrons,
+                         e_nuclear=0.0, h=np.diag(np.repeat(h_spatial, 2)),
+                         g=np.zeros((n_so,) * 4))
 
 
 def state_rdm(theta, provenance="exact"):
@@ -131,6 +172,22 @@ def test_scalar_and_batch_numerators_agree(lih):
             gammabar(emb, table, ref, occ[i], occ[j], virt[a], virt[b]), abs=1e-11)
         assert fmat[i, a] == pytest.approx(
             fbar(emb, table, ref, occ[i], virt[a]), abs=1e-11)
+
+
+@pytest.mark.parametrize("fid", ["lih_1.5949", "nah_1.8874"])
+def test_numerators_match_einsum_oracle_on_unphysical_rdm(fid):
+    # the 3-RDM terms are rearranged through an algebraic identity of the
+    # reconstruction, so they must agree for any antisymmetric rho2 and
+    # hermitian rho1, not only N-representable ones
+    table, _ = hamio.load_fixture(fid)
+    ref = ReferenceDeterminant.aufbau(table)
+    occ, virt = list(ref.occupied), list(ref.virtual)
+    pair = random_rdm_pair(np.random.default_rng(4), table.n_so, table.n_electrons)
+    for got, want in ((pt2._fbar_matrix(pair, table, occ, virt),
+                       oracles.fbar_matrix(pair, table, occ, virt)),
+                      (pt2._gammabar_tensor(pair, table, occ, virt),
+                       oracles.gammabar_tensor(pair, table, occ, virt))):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_numerators_match_commutator_oracle_on_embedded_state(lih):
@@ -258,10 +315,10 @@ def test_transformed_energies_collapse_on_determinant(lih):
     det = rdm.determinant_rdm(ref.occupied, table.n_so)
     f = hamio.normal_order(table, ref).f
     eps_occ, eps_virt = transformed_energies(det, table, ref)
-    for i in ref.occupied:
-        assert eps_occ[i] == pytest.approx(f[i, i], abs=1e-12)
-    for a in ref.virtual:
-        assert eps_virt[a] == pytest.approx(f[a, a], abs=1e-12)
+    for i, e in zip(ref.occupied, eps_occ, strict=True):
+        assert e == pytest.approx(f[i, i], abs=1e-12)
+    for a, e in zip(ref.virtual, eps_virt, strict=True):
+        assert e == pytest.approx(f[a, a], abs=1e-12)
 
 
 def test_transformed_energies_shift_directions(h2, h2_fci):
@@ -272,10 +329,10 @@ def test_transformed_energies_shift_directions(h2, h2_fci):
     pair = exact.rdms_from_amplitudes(amps, basis)
     f = hamio.normal_order(table, ref).f
     eps_occ, eps_virt = transformed_energies(pair, table, ref)
-    for i in ref.occupied:
-        assert eps_occ[i] < f[i, i]
-    for a in ref.virtual:
-        assert eps_virt[a] > f[a, a]
+    for i, e in zip(ref.occupied, eps_occ, strict=True):
+        assert e < f[i, i]
+    for a, e in zip(ref.virtual, eps_virt, strict=True):
+        assert e > f[a, a]
 
 
 def test_transformed_energies_zero_offdiagonal_blocks(h2, h2_fci):
@@ -293,10 +350,10 @@ def test_transformed_energies_zero_offdiagonal_blocks(h2, h2_fci):
     stripped = rdm.RdmPair(stripped.rho1, r2, pair.meta)
     f = hamio.normal_order(table, ref).f
     eps_occ, eps_virt = transformed_energies(stripped, table, ref)
-    for i in occ:
-        assert eps_occ[i] == pytest.approx(f[i, i], abs=1e-12)
-    for a in virt:
-        assert eps_virt[a] == pytest.approx(f[a, a], abs=1e-12)
+    for i, e in zip(occ, eps_occ, strict=True):
+        assert e == pytest.approx(f[i, i], abs=1e-12)
+    for a, e in zip(virt, eps_virt, strict=True):
+        assert e == pytest.approx(f[a, a], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +412,74 @@ def test_degenerate_denominator_raises(tmp_path):
     assert err.value.orbitals  # names the tuple
 
 
+@pytest.mark.parametrize("mol", ["h2", "lih", "nah"])
+@settings(max_examples=15, deadline=None)
+@given(theta=ANGLES)
+def test_vectorized_pt2_matches_loop_oracle(pipelines, mol, theta):
+    rdm_, table, ref, space = pipeline_pt2_case(pipelines[mol], theta)
+    eps_occ, eps_virt = transformed_energies(rdm_, table, ref)
+    want_occ, want_virt = oracles.transformed_energies(rdm_, table, ref)
+    assert np.abs(eps_occ - [want_occ[i] for i in ref.occupied]).max() <= 1e-12
+    assert np.abs(eps_virt - [want_virt[a] for a in ref.virtual]).max() <= 1e-12
+    try:
+        want = oracles.rdm_pt2(rdm_, table, ref, space)
+    except DegenerateDenominatorError as exc:
+        with pytest.raises(DegenerateDenominatorError) as err:
+            rdm_pt2(rdm_, table, ref, space, warn_positive=False)
+        assert err.value.orbitals == exc.orbitals
+        return
+    assert rdm_pt2(rdm_, table, ref, space, warn_positive=False) == pytest.approx(
+        want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("h_spatial, orbitals", [
+    ((0.0, 0.0, 1.0), (0, 2)),            # single 0 -> 2 has a zero gap
+    ((0.0, -0.5, 0.5), (0, 0, 2, 4)),     # only a double does
+])
+def test_degenerate_channel_named_like_loop_oracle(h_spatial, orbitals):
+    table = diagonal_table(h_spatial, 2)
+    ref = ReferenceDeterminant.aufbau(table)
+    det = rdm.determinant_rdm(ref.occupied, table.n_so)
+    for fast, loop in ((lambda: rdm_pt2(det, table, ref), lambda: oracles.rdm_pt2(det, table, ref)),
+                       (lambda: hf_mp2(table, ref), lambda: oracles.hf_mp2(table, ref))):
+        with pytest.raises(DegenerateDenominatorError) as want:
+            loop()
+        with pytest.raises(DegenerateDenominatorError) as got:
+            fast()
+        assert got.value.orbitals == want.value.orbitals == orbitals
+        assert got.value.value == want.value.value == 0.0
+
+
+def test_degenerate_internal_channel_is_masked_by_space():
+    # core 0/1 below an exactly degenerate active pair: every zero gap lies
+    # inside the active set, which the active solver already covers
+    table = diagonal_table((-2.0, 0.0, 0.0), 4)
+    ref = ReferenceDeterminant.aufbau(table)
+    det = rdm.determinant_rdm(ref.occupied, table.n_so)
+    space = ActiveSpaceSpec(frozen_occupied=(0, 1), active=(2, 3, 4, 5),
+                            frozen_virtual=())
+    with pytest.raises(DegenerateDenominatorError) as err:
+        rdm_pt2(det, table, ref)
+    assert err.value.orbitals == (2, 4)
+    assert rdm_pt2(det, table, ref, space) == oracles.rdm_pt2(det, table, ref, space) == 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(theta=ANGLES)
+def test_pt2_spin_relabeling_invariance_property(pipelines, theta):
+    for mol in ("h2", "lih"):
+        rdm_, table, ref, space = pipeline_pt2_case(pipelines[mol], theta)
+        flip = np.arange(table.n_so) ^ 1
+        flipped = rdm.RdmPair(rdm_.rho1[np.ix_(flip, flip)],
+                              rdm_.rho2[np.ix_(flip, flip, flip, flip)], rdm_.meta)
+        try:
+            v1 = rdm_pt2(rdm_, table, ref, space, warn_positive=False)
+        except DegenerateDenominatorError:
+            assume(False)
+        v2 = rdm_pt2(flipped, table, ref, space, warn_positive=False)
+        assert v2 == pytest.approx(v1, rel=1e-10, abs=1e-12), mol
+
+
 def test_pt2_invariant_under_spin_relabeling(h2):
     table, _ = h2
     ref = ReferenceDeterminant.aufbau(table)
@@ -405,6 +530,17 @@ def test_embed_energy_consistency(lih):
     emb.validate(1e-10)
     assert emb.trace1() == pytest.approx(4.0, abs=1e-10)
     assert emb.trace2() == pytest.approx(12.0, abs=1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(theta=ANGLES)
+def test_embedding_conserves_energy_property(pipelines, theta):
+    for mol in ("lih", "nah"):
+        pipe = pipelines[mol]
+        pure = purified_rdm(pipe, theta)
+        emb = embed_active_rdm(pure, pipe.space)
+        assert hamio.energy_from_rdm(pipe.table_full, emb) == pytest.approx(
+            hamio.energy_from_rdm(pipe.table, pure), abs=1e-10), mol
 
 
 def test_embed_rejects_overlapping_sets(h2_fci):

@@ -195,6 +195,26 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "lih_1.5949" in out
 
 
+def test_exact_expectations_reject_a_noise_model(tmp_path, capsys):
+    # shots=None evaluates noiseless expectation values; a noise model there
+    # would be recorded in records.json without ever being applied
+    with pytest.raises(hamio.ValidationError, match="--noise none"):
+        ScanSpec(molecule="h2", geometries=[0.7], shots=None,
+                 noise=qsim.NoiseModel())
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7],
+                                     "shots": None, "noise": "default"}))
+    with pytest.raises(hamio.ValidationError, match="noise"):
+        ScanSpec.from_json(spec_path)
+    # the CLI's --noise defaults to the default model
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "0",
+                  "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert "--noise none" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_scan_with_spec_file(tmp_path):
     cfg = {"molecule": "h2", "geometries": [0.7], "shots": None,
            "noise": None, "seed": 0, "optimizer": {"maxfev": 40}}
