@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .hamio import IntegralTable, ReferenceDeterminant, ActiveSpaceSpec, ValidationError
-from .rdm import RdmMeta, RdmPair
+from .rdm import RdmPair
 
 log = logging.getLogger(__name__)
 
@@ -273,29 +274,24 @@ def embed_active_rdm(active_rdm: RdmPair, spec: ActiveSpaceSpec) -> RdmPair:
     n = len(fo) + len(act) + len(fv)
     if active_rdm.n_so != len(act):
         raise ValidationError("active RDM size does not match the active set")
-    r1a, r2a = active_rdm.rho1, active_rdm.rho2
+    r1a = active_rdm.rho1
     rho1 = np.zeros((n, n))
     rho2 = np.zeros((n, n, n, n))
-    for c in fo:
-        rho1[c, c] = 1.0
+    rho1[fo, fo] = 1.0
     rho1[np.ix_(act, act)] = r1a
-    rho2[np.ix_(act, act, act, act)] = r2a
-    for c in fo:
-        for d in fo:
-            if c != d:
-                rho2[c, d, c, d] = 1.0
-                rho2[c, d, d, c] = -1.0
-    for c in fo:
-        rho2[np.ix_([c], act, [c], act)] = r1a[None, :, None, :]
-        rho2[np.ix_(act, [c], [c], act)] = -r1a[:, None, None, :]
-        rho2[np.ix_([c], act, act, [c])] = -r1a[None, :, :, None]
-        rho2[np.ix_(act, [c], act, [c])] = r1a[:, None, :, None]
-    meta = RdmMeta(provenance=active_rdm.meta.provenance,
-                   shots=active_rdm.meta.shots, seed=active_rdm.meta.seed,
-                   n_electrons=active_rdm.meta.n_electrons + len(fo),
-                   sz_enforced=active_rdm.meta.sz_enforced,
-                   reflection_averaged=active_rdm.meta.reflection_averaged,
-                   purification=active_rdm.meta.purification)
+    rho2[np.ix_(act, act, act, act)] = active_rdm.rho2
+    core = np.array(fo, dtype=int)
+    c, d = (core[i] for i in np.nonzero(~np.eye(core.size, dtype=bool)))  # c != d
+    rho2[c, d, c, d] = 1.0
+    rho2[c, d, d, c] = -1.0
+    k = core[:, None, None]  # one (active x active) block per core orbital
+    a = np.array(act, dtype=int)[:, None]
+    b = a.T
+    rho2[k, a, k, b] = r1a
+    rho2[a, k, k, b] = -r1a
+    rho2[k, a, b, k] = -r1a
+    rho2[a, k, b, k] = r1a
+    meta = replace(active_rdm.meta, n_electrons=active_rdm.meta.n_electrons + len(fo))
     return RdmPair(rho1, rho2, meta)
 
 

@@ -205,14 +205,10 @@ class Circuit:
         return Circuit(self.n_qubits, list(self.gates) + list(other.gates))
 
     def unitary(self) -> np.ndarray:
-        dim = 1 << self.n_qubits
-        u = np.eye(dim, dtype=complex)
-        for k in range(dim):
-            sv = StateVector.computational(self.n_qubits, k)
-            for gate in self.gates:
-                sv.apply(gate)
-            u[:, k] = sv.amplitudes
-        return u
+        rows = np.eye(1 << self.n_qubits, dtype=complex)  # row k evolves |k>
+        for gate in self.gates:
+            rows = _apply_gate_batch(rows, gate, self.n_qubits)
+        return rows.T
 
 
 class StateVector:
@@ -243,9 +239,7 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
     def expectation(self, pauli: PauliString) -> complex:
-        psi = self.amplitudes
-        out = _apply_pauli(psi, pauli)
-        return complex(np.vdot(psi, out))
+        return complex(np.vdot(self.amplitudes, pauli.matrix() @ self.amplitudes))
 
 
 def simulate(circuit: Circuit) -> StateVector:
@@ -269,16 +263,6 @@ def _apply_gate_batch(states, gate, n_qubits):
     t = t.reshape((batch,) + (2,) * m + lead)
     t = np.moveaxis(t, range(1, 1 + m), axes)
     return t.reshape(batch, 1 << n_qubits)
-
-
-def _apply_pauli(psi, pauli: PauliString):
-    n = pauli.n_qubits
-    out = psi.copy()
-    for k, c in enumerate(pauli.ops):
-        if c == "I":
-            continue
-        out = _apply_gate_batch(out[None, :], Gate("p", (k,), _PAULI_MATS[c]), n)[0]
-    return out * pauli.coeff
 
 
 # ---------------------------------------------------------------------------
@@ -396,53 +380,37 @@ def bitstring(index: int, n_qubits: int) -> str:
     return "".join(str((index >> k) & 1) for k in range(n_qubits))
 
 
-def bitstring_index(bits: str) -> int:
-    return sum(1 << k for k, b in enumerate(bits) if b == "1")
-
-
 @dataclass
 class ShotTable:
     """Measured counts for one basis-rotated sampling circuit.
 
-    ``basis`` names the measured Pauli basis per qubit (Z where untouched).
-    Counts may be non-integer after readout mitigation.
+    ``basis`` names the measured Pauli basis per qubit (Z where untouched);
+    ``counts[i]`` counts the little-endian outcome i.  The JSON form keys the
+    nonzero counts by bitstring.
     """
 
     basis: str
-    counts: dict
+    counts: np.ndarray
     shots: int
     seed: int = 0
     n_qubits: int = 4
 
-    def count_vector(self) -> np.ndarray:
-        v = np.zeros(1 << self.n_qubits)
-        for bits, c in self.counts.items():
-            if len(bits) != self.n_qubits:
-                raise ValidationError(f"bitstring {bits!r} has wrong length")
-            v[bitstring_index(bits)] = c
-        return v
-
-    def expectation(self, pauli: PauliString) -> float:
-        """Expectation of a Pauli word measured in this table's basis."""
-        for k, c in enumerate(pauli.ops):
-            if c != "I" and c != self.basis[k]:
-                raise ValidationError(
-                    f"{pauli.ops} is not measurable in basis {self.basis}")
-        v = self.count_vector()
-        tot = v.sum()
-        if tot <= 0:
-            raise ValidationError("empty shot table")
-        diag = PauliString("".join("Z" if c != "I" else "I" for c in pauli.ops))
-        return float(np.dot(diag.z_parity_signs(), v) / tot)
-
     def to_json(self) -> dict:
-        return {"basis": self.basis, "counts": dict(sorted(self.counts.items())),
+        counts = {bitstring(i, self.n_qubits): c
+                  for i, c in enumerate(self.counts.tolist()) if c}
+        return {"basis": self.basis, "counts": dict(sorted(counts.items())),
                 "shots": self.shots, "seed": self.seed, "n_qubits": self.n_qubits}
 
     @classmethod
     def from_json(cls, d) -> "ShotTable":
-        return cls(basis=d["basis"], counts=dict(d["counts"]), shots=int(d["shots"]),
-                   seed=int(d.get("seed", 0)), n_qubits=int(d["n_qubits"]))
+        n = int(d["n_qubits"])
+        counts = [0] * (1 << n)
+        for bits, c in d["counts"].items():
+            if len(bits) != n:
+                raise ValidationError(f"bitstring {bits!r} has wrong length")
+            counts[int(bits[::-1], 2)] = c  # qubit 0 is the leftmost bit
+        return cls(basis=d["basis"], counts=np.asarray(counts), shots=int(d["shots"]),
+                   seed=int(d.get("seed", 0)), n_qubits=n)
 
 
 def _rng_for(seed, *key):
@@ -508,20 +476,19 @@ def noisy_density_matrix(circuit: Circuit, model: NoiseModel | None) -> np.ndarr
     return _evolve(rho, circuit.gates, model)
 
 
-def _draw(rho, model: NoiseModel, shots: int, seed) -> dict:
+def _draw(rho, model: NoiseModel, shots: int, seed) -> np.ndarray:
     """One multinomial draw from the readout-confused Born distribution."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
     probs = np.clip(_per_qubit(rho.diagonal().real, model.readout), 0.0, None)
-    counts = _rng_for(seed, 0).multinomial(shots, probs / probs.sum())
-    return {bitstring(i, model.n_qubits): int(c) for i, c in enumerate(counts) if c}
+    return _rng_for(seed, 0).multinomial(shots, probs / probs.sum())
 
 
 def apply_noise(circuit: Circuit, model: NoiseModel | None, seed: int):
     """A seeded noisy sampling channel for one circuit.
 
     The circuit's exact noisy density matrix is evolved once; the returned
-    callable shots -> {bitstring: count} draws all shots in one multinomial
+    callable shots -> count vector draws all shots in one multinomial
     over the readout-confused outcome distribution.  ``model=None`` samples
     the exact Born distribution.
     """
@@ -586,9 +553,9 @@ def measure_pauli_sets(circuit, observables, shots, model=None, seed=0):
     tables = []
     for gi, basis in enumerate(bases):
         rho = _evolve(prefix, basis_rotation(basis).gates, model)
-        counts = _draw(rho, model, shots, _group_seed(seed, gi))
-        tables.append(ShotTable(basis=basis, counts=counts, shots=shots,
-                                seed=seed, n_qubits=circuit.n_qubits))
+        tables.append(ShotTable(basis=basis, counts=_draw(rho, model, shots,
+                                                          _group_seed(seed, gi)),
+                                shots=shots, seed=seed, n_qubits=circuit.n_qubits))
     return tables
 
 
@@ -596,24 +563,27 @@ def _group_seed(seed, group_index):
     return (int(seed) << 16) + group_index
 
 
-def mitigate_readout(table: ShotTable, model: NoiseModel) -> ShotTable:
-    """Invert the per-qubit confusion matrices on the count distribution.
+def mitigate_readout(counts, model: NoiseModel):
+    """Invert the per-qubit confusion matrices on a (..., 2^n) stack of counts.
 
-    Negative quasi-counts are clipped to zero and the total renormalized.
+    One matmul with the Kronecker product of the inverses gives every row's
+    quasi-counts; negative ones are clipped to zero and each row is
+    renormalized to probabilities.  Returns those and, per row, the clipped
+    negative mass as a fraction of the row's total.
     """
-    n = table.n_qubits
-    v = table.count_vector()
-    total = v.sum()
-    invs = []
-    for q in range(n):
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum(axis=-1)
+    if (total <= 0).any():
+        raise ValidationError("empty shot table")
+    inv = np.ones((1, 1))
+    for q in range(model.n_qubits):  # qubit 0 is the least significant bit
         try:
-            invs.append(np.linalg.inv(model.readout[q]))
+            inv = np.kron(np.linalg.inv(model.readout[q]), inv)
         except np.linalg.LinAlgError as exc:
             raise ValidationError(f"singular confusion matrix on qubit {q}") from exc
-    v = np.clip(_per_qubit(v, invs), 0.0, None)
-    if v.sum() <= 0:
+    quasi = counts @ inv.T
+    kept = np.clip(quasi, 0.0, None)
+    norm = kept.sum(axis=-1, keepdims=True)
+    if (norm <= 0).any():
         raise ValidationError("mitigation annihilated all counts")
-    v *= total / v.sum()
-    counts = {bitstring(i, n): float(c) for i, c in enumerate(v) if c > 0}
-    return ShotTable(basis=table.basis, counts=counts, shots=table.shots,
-                     seed=table.seed, n_qubits=n)
+    return kept / norm, (kept - quasi).sum(axis=-1) / total

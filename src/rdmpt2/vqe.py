@@ -314,7 +314,6 @@ class PointPipeline:
         self.ref = hamio.ReferenceDeterminant.aufbau(self.table)
         self.ref_full = hamio.ReferenceDeterminant.aufbau(self.table_full)
         self.schedule = rdm.build_schedule(self.table.n_so, mirror=spec.mirror)
-        self.observables = list(self.schedule.observables)
         self.has_frozen = bool(self.space.frozen_occupied or self.space.frozen_virtual)
         self._count = 0
 
@@ -337,23 +336,19 @@ class PointPipeline:
         and the raw tables (for bootstrap at the final point)."""
         circuit = qsim.build_ansatz(params)
         if self.spec.shots is None:
-            sv = qsim.simulate(circuit)
-            raw = rdm.rdm_from_state(sv, self.schedule)
+            raw = rdm.rdm_from_state(qsim.simulate(circuit), self.schedule)
             tables = None
         else:
             seed = _eval_seed(self.spec.seed, tag)
             tables = qsim.measure_pauli_sets(
-                circuit, self.observables, self.spec.shots,
+                circuit, self.schedule.observables, self.spec.shots,
                 model=self.spec.noise, seed=seed)
-            raw = self._assemble(tables)
+            raw = rdm.rdm_from_shots(tables, self.schedule, model=self.spec.noise)
         rec = {"params": tuple(float(x) for x in params)}
         rec.update(self._energies(raw))
-        return rec, tables
-
-    def _assemble(self, tables) -> rdm.RdmPair:
         if self.spec.noise is not None:
-            tables = [qsim.mitigate_readout(t, self.spec.noise) for t in tables]
-        return rdm.rdm_from_shots(tables, self.schedule)
+            rec["readout_clipped"] = raw.meta.readout_clipped
+        return rec, tables
 
     def _energies(self, raw: rdm.RdmPair) -> dict:
         out = {"e_raw": hamio.energy_from_rdm(self.table, raw)}
@@ -384,10 +379,8 @@ class PointPipeline:
             out["e_pt2_full"] = out.get("e_pt2_frozen")
         return out
 
-    def bootstrap_pipeline(self, tables) -> dict:
-        raw = self._assemble(tables)
-        vals = self._energies(raw)
-        return {k: v for k, v in vals.items()
+    def bootstrap_pipeline(self, raw: rdm.RdmPair) -> dict:
+        return {k: v for k, v in self._energies(raw).items()
                 if k in ENERGY_KEYS and v is not None}
 
 
@@ -428,8 +421,8 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
     boot = None
     if spec.bootstrap_resamples and spec.shots is not None:
         _, tables = pipe.evaluate(trace.best_params, state["n"])
-        ens = rdm.bootstrap(tables, spec.bootstrap_resamples,
-                            pipe.bootstrap_pipeline, seed=spec.seed)
+        ens = rdm.bootstrap(tables, pipe.schedule, spec.bootstrap_resamples,
+                            pipe.bootstrap_pipeline, model=spec.noise, seed=spec.seed)
         boot = {k: {"mean": ens.mean[k], "std": ens.std[k]} for k in ens.samples}
     record.finalize(bootstrap_std=boot)
     record.references = pipe.references()

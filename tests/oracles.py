@@ -14,13 +14,22 @@ evolves its own statevector, draws a Pauli error after each gate with the
 gate's depolarizing probability, samples an outcome and flips each bit
 through the readout confusion matrix.  Its shot distribution is the one the
 density-matrix channel must reproduce.
+
+The measurement oracles are the element-by-element assembly the compiled
+map replaced: ``rdm_from_expectations`` evaluates every scheduled element
+from a Pauli-word expectation callable and writes its antisymmetric,
+hermitian and mirrored copies one by one; ``rdm_from_shots`` finds the
+first table that can measure each word; ``mitigate_readout`` inverts one
+table at a time, qubit by qubit; ``bootstrap`` resamples and reruns its
+pipeline one resample at a time.  ``embed_active_rdm`` is the loop form of
+the core embedding.
 """
 
 import math
 
 import numpy as np
 
-from rdmpt2 import pt2, qsim
+from rdmpt2 import pt2, qsim, rdm
 from rdmpt2.hamio import ValidationError
 from rdmpt2.pt2 import DENOMINATOR_FLOOR, DegenerateDenominatorError
 
@@ -50,8 +59,8 @@ def expand_matrix(matrix, qubits, n_qubits):
 
 
 def trajectory_counts(circuit, model, shots, seed):
-    """Per-shot trajectory sampling of ``circuit`` under ``model``:
-    {bitstring: count}, seeded like the package's channel."""
+    """Per-shot trajectory sampling of ``circuit`` under ``model``: the count
+    vector over little-endian outcomes, seeded like the package's channel."""
     rng = qsim._rng_for(seed, 0)
     n = circuit.n_qubits
     states = np.zeros((shots, 1 << n), dtype=complex)
@@ -77,8 +86,7 @@ def trajectory_counts(circuit, model, shots, seed):
         p_flip = np.where(bit == 0, model.readout[q][1, 0], model.readout[q][0, 1])
         flip = rng.random(shots) < p_flip
         outcomes = outcomes ^ (flip.astype(np.int64) << q)
-    vals, cnts = np.unique(outcomes, return_counts=True)
-    return {qsim.bitstring(int(i), n): int(c) for i, c in zip(vals, cnts)}
+    return np.bincount(outcomes, minlength=1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +352,116 @@ def hf_mp2(table, ref):
     eps = {p: f[p, p] for p in range(table.n_so)}
     return _loop_sum(eps, eps, f[np.ix_(occ, virt)],
                      table.g[np.ix_(occ, occ, virt, virt)], occ, virt)
+
+
+# ---------------------------------------------------------------------------
+# Measurement and assembly
+# ---------------------------------------------------------------------------
+
+def _set1(rho1, p, q, v):
+    rho1[p, q] = v
+    rho1[q, p] = v
+
+
+def _set2(rho2, p, q, r, s, v):
+    for (a, b, sg1) in ((p, q, 1.0), (q, p, -1.0)):
+        for (c, d, sg2) in ((r, s, 1.0), (s, r, -1.0)):
+            rho2[a, b, c, d] = sg1 * sg2 * v
+            rho2[c, d, a, b] = sg1 * sg2 * v
+
+
+def rdm_from_expectations(expectation, schedule):
+    """(rho1, rho2) from a Pauli-word expectation callable, element by element."""
+    n = schedule.n_so
+    rho1 = np.zeros((n, n))
+    rho2 = np.zeros((n, n, n, n))
+    for p, q in schedule.elements1:
+        const, terms = rdm._decompose([(p, True), (q, False)], n)
+        _set1(rho1, p, q, const + sum(c * expectation(w) for w, c in terms))
+    for p, q, r, s in schedule.elements2:
+        const, terms = rdm._decompose([(p, True), (q, True), (s, False), (r, False)], n)
+        _set2(rho2, p, q, r, s, const + sum(c * expectation(w) for w, c in terms))
+    if schedule.mirror:
+        full = rdm.build_schedule(n, mirror=False)
+        for e in full.elements1:
+            if e not in schedule.elements1:
+                src, sign = rdm._order_element(tuple(i ^ 1 for i in e))
+                _set1(rho1, *e, sign * rho1[src])
+        for e in full.elements2:
+            if e not in schedule.elements2:
+                src, sign = rdm._order_element(tuple(i ^ 1 for i in e))
+                _set2(rho2, *e, sign * rho2[src])
+    return rho1, rho2
+
+
+def rdm_from_state(statevector, schedule):
+    return rdm_from_expectations(
+        lambda w: float(statevector.expectation(qsim.PauliString(w)).real), schedule)
+
+
+def table_expectation(table, pauli):
+    """A Pauli word's expectation from one table's counts (its letters must
+    match the table's basis)."""
+    assert all(c in ("I", b) for c, b in zip(pauli.ops, table.basis))
+    return float(pauli.z_parity_signs() @ table.counts / table.counts.sum())
+
+
+def rdm_from_shots(tables, schedule):
+    """Each word's expectation from the first table whose basis measures it."""
+    lookup = {}
+    for pauli in schedule.observables:
+        table = next(t for t in tables
+                     if all(c == "I" or c == t.basis[k] for k, c in enumerate(pauli.ops)))
+        lookup[pauli.ops] = table_expectation(table, pauli)
+    return rdm_from_expectations(lookup.__getitem__, schedule)
+
+
+def mitigate_readout(table, model):
+    """One table's counts through each qubit's inverse confusion matrix,
+    clipped at zero and rescaled to the original total."""
+    v = np.asarray(table.counts, dtype=float)
+    total = v.sum()
+    v = np.clip(qsim._per_qubit(v, [np.linalg.inv(m) for m in model.readout]), 0.0, None)
+    return qsim.ShotTable(basis=table.basis, counts=v * (total / v.sum()),
+                          shots=table.shots, seed=table.seed, n_qubits=table.n_qubits)
+
+
+def bootstrap(tables, n, pipeline, seed=0):
+    """Per-resample values of ``pipeline`` (a list of tables -> dict of
+    floats), every table resampled from the resample's own generator."""
+    out = []
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=int(seed), spawn_key=(1, i))))
+        resampled = []
+        for t in tables:
+            v = np.asarray(t.counts, dtype=float)
+            resampled.append(qsim.ShotTable(
+                basis=t.basis, counts=rng.multinomial(t.shots, v / v.sum()),
+                shots=t.shots, seed=t.seed, n_qubits=t.n_qubits))
+        out.append(pipeline(resampled))
+    return out
+
+
+def embed_active_rdm(active_rdm, spec):
+    """(rho1, rho2) of the core embedding, block by block and pair by pair."""
+    fo, act = list(spec.frozen_occupied), list(spec.active)
+    n = len(fo) + len(act) + len(spec.frozen_virtual)
+    r1a = active_rdm.rho1
+    rho1 = np.zeros((n, n))
+    rho2 = np.zeros((n, n, n, n))
+    for c in fo:
+        rho1[c, c] = 1.0
+    rho1[np.ix_(act, act)] = r1a
+    rho2[np.ix_(act, act, act, act)] = active_rdm.rho2
+    for c in fo:
+        for d in fo:
+            if c != d:
+                rho2[c, d, c, d] = 1.0
+                rho2[c, d, d, c] = -1.0
+    for c in fo:
+        rho2[np.ix_([c], act, [c], act)] = r1a[None, :, None, :]
+        rho2[np.ix_(act, [c], [c], act)] = -r1a[:, None, None, :]
+        rho2[np.ix_([c], act, act, [c])] = -r1a[None, :, :, None]
+        rho2[np.ix_(act, [c], act, [c])] = r1a[:, None, :, None]
+    return rho1, rho2

@@ -543,6 +543,22 @@ def test_embedding_conserves_energy_property(pipelines, theta):
             hamio.energy_from_rdm(pipe.table, pure), abs=1e-10), mol
 
 
+@pytest.mark.parametrize("mol", ["lih", "nah"])
+def test_embed_equals_loop_form_exactly(pipelines, mol):
+    # a purified RDM and an unsymmetric random pair, so a transposed block
+    # cannot pass
+    pipe = pipelines[mol]
+    rng = np.random.default_rng(5)
+    unsymmetric = rdm.RdmPair(rng.normal(size=(4, 4)), rng.normal(size=(4,) * 4),
+                              rdm.RdmMeta(n_electrons=2))
+    for pair in (purified_rdm(pipe, (0.4, -0.3, 0.2)), unsymmetric):
+        emb = embed_active_rdm(pair, pipe.space)
+        rho1, rho2 = oracles.embed_active_rdm(pair, pipe.space)
+        assert np.array_equal(emb.rho1, rho1)
+        assert np.array_equal(emb.rho2, rho2)
+        assert emb.meta.n_electrons == 2 + len(pipe.space.frozen_occupied)
+
+
 def test_embed_rejects_overlapping_sets(h2_fci):
     _, amps, basis = h2_fci
     pair = exact.rdms_from_amplitudes(amps, basis)

@@ -1,11 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdmpt2 import exact, hamio, qsim, rdm
+import oracles
+from rdmpt2 import exact, hamio, qsim, rdm, vqe
 from rdmpt2.hamio import ValidationError
-from rdmpt2.qsim import PauliString, build_ansatz, measure_pauli_sets, simulate
+from rdmpt2.qsim import NoiseModel, ShotTable, build_ansatz, measure_pauli_sets, simulate
 from rdmpt2.rdm import (BootstrapEnsemble, CoverageError, RdmMeta, RdmPair,
                         bootstrap, build_schedule, determinant_rdm, enforce_sz,
                         rdm_from_shots, rdm_from_state, spin_reflection_average,
@@ -151,31 +155,149 @@ def test_mirror_schedule_reduces_measurements_consistently():
 
 
 def test_bootstrap_single_resample_and_deterministic_pipeline():
-    table = qsim.ShotTable(basis="ZZZZ", counts={"1100": 60, "0011": 40},
-                           shots=100, n_qubits=4)
-    ens = bootstrap([table], 1, lambda ts: 1.23, seed=0)
+    schedule = build_schedule(4)
+    tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.observables,
+                                100, seed=0)
+    ens = bootstrap(tables, schedule, 1, lambda raw: 1.23, seed=0)
     assert ens.mean["value"] == 1.23 and ens.std["value"] == 0.0
-    ens = bootstrap([table], 50, lambda ts: 7.0, seed=0)
+    ens = bootstrap(tables, schedule, 50, lambda raw: 7.0, seed=0)
     assert ens.std["value"] == 0.0
 
 
 def test_bootstrap_matches_binomial_closed_form():
+    # one spin orbital: rho1[0, 0] = (1 - <Z>) / 2 from the single Z circuit
     shots = 10_000
-    table = qsim.ShotTable(basis="Z", counts={"0": shots // 2, "1": shots // 2},
-                           shots=shots, n_qubits=1)
+    schedule = build_schedule(1)
+    table = ShotTable(basis="Z", counts=np.array([shots // 2, shots // 2]),
+                      shots=shots, n_qubits=1)
 
-    def mean_z(tables):
-        return tables[0].expectation(PauliString("Z"))
+    def mean_z(raw):
+        return 1.0 - 2.0 * raw.rho1[0, 0]
 
-    ens = bootstrap([table], 10_000, mean_z, seed=3)
+    ens = bootstrap([table], schedule, 10_000, mean_z, seed=3)
     closed_form = 1.0 / np.sqrt(shots)  # std of <Z> for p = 1/2
     assert abs(ens.std["value"] - closed_form) / closed_form < 0.2
 
 
 def test_bootstrap_rejects_empty():
-    table = qsim.ShotTable(basis="Z", counts={}, shots=0, n_qubits=1)
+    table = ShotTable(basis="Z", counts=np.zeros(2, dtype=int), shots=0, n_qubits=1)
     with pytest.raises(ValidationError):
-        bootstrap([table], 2, lambda ts: 0.0)
+        bootstrap([table], build_schedule(1), 2, lambda raw: 0.0)
+
+
+def test_batched_bootstrap_matches_per_resample_loop():
+    # LiH at one seed, over more than one block of resamples: every
+    # resample's energies equal the loop that resamples, mitigates and
+    # assembles one table and one resample at a time
+    spec = vqe.ScanSpec(molecule="lih", geometries=[1.5949], shots=1024,
+                        noise=NoiseModel(), seed=3)
+    pipe = vqe.PointPipeline(spec, 1.5949)
+    _, tables = pipe.evaluate((0.4, -0.2, 0.1), 0)
+    n = rdm._BOOTSTRAP_BLOCK + 5
+    ens = bootstrap(tables, pipe.schedule, n, pipe.bootstrap_pipeline,
+                    model=spec.noise, seed=3)
+
+    def loop_pipeline(resampled):
+        mitigated = [oracles.mitigate_readout(t, spec.noise) for t in resampled]
+        rho1, rho2 = oracles.rdm_from_shots(mitigated, pipe.schedule)
+        return pipe.bootstrap_pipeline(RdmPair(rho1, rho2, RdmMeta()))
+
+    loop = oracles.bootstrap(tables, n, loop_pipeline, seed=3)
+    assert len(loop) == n
+    assert set(ens.samples) == set(vqe.ENERGY_KEYS)
+    for i, expected in enumerate(loop):
+        for key, value in expected.items():
+            assert abs(ens.samples[key][i] - value) < 1e-12, (i, key)
+    assert ens.std["e_pure"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the compiled measurement map against the element-by-element assembly
+# ---------------------------------------------------------------------------
+
+def _random_tables(schedule, rng, zero_fraction):
+    tables = []
+    for basis in schedule.bases:
+        counts = rng.integers(0, 60, size=16) * (rng.random(16) >= zero_fraction)
+        counts[rng.integers(16)] += 1  # no table is empty
+        tables.append(ShotTable(basis=basis, counts=counts, shots=int(counts.sum())))
+    return tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zero_fraction=st.floats(0.0, 0.9),
+       mirror=st.booleans(), noisy=st.booleans())
+def test_map_matches_dict_assembly_on_counts(seed, zero_fraction, mirror, noisy):
+    rng = np.random.default_rng(seed)
+    schedule = build_schedule(4, mirror=mirror)
+    tables = _random_tables(schedule, rng, zero_fraction)
+    model = None
+    if noisy:  # asymmetric: P(1|0) and P(0|1) drawn separately per qubit
+        flip = rng.uniform(0.0, 0.2, size=(4, 2))
+        model = NoiseModel(readout=np.array([[[1 - a, b], [a, 1 - b]] for a, b in flip]))
+    pair = rdm_from_shots(tables, schedule, model=model)
+    mitigated = tables if model is None else [oracles.mitigate_readout(t, model)
+                                              for t in tables]
+    rho1, rho2 = oracles.rdm_from_shots(mitigated, schedule)
+    assert np.abs(pair.rho1 - rho1).max() < 1e-12
+    assert np.abs(pair.rho2 - rho2).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3), mirror=st.booleans())
+def test_map_matches_dict_assembly_on_states(angles, mirror):
+    schedule = build_schedule(4, mirror=mirror)
+    sv = simulate(build_ansatz(angles))
+    pair = rdm_from_state(sv, schedule)
+    rho1, rho2 = oracles.rdm_from_state(sv, schedule)
+    assert np.abs(pair.rho1 - rho1).max() < 1e-12
+    assert np.abs(pair.rho2 - rho2).max() < 1e-12
+
+
+def test_coverage_error_names_missing_group_and_wrong_basis():
+    schedule = build_schedule(4)
+    tables = measure_pauli_sets(build_ansatz((0.2, 0.1, 0.0)), schedule.observables,
+                                64, seed=1)
+    with pytest.raises(CoverageError) as err:
+        rdm_from_shots(tables[:2] + tables[3:], schedule)
+    assert err.value.missing == schedule.words[2]
+    wrong = ShotTable(basis="XXXY", counts=tables[4].counts, shots=64)
+    assert "XXXY" not in schedule.bases
+    with pytest.raises(CoverageError) as err:
+        rdm_from_shots(tables[:4] + [wrong] + tables[5:], schedule)
+    assert err.value.missing == schedule.words[4]
+    with pytest.raises(CoverageError):
+        bootstrap(tables[1:], schedule, 2, lambda raw: 0.0)
+
+
+def test_schedule_is_hashable_with_identity_equality():
+    full = build_schedule(4)
+    assert hash(full) == hash(build_schedule(4))
+    assert full == build_schedule(4)
+    assert full != build_schedule(4, mirror=True)
+    assert {full: 1, build_schedule(4, mirror=True): 2}[full] == 1
+
+
+def test_readout_clipped_is_the_largest_negative_mass():
+    # one qubit, flip 0.1: A^-1 (0, 10) = (-1.25, 11.25), so 1.25 of 10 is clipped
+    model = NoiseModel(p1=0.0, p2=0.0, readout=np.array([[[0.9, 0.1], [0.1, 0.9]]]),
+                       n_qubits=1)
+    probs, clipped = qsim.mitigate_readout(np.array([[0, 10], [5, 5]]), model)
+    assert np.allclose(probs, [[0.0, 1.0], [0.5, 0.5]], atol=1e-15)
+    assert clipped == pytest.approx([0.125, 0.0], abs=1e-15)
+    # four qubits, flip 0.02: every count on outcome 0 gives quasi-counts
+    # prod_q (0.98 or -0.02) / 0.96, negative on the odd-weight outcomes
+    schedule = build_schedule(4)
+    peaked = np.zeros(16, dtype=int)
+    peaked[0] = 100
+    tables = [ShotTable(basis=b, counts=np.full(16, 10), shots=160)
+              for b in schedule.bases]
+    tables[3] = ShotTable(basis=schedule.bases[3], counts=peaked, shots=100)
+    a, b = 0.98 / 0.96, 0.02 / 0.96
+    expected = sum(math.comb(4, k) * a ** (4 - k) * b ** k for k in (1, 3))
+    pair = rdm_from_shots(tables, schedule, model=NoiseModel())
+    assert pair.meta.readout_clipped == pytest.approx(expected, rel=1e-12)
+    assert rdm_from_shots(tables, schedule).meta.readout_clipped == 0.0
 
 
 def test_rdm_serialization_round_trip():

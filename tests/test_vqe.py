@@ -75,6 +75,8 @@ def test_noisy_run_records_spread():
                     optimizer=OptimizerSettings(maxfev=40))
     rec = run_point(spec, 0.7)
     assert rec.last5["e_pure"]["std"] > 0.0
+    clipped = [it["readout_clipped"] for it in rec.iterations]
+    assert all(0.0 <= c < 1.0 for c in clipped) and max(clipped) > 0.0
 
 
 def test_combined_error_is_quadrature():
