@@ -31,7 +31,6 @@ def _spec_from_args(args, geometries):
         optimizer=vqe.OptimizerSettings(method=args.optimizer,
                                         maxfev=args.max_evals),
         bootstrap_resamples=args.bootstrap,
-        mirror=args.mirror,
     )
 
 
@@ -48,8 +47,6 @@ def _add_common(p):
                    default="cobyla")
     p.add_argument("--max-evals", type=int, default=200,
                    help="objective evaluations per point (hard cap)")
-    p.add_argument("--mirror", action="store_true",
-                   help="measure one spin reflection and mirror the rest")
     p.add_argument("--out", default="runs", help="output directory")
 
 

@@ -1,121 +1,76 @@
-"""Projection of measured 2-RDMs onto the nearest pure 2-electron state via
-iterated application of the polynomial P -> 3P^2 - 2P^3.
+"""Projection of a measured 2-RDM onto the nearest pure 2-electron state.
+
+Reshaped over ordered pairs p < q, the 2-RDM of a pure 2-electron state is a
+rank-one projector of trace N(N-1)/2 = 1.  ``purify_rdm`` symmetrizes the
+measured pair matrix, divides it by its trace and replaces it by the
+projector onto its eigenvectors with eigenvalues above 1/2.  That projector
+is the fixed point McWeeny's iteration P -> 3P^2 - 2P^3 reaches (McWeeny,
+Rev. Mod. Phys. 32, 335, 1960): the polynomial drives eigenvalues in
+(1/2, 1.3) to 1 and those in (-0.3, 1/2) to 0, so one ``eigh`` gives it
+directly.  An eigenvalue within ``MIDPOINT_TOL`` of 1/2 sits on the
+iteration's unstable fixed point, where the split is decided by rounding, and
+raises a ``PurificationError`` naming it; so does a matrix with no
+eigenvalue above 1/2 (the zero projector).  Eigenvalues outside (-0.3, 1.3),
+where the iteration can diverge, still project and set ``basin_warning``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
 from .hamio import ValidationError
 from .rdm import RdmPair
 
+# |eigenvalue - 1/2| below this raises.  McWeeny's iteration on
+# diag(1/2 + e, 1/2 - e, 0, ...) converges at e = 1e-8 and stalls at 1e-9.
+MIDPOINT_TOL = 3e-9
+
 
 class PurificationError(RuntimeError):
-    """Raised when the polynomial iteration fails to reach a projector."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """Raised when the pair matrix has no well-defined nearest projector."""
 
 
-@dataclass
-class PairBasisMatrix:
-    """The 2-RDM reshaped over ordered pairs p < q.
-
-    For a pure 2-electron state this matrix is rank one with trace
-    N(N-1)/2 = 1 before normalization.
-    """
-
-    matrix: np.ndarray
-    n_so: int
-
-    @property
-    def pairs(self):
-        return list(combinations(range(self.n_so), 2))
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
+@lru_cache(maxsize=8)
+def _pairs(n_so):
+    """Ordered pairs p < q in lexicographic order, as index arrays (shared:
+    callers must not write to them)."""
+    return np.triu_indices(n_so, 1)
 
 
-def to_pair_basis(rdm: RdmPair, antisym_tol=1e-6) -> PairBasisMatrix:
-    """Reshape rho2 into the ordered-pair basis, checking antisymmetry."""
+def to_pair_basis(rdm: RdmPair) -> np.ndarray:
+    """rho2 as a symmetric matrix over ordered pairs, checking antisymmetry."""
     r2 = rdm.rho2
     viol = max(np.abs(r2 + r2.transpose(1, 0, 2, 3)).max(),
                np.abs(r2 + r2.transpose(0, 1, 3, 2)).max())
-    if viol > antisym_tol:
+    if viol > 1e-6:
         raise ValidationError(
             f"rho2 antisymmetry violated by {viol:.2e}; upstream assembly is broken")
-    n = rdm.n_so
-    pairs = list(combinations(range(n), 2))
-    m = np.empty((len(pairs), len(pairs)))
-    for a, (p, q) in enumerate(pairs):
-        for b, (r, s) in enumerate(pairs):
-            m[a, b] = r2[p, q, r, s]
-    m = 0.5 * (m + m.T)
-    return PairBasisMatrix(matrix=m, n_so=n)
+    p, q = _pairs(rdm.n_so)
+    m = r2[p[:, None], q[:, None], p, q]
+    return 0.5 * (m + m.T)
 
 
-def from_pair_basis(pbm: PairBasisMatrix) -> np.ndarray:
+def from_pair_basis(m, n_so) -> np.ndarray:
     """Inverse reshape; antisymmetry is restored exactly."""
-    n = pbm.n_so
-    rho2 = np.zeros((n, n, n, n))
-    pairs = pbm.pairs
-    for a, (p, q) in enumerate(pairs):
-        for b, (r, s) in enumerate(pairs):
-            v = pbm.matrix[a, b]
-            rho2[p, q, r, s] = v
-            rho2[q, p, r, s] = -v
-            rho2[p, q, s, r] = -v
-            rho2[q, p, s, r] = v
+    p, q = _pairs(n_so)
+    rho2 = np.zeros((n_so,) * 4)
+    rho2[p[:, None], q[:, None], p, q] = m
+    rho2[q[:, None], p[:, None], p, q] = -m
+    rho2[p[:, None], q[:, None], q, p] = -m
+    rho2[q[:, None], p[:, None], q, p] = m
     return rho2
 
 
-def mcweeney(pbm: PairBasisMatrix, tol=1e-10, max_iter=100):
-    """Drive a near-idempotent hermitian matrix to a projector.
+def purify_rdm(rdm: RdmPair) -> RdmPair:
+    """Purify a symmetrized 2-electron RDM (module docstring).
 
-    Expects the input pre-scaled to unit trace (a pure 2-electron target).
-    Returns (PairBasisMatrix, info) where info records iterations, the final
-    residual ||P^2 - P||_F and whether eigenvalues started outside the
-    polynomial's basin of attraction (-0.3, 1.3).
-    """
-    p = np.array(pbm.matrix, dtype=float)
-    if not np.allclose(p, p.T, atol=1e-10):
-        raise ValidationError("pair-basis matrix is not hermitian")
-    evals = np.linalg.eigvalsh(p)
-    basin_warning = bool(evals.min() < -0.3 or evals.max() > 1.3)
-    residual = float(np.linalg.norm(p @ p - p))
-    iterations = 0
-    last = np.inf
-    for iterations in range(max_iter + 1):
-        if residual < tol:
-            break
-        if residual >= last and residual > 1e-6:
-            raise PurificationError(
-                f"purification residual stopped decreasing at {residual:.3e}",
-                residual=residual, iterations=iterations)
-        last = residual
-        p2 = p @ p
-        p = 3.0 * p2 - 2.0 * (p2 @ p)
-        residual = float(np.linalg.norm(p @ p - p))
-    else:
-        raise PurificationError(
-            f"no projector after {max_iter} iterations (residual {residual:.3e})",
-            residual=residual, iterations=max_iter)
-    info = {"iterations": iterations, "residual": residual,
-            "basin_warning": basin_warning}
-    return PairBasisMatrix(matrix=p, n_so=pbm.n_so), info
-
-
-def purify_rdm(rdm: RdmPair, tol=1e-10, max_iter=100) -> RdmPair:
-    """Full purification pipeline for a symmetrized 2-electron RDM.
-
-    Reshape -> trace-normalize -> polynomial iteration -> restore the
-    physical trace -> reshape back; rho1 is recomputed from the purified
-    rho2 by partial trace so the pair stays mutually consistent.
+    rho1 is recomputed from the purified rho2 by partial trace so the pair
+    stays mutually consistent.  ``meta.purification`` records ``iterations``
+    (0: there is no iteration), the ``residual`` ||P^2 - P||_F of the
+    unit-trace projector and ``basin_warning``.
     """
     n_elec = rdm.meta.n_electrons
     if n_elec != 2:
@@ -127,18 +82,24 @@ def purify_rdm(rdm: RdmPair, tol=1e-10, max_iter=100) -> RdmPair:
         raise ValidationError(
             "purify_rdm expects a symmetrized RDM (enforce Sz and average "
             f"spin reflections first); got provenance {rdm.meta.provenance!r}")
-    pbm = to_pair_basis(rdm)
-    tr = pbm.trace()
+    m = to_pair_basis(rdm)
+    tr = float(np.trace(m))
     if tr <= 0:
         raise PurificationError(f"nonpositive pair trace {tr:.3e}")
-    target = n_elec * (n_elec - 1) / 2.0
-    pbm.matrix = pbm.matrix / tr
-    pure, info = mcweeney(pbm, tol=tol, max_iter=max_iter)
-    ptr = pure.trace()
-    if ptr <= 0.5:
+    evals, vecs = np.linalg.eigh(m / tr)
+    basin_warning = bool(evals[0] < -0.3 or evals[-1] > 1.3)
+    mid = evals[np.abs(evals - 0.5) < MIDPOINT_TOL]
+    if mid.size:
+        raise PurificationError(
+            f"pair-matrix eigenvalue {mid[0]:.12g} lies within {MIDPOINT_TOL:.0e} "
+            "of 1/2, the unstable fixed point of purification")
+    kept = vecs[:, evals > 0.5]
+    if kept.shape[1] == 0:
         raise PurificationError("purification collapsed to the zero projector")
-    pure.matrix = pure.matrix * (target / ptr)
-    rho2 = from_pair_basis(pure)
-    rho1 = np.einsum("prqr->pq", rho2) / (n_elec - 1)
+    proj = kept @ kept.T
+    info = {"iterations": 0, "residual": float(np.linalg.norm(proj @ proj - proj)),
+            "basin_warning": basin_warning}
+    rho2 = from_pair_basis(proj / kept.shape[1], rdm.n_so)  # trace N(N-1)/2 = 1
+    rho1 = np.einsum("prqr->pq", rho2)  # divided by N - 1 = 1
     meta = replace(rdm.meta, provenance="purified", purification=info)
     return RdmPair(rho1, rho2, meta)

@@ -540,15 +540,15 @@ def basis_rotation(basis: str) -> Circuit:
     return c
 
 
-def measure_pauli_sets(circuit, observables, shots, model=None, seed=0):
-    """Sample every observable, one circuit per qubit-wise commuting group.
+def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
+    """Sample one circuit per measurement basis (the group bases of
+    ``qwc_groups``, as ``MeasurementSchedule.bases`` holds them).
 
     The noisy state is evolved once and each group adds its basis rotation,
     so a group's counts equal ``apply_noise`` on its rotated circuit."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
     model = _model_for(circuit, model)
-    bases, _ = qwc_groups(observables)
     prefix = noisy_density_matrix(circuit, model)
     tables = []
     for gi, basis in enumerate(bases):

@@ -14,9 +14,8 @@ column i the little-endian outcome after the group's basis rotation.  x holds
 the measured elements (``elements1`` then ``elements2``, 18 for 4 qubits):
 row e of K is e's Pauli coefficients times the outcome parities of its
 words.  raw is rho1.ravel() followed by rho2.ravel() (16 + 256 entries);
-each position reads its element with the antisymmetry sign, with ``mirror``
-an unmeasured spin-reflection partner reads its representative times the
-reflection sign, and a vanishing (Sz-changing or p = q) position has sign 0.
+each position reads its element with the antisymmetry sign, and a vanishing
+(Sz-changing or p = q) position has sign 0.
 Sampled counts reach P through readout mitigation or normalisation, a
 statevector psi as P[g] = |R_g psi|^2.
 """
@@ -156,20 +155,17 @@ def _flip(n_so):
 class MeasurementSchedule:
     """Which RDM elements are measured, and the compiled measurement map.
 
-    ``elements1``/``elements2`` are the measured (stored-form) elements; with
-    ``mirror`` set, only one representative per spin-reflection orbit.  Group
-    g measures ``words[g]`` in basis ``bases[g]``, after the basis rotation
-    whose unitary is ``rotations[g]``; ``k0``, ``K``, ``index`` and ``sign``
-    map the group probabilities to the raw RDMs (module docstring).
+    ``elements1``/``elements2`` are the measured (stored-form) elements.
+    Group g measures ``words[g]`` in basis ``bases[g]``, after the basis
+    rotation whose unitary is ``rotations[g]``; ``k0``, ``K``, ``index`` and
+    ``sign`` map the group probabilities to the raw RDMs (module docstring).
     Compared and hashed by identity: ``build_schedule`` returns one object
     per key.
     """
 
     n_so: int
-    mirror: bool
     elements1: tuple
     elements2: tuple
-    observables: tuple
     bases: tuple
     words: tuple
     rotations: np.ndarray
@@ -194,17 +190,6 @@ def _order_element(t):
     return ((p, q, r, s), sign)
 
 
-def _canonical_element(idx, n_so):
-    """Representative of the spin-reflection orbit of an index tuple.
-
-    Returns (canonical tuple, sign); the canonical tuple is the
-    lexicographically smaller of the ordered element and its ordered spin flip.
-    """
-    a, sa = _order_element(idx)
-    b, sb = _order_element(tuple(i ^ 1 for i in idx))
-    return (a, sa) if a <= b else (b, sb)
-
-
 def _decompose(ops, n_so):
     """Identity offset and real Pauli coefficients of (A + A+)/2."""
     const = 0.0
@@ -220,24 +205,20 @@ def _decompose(ops, n_so):
     return const, tuple(terms)
 
 
-def _elements(n_so, mirror):
-    """Stored-form Sz-conserving elements, one per spin-reflection orbit with
-    ``mirror``."""
+def _elements(n_so):
+    """Stored-form Sz-conserving elements."""
     mask1 = sz_conserving_mask_1(n_so)
     mask2 = sz_conserving_mask_2(n_so)
     el1 = [(p, q) for p in range(n_so) for q in range(p, n_so) if mask1[p, q]]
     el2 = [(p, q, r, s) for p in range(n_so) for q in range(p + 1, n_so)
            for r in range(n_so) for s in range(r + 1, n_so)
            if (p, q) <= (r, s) and mask2[p, q, r, s]]
-    if mirror:
-        el1 = [e for e in el1 if _canonical_element(e, n_so)[0] == e]
-        el2 = [e for e in el2 if _canonical_element(e, n_so)[0] == e]
     return el1, el2
 
 
 @lru_cache(maxsize=8)
-def build_schedule(n_so, mirror=False) -> MeasurementSchedule:
-    el1, el2 = _elements(n_so, mirror)
+def build_schedule(n_so) -> MeasurementSchedule:
+    el1, el2 = _elements(n_so)
     decomp = {e: _decompose([(e[0], True), (e[1], False)], n_so) for e in el1}
     decomp.update({e: _decompose([(e[0], True), (e[1], True), (e[3], False),
                                   (e[2], False)], n_so) for e in el2})
@@ -263,14 +244,11 @@ def build_schedule(n_so, mirror=False) -> MeasurementSchedule:
     positions = chain(product(range(n_so), repeat=2), product(range(n_so), repeat=4))
     for i, t in enumerate(positions):  # raw order: rho1.ravel(), rho2.ravel()
         e, s = _order_element(t)
-        if e not in slot:  # a mirrored partner reads its reflection
-            e, flip_sign = _order_element(tuple(x ^ 1 for x in e))
-            s *= flip_sign
         if e in slot:  # else the element vanishes: sign 0
             index[i], sign[i] = slot[e], s
     return MeasurementSchedule(
-        n_so=n_so, mirror=mirror, elements1=tuple(el1), elements2=tuple(el2),
-        observables=observables, bases=tuple(bases),
+        n_so=n_so, elements1=tuple(el1), elements2=tuple(el2),
+        bases=tuple(bases),
         words=tuple(tuple(w for w in words if group[w] == g) for g in range(len(bases))),
         rotations=np.array([qsim.basis_rotation(b).unitary() for b in bases]),
         k0=k0, K=K, index=index, sign=sign)

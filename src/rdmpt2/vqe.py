@@ -244,7 +244,6 @@ class ScanSpec:
     seed: int = 0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
     bootstrap_resamples: int = 0
-    mirror: bool = False
     start: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
@@ -259,8 +258,14 @@ class ScanSpec:
     def from_json(cls, path) -> "ScanSpec":
         """Read a spec file; ``noise`` is null, "default", a dict of
         ``NoiseModel`` fields (as ``records.json`` settings hold it) or the
-        path of a noise-model file.  Unknown keys are rejected."""
+        path of a noise-model file.  Unknown keys are rejected; so is
+        ``"mirror": true`` (the removed spin-reflection schedule), while
+        ``"mirror": false`` from older files is ignored."""
         cfg = json.loads(Path(path).read_text())
+        if cfg.pop("mirror", False):
+            raise ValidationError(
+                '"mirror": true is no longer supported: the mirrored schedule '
+                "needed the same 13 circuits; remove the key")
         unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"unknown scan-spec keys: {', '.join(unknown)}")
@@ -278,7 +283,6 @@ class ScanSpec:
                    shots=cfg.get("shots", 8192), noise=model,
                    seed=int(cfg.get("seed", 0)), optimizer=opt,
                    bootstrap_resamples=int(cfg.get("bootstrap_resamples", 0)),
-                   mirror=bool(cfg.get("mirror", False)),
                    start=tuple(cfg.get("start", (0.0, 0.0, 0.0))))
 
 
@@ -313,7 +317,7 @@ class PointPipeline:
                       else self.table_full)
         self.ref = hamio.ReferenceDeterminant.aufbau(self.table)
         self.ref_full = hamio.ReferenceDeterminant.aufbau(self.table_full)
-        self.schedule = rdm.build_schedule(self.table.n_so, mirror=spec.mirror)
+        self.schedule = rdm.build_schedule(self.table.n_so)
         self.has_frozen = bool(self.space.frozen_occupied or self.space.frozen_virtual)
         self._count = 0
 
@@ -341,7 +345,7 @@ class PointPipeline:
         else:
             seed = _eval_seed(self.spec.seed, tag)
             tables = qsim.measure_pauli_sets(
-                circuit, self.schedule.observables, self.spec.shots,
+                circuit, self.schedule.bases, self.spec.shots,
                 model=self.spec.noise, seed=seed)
             raw = rdm.rdm_from_shots(tables, self.schedule, model=self.spec.noise)
         rec = {"params": tuple(float(x) for x in params)}
@@ -397,7 +401,7 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
     pipe = PointPipeline(spec, geometry)
     record = RunRecord(fixture_id=pipe.fixture_id, geometry=float(geometry),
                        seed=spec.seed,
-                       settings={"shots": spec.shots, "mirror": spec.mirror,
+                       settings={"shots": spec.shots,
                                  "optimizer": asdict(spec.optimizer),
                                  "noise": (spec.noise.to_dict()
                                            if spec.noise is not None else None),

@@ -2,10 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rdmpt2 import exact, hamio, rdm
 
 logging.getLogger("rdmpt2").setLevel(logging.ERROR)
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and a
+# failure prints the blob that replays it (@reproduce_failure).
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -17,21 +17,29 @@ density-matrix channel must reproduce.
 
 The measurement oracles are the element-by-element assembly the compiled
 map replaced: ``rdm_from_expectations`` evaluates every scheduled element
-from a Pauli-word expectation callable and writes its antisymmetric,
-hermitian and mirrored copies one by one; ``rdm_from_shots`` finds the
+from a Pauli-word expectation callable and writes its antisymmetric
+and hermitian copies one by one; ``rdm_from_shots`` finds the
 first table that can measure each word; ``mitigate_readout`` inverts one
 table at a time, qubit by qubit; ``bootstrap`` resamples and reruns its
 pipeline one resample at a time.  ``embed_active_rdm`` is the loop form of
 the core embedding.
+
+The purification oracles are the iteration the spectral projector replaced:
+``to_pair_basis``/``from_pair_basis`` reshape rho2 over ordered pairs p < q
+in Python loops, ``mcweeney`` iterates P -> 3P^2 - 2P^3 until P^2 = P, and
+``purify_rdm`` chains them the way the package's ``purify_rdm`` used to.
 """
 
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 
 from rdmpt2 import pt2, qsim, rdm
 from rdmpt2.hamio import ValidationError
 from rdmpt2.pt2 import DENOMINATOR_FLOOR, DegenerateDenominatorError
+from rdmpt2.purify import PurificationError
 
 _PAULIS_1Q = [qsim._PAULI_MATS[c] for c in "XYZ"]
 _PAULIS_2Q = [np.kron(qsim._PAULI_MATS[a], qsim._PAULI_MATS[b])
@@ -381,16 +389,6 @@ def rdm_from_expectations(expectation, schedule):
     for p, q, r, s in schedule.elements2:
         const, terms = rdm._decompose([(p, True), (q, True), (s, False), (r, False)], n)
         _set2(rho2, p, q, r, s, const + sum(c * expectation(w) for w, c in terms))
-    if schedule.mirror:
-        full = rdm.build_schedule(n, mirror=False)
-        for e in full.elements1:
-            if e not in schedule.elements1:
-                src, sign = rdm._order_element(tuple(i ^ 1 for i in e))
-                _set1(rho1, *e, sign * rho1[src])
-        for e in full.elements2:
-            if e not in schedule.elements2:
-                src, sign = rdm._order_element(tuple(i ^ 1 for i in e))
-                _set2(rho2, *e, sign * rho2[src])
     return rho1, rho2
 
 
@@ -409,7 +407,7 @@ def table_expectation(table, pauli):
 def rdm_from_shots(tables, schedule):
     """Each word's expectation from the first table whose basis measures it."""
     lookup = {}
-    for pauli in schedule.observables:
+    for pauli in (qsim.PauliString(w) for words in schedule.words for w in words):
         table = next(t for t in tables
                      if all(c == "I" or c == t.basis[k] for k, c in enumerate(pauli.ops)))
         lookup[pauli.ops] = table_expectation(table, pauli)
@@ -465,3 +463,84 @@ def embed_active_rdm(active_rdm, spec):
         rho2[np.ix_([c], act, act, [c])] = -r1a[None, :, :, None]
         rho2[np.ix_(act, [c], act, [c])] = r1a[:, None, :, None]
     return rho1, rho2
+
+
+# ---------------------------------------------------------------------------
+# Purification
+# ---------------------------------------------------------------------------
+
+def to_pair_basis(pair):
+    """rho2 over ordered pairs p < q (lexicographic), symmetrized, in loops."""
+    r2 = pair.rho2
+    viol = max(np.abs(r2 + r2.transpose(1, 0, 2, 3)).max(),
+               np.abs(r2 + r2.transpose(0, 1, 3, 2)).max())
+    if viol > 1e-6:
+        raise ValidationError(
+            f"rho2 antisymmetry violated by {viol:.2e}; upstream assembly is broken")
+    pairs = list(combinations(range(pair.n_so), 2))
+    m = np.empty((len(pairs), len(pairs)))
+    for a, (p, q) in enumerate(pairs):
+        for b, (r, s) in enumerate(pairs):
+            m[a, b] = r2[p, q, r, s]
+    return 0.5 * (m + m.T)
+
+
+def from_pair_basis(m, n_so):
+    """Inverse reshape, writing the four antisymmetric copies one by one."""
+    rho2 = np.zeros((n_so,) * 4)
+    pairs = list(combinations(range(n_so), 2))
+    for a, (p, q) in enumerate(pairs):
+        for b, (r, s) in enumerate(pairs):
+            v = m[a, b]
+            rho2[p, q, r, s] = v
+            rho2[q, p, r, s] = -v
+            rho2[p, q, s, r] = -v
+            rho2[q, p, s, r] = v
+    return rho2
+
+
+def mcweeney(m, tol=1e-10, max_iter=100):
+    """Drive a unit-trace symmetric matrix to a projector by iterating
+    P -> 3P^2 - 2P^3; returns (P, info) with the iteration count, the final
+    ||P^2 - P||_F and whether an eigenvalue started outside the polynomial's
+    basin (-0.3, 1.3).  Raises PurificationError when the residual stops
+    decreasing or the iterations run out."""
+    p = np.array(m, dtype=float)
+    evals = np.linalg.eigvalsh(p)
+    basin_warning = bool(evals.min() < -0.3 or evals.max() > 1.3)
+    residual = float(np.linalg.norm(p @ p - p))
+    iterations = 0
+    last = np.inf
+    for iterations in range(max_iter + 1):
+        if residual < tol:
+            break
+        if residual >= last and residual > 1e-6:
+            raise PurificationError(
+                f"purification residual stopped decreasing at {residual:.3e}")
+        last = residual
+        p2 = p @ p
+        p = 3.0 * p2 - 2.0 * (p2 @ p)
+        residual = float(np.linalg.norm(p @ p - p))
+    else:
+        raise PurificationError(
+            f"no projector after {max_iter} iterations (residual {residual:.3e})")
+    return p, {"iterations": iterations, "residual": residual,
+               "basin_warning": basin_warning}
+
+
+def purify_rdm(pair):
+    """McWeeny purification of a 2-electron RdmPair: loop reshape, unit
+    trace, iteration, physical trace, loop reshape back, rho1 by partial
+    trace."""
+    m = to_pair_basis(pair)
+    tr = float(np.trace(m))
+    if tr <= 0:
+        raise PurificationError(f"nonpositive pair trace {tr:.3e}")
+    p, info = mcweeney(m / tr)
+    ptr = float(np.trace(p))
+    if ptr <= 0.5:
+        raise PurificationError("purification collapsed to the zero projector")
+    rho2 = from_pair_basis(p * (1.0 / ptr), pair.n_so)
+    rho1 = np.einsum("prqr->pq", rho2)
+    return rdm.RdmPair(rho1, rho2, replace(pair.meta, provenance="purified",
+                                           purification=info))

@@ -223,12 +223,11 @@ def test_depolarizing_closed_form_matches_pauli_sum():
 
 def test_shared_prefix_matches_per_circuit_channel():
     circuit = build_ansatz((0.5, -0.3, 0.8))
-    observables = list(rdm.build_schedule(4).observables)
+    bases = rdm.build_schedule(4).bases
     model = NoiseModel(p1=0.004, p2=0.03)
     seed = 6
-    tables = measure_pauli_sets(circuit, observables, 4096, model=model, seed=seed)
-    bases, _ = qwc_groups(observables)
-    assert [t.basis for t in tables] == bases
+    tables = measure_pauli_sets(circuit, bases, 4096, model=model, seed=seed)
+    assert tuple(t.basis for t in tables) == bases
     for gi, table in enumerate(tables):
         rotated = circuit.extended(basis_rotation(table.basis))
         alone = apply_noise(rotated, model, qsim._group_seed(seed, gi))(4096)
@@ -257,7 +256,8 @@ def test_shot_noise_scaling():
     obs = PauliString("ZIII")
     exact_val = float(simulate(circuit).expectation(obs).real)
     for shots in (1000, 10_000, 100_000):
-        tables = measure_pauli_sets(circuit, [obs], shots, model=None, seed=17)
+        tables = measure_pauli_sets(circuit, qwc_groups([obs])[0], shots, model=None,
+                                    seed=17)
         err = abs(table_expectation(tables[0], obs) - exact_val)
         assert err < 5.0 / np.sqrt(shots)
 
@@ -271,7 +271,7 @@ def test_qwc_grouping():
 
 def test_measure_pauli_sets_validates_shots():
     with pytest.raises(ValidationError):
-        measure_pauli_sets(Circuit(2), [PauliString("ZI")], 0)
+        measure_pauli_sets(Circuit(2), ["ZZ"], 0)
 
 
 def test_readout_confusion_biases_expectation():
@@ -280,7 +280,7 @@ def test_readout_confusion_biases_expectation():
     readout = np.array([[[0.9, 0.1], [0.1, 0.9]]])
     model = NoiseModel(p1=0.0, p2=0.0, readout=readout, n_qubits=1)
     shots = 200_000
-    tables = measure_pauli_sets(circuit, [PauliString("Z")], shots,
+    tables = measure_pauli_sets(circuit, qwc_groups([PauliString("Z")])[0], shots,
                                 model=model, seed=1)
     raw = table_expectation(tables[0], PauliString("Z"))
     assert abs(raw - 0.8) < 5 / np.sqrt(shots)
@@ -322,7 +322,7 @@ def test_mitigation_recovers_modeled_readout():
         circuit = build_ansatz(th)
         obs = PauliString("ZZII")
         exact_val = float(simulate(circuit).expectation(obs).real)
-        tables = measure_pauli_sets(circuit, [obs], shots, model=model,
+        tables = measure_pauli_sets(circuit, qwc_groups([obs])[0], shots, model=model,
                                     seed=100 + trial)
         fixed, _ = mitigate_readout(tables[0].counts, model)
         # inverse confusion inflates variance by roughly (1 - 2 eps)^-2

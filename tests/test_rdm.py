@@ -69,7 +69,7 @@ def test_sampled_rdm_energy_within_shot_noise(h2, h2_fci):
     theta0 = 2 * np.arctan2(pair_exact.rho2[2, 3, 0, 1], pair_exact.rho2[0, 1, 0, 1])
     circuit = build_ansatz((theta0, 0, 0))
     schedule = build_schedule(4)
-    tables = measure_pauli_sets(circuit, list(schedule.observables), 10**6,
+    tables = measure_pauli_sets(circuit, schedule.bases, 10**6,
                                 model=None, seed=5)
     pair = rdm_from_shots(tables, schedule)
     energy = hamio.energy_from_rdm(table, pair)
@@ -79,7 +79,7 @@ def test_sampled_rdm_energy_within_shot_noise(h2, h2_fci):
 def test_coverage_error_lists_missing():
     schedule = build_schedule(4)
     circuit = build_ansatz((0.2, 0.0, 0.0))
-    tables = measure_pauli_sets(circuit, list(schedule.observables), 64,
+    tables = measure_pauli_sets(circuit, schedule.bases, 64,
                                 model=None, seed=1)
     dropped = tables[1:]
     with pytest.raises(CoverageError) as err:
@@ -116,6 +116,16 @@ def test_sz_and_reflection_idempotent_and_commute():
         assert np.abs(ab.rho1 - ba.rho1).max() < 1e-15
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_symmetrize_is_idempotent(seed):
+    once = symmetrize(random_rdm_pair(np.random.default_rng(seed)))
+    twice = symmetrize(once)
+    assert once.meta.provenance == twice.meta.provenance == "symmetrized"
+    assert np.array_equal(twice.rho1, once.rho1)
+    assert np.array_equal(twice.rho2, once.rho2)
+
+
 def test_reflection_average_values():
     pair = random_rdm_pair(np.random.default_rng(1))
     pair.rho1[0, 0] = 0.6
@@ -141,22 +151,9 @@ def test_symmetrization_fixed_point_on_singlet(h2_fci):
     assert np.abs(sym.rho2 - pair.rho2).max() < 1e-12
 
 
-def test_mirror_schedule_reduces_measurements_consistently():
-    full = build_schedule(4, mirror=False)
-    half = build_schedule(4, mirror=True)
-    assert len(half.elements2) < len(full.elements2)
-    sv = simulate(build_ansatz((0.7, 0.2, 0.2)))
-    a = rdm_from_state(sv, full)
-    b = rdm_from_state(sv, half)
-    # a spin-symmetric state assembles identically from half the elements
-    sym = spin_reflection_average(enforce_sz(a))
-    symb = spin_reflection_average(enforce_sz(b))
-    assert np.abs(sym.rho2 - symb.rho2).max() < 1e-10
-
-
 def test_bootstrap_single_resample_and_deterministic_pipeline():
     schedule = build_schedule(4)
-    tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.observables,
+    tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.bases,
                                 100, seed=0)
     ens = bootstrap(tables, schedule, 1, lambda raw: 1.23, seed=0)
     assert ens.mean["value"] == 1.23 and ens.std["value"] == 0.0
@@ -226,10 +223,10 @@ def _random_tables(schedule, rng, zero_fraction):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), zero_fraction=st.floats(0.0, 0.9),
-       mirror=st.booleans(), noisy=st.booleans())
-def test_map_matches_dict_assembly_on_counts(seed, zero_fraction, mirror, noisy):
+       noisy=st.booleans())
+def test_map_matches_dict_assembly_on_counts(seed, zero_fraction, noisy):
     rng = np.random.default_rng(seed)
-    schedule = build_schedule(4, mirror=mirror)
+    schedule = build_schedule(4)
     tables = _random_tables(schedule, rng, zero_fraction)
     model = None
     if noisy:  # asymmetric: P(1|0) and P(0|1) drawn separately per qubit
@@ -244,9 +241,9 @@ def test_map_matches_dict_assembly_on_counts(seed, zero_fraction, mirror, noisy)
 
 
 @settings(max_examples=30, deadline=None)
-@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3), mirror=st.booleans())
-def test_map_matches_dict_assembly_on_states(angles, mirror):
-    schedule = build_schedule(4, mirror=mirror)
+@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3))
+def test_map_matches_dict_assembly_on_states(angles):
+    schedule = build_schedule(4)
     sv = simulate(build_ansatz(angles))
     pair = rdm_from_state(sv, schedule)
     rho1, rho2 = oracles.rdm_from_state(sv, schedule)
@@ -256,7 +253,7 @@ def test_map_matches_dict_assembly_on_states(angles, mirror):
 
 def test_coverage_error_names_missing_group_and_wrong_basis():
     schedule = build_schedule(4)
-    tables = measure_pauli_sets(build_ansatz((0.2, 0.1, 0.0)), schedule.observables,
+    tables = measure_pauli_sets(build_ansatz((0.2, 0.1, 0.0)), schedule.bases,
                                 64, seed=1)
     with pytest.raises(CoverageError) as err:
         rdm_from_shots(tables[:2] + tables[3:], schedule)
@@ -274,8 +271,8 @@ def test_schedule_is_hashable_with_identity_equality():
     full = build_schedule(4)
     assert hash(full) == hash(build_schedule(4))
     assert full == build_schedule(4)
-    assert full != build_schedule(4, mirror=True)
-    assert {full: 1, build_schedule(4, mirror=True): 2}[full] == 1
+    assert full != build_schedule(2)
+    assert {full: 1, build_schedule(2): 2}[full] == 1
 
 
 def test_readout_clipped_is_the_largest_negative_mass():

@@ -142,6 +142,21 @@ def test_scanspec_rejects_unknown_keys(tmp_path):
         ScanSpec.from_json(path)
 
 
+def test_scanspec_mirror_key(tmp_path, capsys):
+    # spec files and records.json settings written with the removed --mirror
+    # hold "mirror": false, which still loads; true is rejected by name
+    path = tmp_path / "spec.json"
+    cfg = {"molecule": "h2", "geometries": [0.7], "mirror": False}
+    path.write_text(json.dumps(cfg))
+    assert ScanSpec.from_json(path).molecule == "h2"
+    path.write_text(json.dumps(dict(cfg, mirror=True)))
+    with pytest.raises(hamio.ValidationError, match='"mirror": true'):
+        ScanSpec.from_json(path)
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--mirror"])
+    assert "--mirror" in capsys.readouterr().err
+
+
 def test_records_settings_reproduce_noise_model(tmp_path):
     # a non-default noise model survives records.json -> ScanSpec.from_json,
     # and the recovered spec reruns to identical records
