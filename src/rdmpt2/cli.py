@@ -28,8 +28,7 @@ def _spec_from_args(args, geometries):
         shots=None if args.shots == 0 else args.shots,
         noise=_noise_from_args(args),
         seed=args.seed,
-        optimizer=vqe.OptimizerSettings(method=args.optimizer,
-                                        maxfev=args.max_evals),
+        optimizer=vqe.OptimizerSettings(maxfev=args.max_evals),
         bootstrap_resamples=args.bootstrap,
     )
 
@@ -43,8 +42,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bootstrap", type=int, default=0,
                    help="bootstrap resamples at the final point")
-    p.add_argument("--optimizer", choices=["cobyla", "nelder-mead"],
-                   default="cobyla")
     p.add_argument("--max-evals", type=int, default=200,
                    help="objective evaluations per point (hard cap)")
     p.add_argument("--out", default="runs", help="output directory")

@@ -12,8 +12,7 @@ import numpy as np
 from .hamio import IntegralTable, ValidationError
 from .rdm import RdmMeta, RdmPair
 
-DENSE_CUTOFF = 2000
-DIMENSION_CAP = 1_000_000
+DIMENSION_CAP = 2000  # largest sector diagonalized (dense)
 
 
 @dataclass(frozen=True)
@@ -109,27 +108,16 @@ def _matrix_elements(table: IntegralTable, basis: SectorBasis):
                     yield row, col, sign * val
 
 
-def sector_hamiltonian(table: IntegralTable, basis: SectorBasis, dense=None):
+def sector_hamiltonian(table: IntegralTable, basis: SectorBasis):
     dim = len(basis)
-    if dense is None:
-        dense = dim <= DENSE_CUTOFF
-    if dense:
-        ham = np.zeros((dim, dim))
-        for r, c, v in _matrix_elements(table, basis):
-            ham[r, c] += v
-        return ham
-    import scipy.sparse  # here, not at module level: it adds ~30 MiB to the process
-    rows, cols, vals = [], [], []
+    ham = np.zeros((dim, dim))
     for r, c, v in _matrix_elements(table, basis):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        ham[r, c] += v
+    return ham
 
 
 def fci_ground_state(table: IntegralTable, n_elec=None, sz2=0,
-                     restrict_occupied=(), restrict_virtual_empty=(),
-                     dense_cutoff=DENSE_CUTOFF):
+                     restrict_occupied=(), restrict_virtual_empty=()):
     """Lowest eigenpair of the sector Hamiltonian (energy includes e_nuclear).
 
     Returns (energy, amplitudes) with amplitudes ordered like
@@ -141,17 +129,9 @@ def fci_ground_state(table: IntegralTable, n_elec=None, sz2=0,
     dim = len(basis)
     if dim > DIMENSION_CAP:
         raise ValidationError(
-            f"sector dimension {dim} exceeds the desk-scale cap; freeze core first")
-    if dim <= dense_cutoff:
-        ham = sector_hamiltonian(table, basis, dense=True)
-        w, v = np.linalg.eigh(ham)
-        return float(w[0]), v[:, 0]
-    ham = sector_hamiltonian(table, basis, dense=False)
-    if dim < 10:
-        w, v = np.linalg.eigh(ham.toarray())
-        return float(w[0]), v[:, 0]
-    import scipy.sparse.linalg
-    w, v = scipy.sparse.linalg.eigsh(ham, k=1, which="SA")
+            f"sector dimension {dim} exceeds the desk-scale cap of "
+            f"{DIMENSION_CAP}; freeze core first")
+    w, v = np.linalg.eigh(sector_hamiltonian(table, basis))
     return float(w[0]), v[:, 0]
 
 

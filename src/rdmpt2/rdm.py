@@ -72,14 +72,14 @@ class RdmPair:
         return float(np.einsum("pqpq->", self.rho2))
 
     def validate(self, tol=1e-8):
-        if not np.allclose(self.rho1, self.rho1.T, atol=tol):
+        if not np.allclose(self.rho1, self.rho1.T, rtol=0.0, atol=tol):
             raise ValidationError("rho1 is not hermitian")
         r2 = self.rho2
-        if not np.allclose(r2, -r2.transpose(1, 0, 2, 3), atol=tol):
+        if not np.allclose(r2, -r2.transpose(1, 0, 2, 3), rtol=0.0, atol=tol):
             raise ValidationError("rho2 violates bra antisymmetry")
-        if not np.allclose(r2, -r2.transpose(0, 1, 3, 2), atol=tol):
+        if not np.allclose(r2, -r2.transpose(0, 1, 3, 2), rtol=0.0, atol=tol):
             raise ValidationError("rho2 violates ket antisymmetry")
-        if not np.allclose(r2, r2.transpose(2, 3, 0, 1), atol=tol):
+        if not np.allclose(r2, r2.transpose(2, 3, 0, 1), rtol=0.0, atol=tol):
             raise ValidationError("rho2 is not hermitian")
         return self
 

@@ -22,12 +22,11 @@ BOUNDS = (-np.pi, np.pi)
 
 
 # ---------------------------------------------------------------------------
-# Derivative-free optimizers
+# Derivative-free optimizer
 # ---------------------------------------------------------------------------
 
 @dataclass
 class OptimizerSettings:
-    method: str = "cobyla"  # cobyla | nelder-mead
     rhobeg: float = 0.5
     rhoend: float = 1e-4
     maxfev: int = 200
@@ -37,10 +36,8 @@ class OptimizerSettings:
 class OptimizeTrace:
     evals: list            # [(params array, value)] in evaluation order
     best_params: np.ndarray
-    best_value: float
     n_evals: int
     converged: bool        # False when the evaluation budget ended the run
-    final_radius: float    # inf when the evaluation budget ended the run
 
     def best_so_far(self):
         out = []
@@ -60,16 +57,19 @@ class _BudgetSpent(Exception):
 
 
 def optimize(objective, start, settings: OptimizerSettings | None = None) -> OptimizeTrace:
-    """Minimize a total objective over the parameter cube.
+    """Minimize a total objective over the parameter cube with a linear-model
+    trust region.
 
-    ``cobyla`` (the default) maintains a simplex of n+1 points, fits a linear
-    model and takes trust-region steps, halving the radius when the model
-    stops predicting descent; ``nelder-mead`` reflects, expands, contracts
-    and shrinks a simplex of initial size ``rhobeg``.  Both stop when their
-    radius (trust radius or simplex size) drops below ``rhoend``, or after
-    exactly ``maxfev`` evaluations: every evaluation passes one budget gate,
-    and a run the budget ends reports ``converged=False`` and an infinite
-    ``final_radius``.
+    The method holds n+1 points and their values, fits a linear model through
+    them and steps a distance ``rho`` (starting at ``rhobeg``) down its
+    gradient; a step that gains at least a tenth of the predicted decrease
+    replaces the worst point.  Otherwise ``rho`` halves and the points are
+    rebuilt as the best one, which keeps its value, plus n axis steps of
+    length ``rho``.  No point is evaluated twice: a step clipped back onto a
+    point evaluated earlier reuses that value.  The run stops when ``rho``
+    drops below ``rhoend``, or after exactly ``maxfev`` evaluations: every
+    evaluation passes one budget gate, and a run the budget ends reports
+    ``converged=False``.
     """
     settings = settings or OptimizerSettings()
     if settings.maxfev < 1:
@@ -84,41 +84,38 @@ def optimize(objective, start, settings: OptimizerSettings | None = None) -> Opt
         evals.append((x.copy(), v))
         return v
 
-    if settings.method == "nelder-mead":
-        method = _nelder_mead
-    elif settings.method == "cobyla":
-        method = _linear_trust_region
-    else:
-        raise ValidationError(f"unknown optimizer method {settings.method!r}")
     try:
-        radius = method(f, x0, settings)
+        _trust_region(f, x0, settings)
         converged = True
     except _BudgetSpent:
-        radius, converged = math.inf, False
-    best_x, best_v = min(evals, key=lambda e: e[1])
-    return OptimizeTrace(evals=evals, best_params=best_x, best_value=best_v,
-                         n_evals=len(evals), converged=converged,
-                         final_radius=radius)
+        converged = False
+    best_x, _ = min(evals, key=lambda e: e[1])
+    return OptimizeTrace(evals=evals, best_params=best_x, n_evals=len(evals),
+                         converged=converged)
 
 
-def _linear_trust_region(f, x0, settings):
-    """Run to convergence and return the final trust radius."""
+def _trust_region(f, x0, settings):
+    """Run the trust region of ``optimize`` until its radius drops below
+    ``rhoend``, calling ``f`` at most once per point."""
     n = x0.size
     rho = settings.rhobeg
-    points = [x0]
-    values = [f(x0)]
+    points, values, seen = [], [], {}
 
-    def rebuild(center, radius):
-        del points[:], values[:]
-        points.append(center)
-        values.append(f(center))
+    def value(x):  # a clipped step can return to a point no longer held
+        key = tuple(x.tolist())
+        if key not in seen:
+            seen[key] = f(x)
+        return seen[key]
+
+    def rebuild(center, center_value, radius):
+        points[:], values[:] = [center], [center_value]
         for k in range(n):
             step = np.zeros(n)
             step[k] = radius if center[k] + radius <= BOUNDS[1] else -radius
             points.append(_clip(center + step))
-            values.append(f(points[-1]))
+            values.append(value(points[-1]))
 
-    rebuild(x0, rho)
+    rebuild(x0, value(x0), rho)
     while True:
         b = int(np.argmin(values))
         xb, fb = points[b], values[b]
@@ -127,17 +124,17 @@ def _linear_trust_region(f, x0, settings):
         try:
             grad, *_ = np.linalg.lstsq(d, df, rcond=None)
         except np.linalg.LinAlgError:
-            rebuild(xb, rho)
+            rebuild(xb, fb, rho)
             continue
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-14 or np.linalg.matrix_rank(d, tol=1e-12 * rho) < n:
             rho *= 0.5
             if rho < settings.rhoend:
-                return rho
-            rebuild(xb, rho)
+                return
+            rebuild(xb, fb, rho)
             continue
         x_new = _clip(xb - rho * grad / gnorm)
-        f_new = f(x_new)
+        f_new = value(x_new)
         predicted = rho * gnorm
         if fb - f_new > 0.1 * predicted:
             w = int(np.argmax(values))
@@ -146,42 +143,8 @@ def _linear_trust_region(f, x0, settings):
         else:
             rho *= 0.5
             if rho < settings.rhoend:
-                return rho
-            rebuild(xb, rho)
-
-
-def _nelder_mead(f, x0, settings):
-    """Run to convergence and return the final simplex size."""
-    n = x0.size
-    alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
-    simplex = [x0] + [_clip(x0 + settings.rhobeg * e)
-                      for e in np.eye(n)]
-    values = [f(x) for x in simplex]
-    while True:
-        order = np.argsort(values)
-        simplex = [simplex[k] for k in order]
-        values = [values[k] for k in order]
-        size = max(np.linalg.norm(x - simplex[0]) for x in simplex[1:])
-        if size < settings.rhoend:
-            return size
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = _clip(centroid + alpha * (centroid - simplex[-1]))
-        fr = f(xr)
-        if fr < values[0]:
-            xe = _clip(centroid + gamma * (centroid - simplex[-1]))
-            fe = f(xe)
-            simplex[-1], values[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = xr, fr
-        else:
-            xc = _clip(centroid + beta * (simplex[-1] - centroid))
-            fc = f(xc)
-            if fc < values[-1]:
-                simplex[-1], values[-1] = xc, fc
-            else:
-                for k in range(1, n + 1):
-                    simplex[k] = _clip(simplex[0] + delta * (simplex[k] - simplex[0]))
-                    values[k] = f(simplex[k])
+                return
+            rebuild(xb, fb, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +221,25 @@ class ScanSpec:
     def from_json(cls, path) -> "ScanSpec":
         """Read a spec file; ``noise`` is null, "default", a dict of
         ``NoiseModel`` fields (as ``records.json`` settings hold it) or the
-        path of a noise-model file.  Unknown keys are rejected; so is
-        ``"mirror": true`` (the removed spin-reflection schedule), while
-        ``"mirror": false`` from older files is ignored."""
+        path of a noise-model file.  Unknown keys, top-level or under
+        ``optimizer``, are rejected by name.  Older files may hold
+        ``"mirror": false`` (the removed spin-reflection schedule) and an
+        optimizer ``"method": "cobyla"`` (the one remaining optimizer); both
+        are ignored, while ``"mirror": true`` or any other method is
+        rejected."""
         cfg = json.loads(Path(path).read_text())
         if cfg.pop("mirror", False):
             raise ValidationError(
                 '"mirror": true is no longer supported: the mirrored schedule '
                 "needed the same 13 circuits; remove the key")
-        unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValidationError(f"unknown scan-spec keys: {', '.join(unknown)}")
+        _reject_unknown(cfg, cls, "scan-spec")
+        opt = dict(cfg.get("optimizer", {}))
+        method = opt.pop("method", "cobyla")
+        if method != "cobyla":
+            raise ValidationError(
+                f"optimizer method {method!r} is no longer supported: the linear "
+                'trust region ("cobyla") is the only optimizer; remove the key')
+        _reject_unknown(opt, OptimizerSettings, "optimizer")
         noise = cfg.get("noise")
         model = None
         if noise == "default":
@@ -277,13 +248,19 @@ class ScanSpec:
             model = qsim.NoiseModel.from_dict(noise)
         elif isinstance(noise, str) and noise:
             model = qsim.NoiseModel.from_json(noise)
-        opt = OptimizerSettings(**cfg.get("optimizer", {}))
         return cls(molecule=cfg["molecule"],
                    geometries=[float(g) for g in cfg["geometries"]],
                    shots=cfg.get("shots", 8192), noise=model,
-                   seed=int(cfg.get("seed", 0)), optimizer=opt,
+                   seed=int(cfg.get("seed", 0)),
+                   optimizer=OptimizerSettings(**opt),
                    bootstrap_resamples=int(cfg.get("bootstrap_resamples", 0)),
                    start=tuple(cfg.get("start", (0.0, 0.0, 0.0))))
+
+
+def _reject_unknown(cfg, cls, what):
+    unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 def resolve_fixture(molecule: str, geometry: float) -> str:
@@ -319,7 +296,6 @@ class PointPipeline:
         self.ref_full = hamio.ReferenceDeterminant.aufbau(self.table_full)
         self.schedule = rdm.build_schedule(self.table.n_so)
         self.has_frozen = bool(self.space.frozen_occupied or self.space.frozen_virtual)
-        self._count = 0
 
     # -- references -----------------------------------------------------
     def references(self) -> dict:
@@ -407,15 +383,14 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
                                            if spec.noise is not None else None),
                                  "bootstrap_resamples": spec.bootstrap_resamples,
                                  "start": list(spec.start)})
-    state = {"n": 0}
 
     def objective(params):
-        rec, _ = pipe.evaluate(params, state["n"])
-        state["n"] += 1
+        rec, _ = pipe.evaluate(params, len(record.iterations))
         record.iterations.append(rec)
         if rec.get("e_pure") is None:
             raise RuntimeError(
-                f"objective failed at {params}: {rec.get('note', 'no pure energy')}")
+                f"objective failed at {rec['params']}: "
+                f"{rec.get('note', 'no pure energy')}")
         return rec["e_pure"]
 
     trace = optimize(objective, spec.start, spec.optimizer)
@@ -424,7 +399,7 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
     record.converged = trace.converged
     boot = None
     if spec.bootstrap_resamples and spec.shots is not None:
-        _, tables = pipe.evaluate(trace.best_params, state["n"])
+        _, tables = pipe.evaluate(trace.best_params, len(record.iterations))
         ens = rdm.bootstrap(tables, pipe.schedule, spec.bootstrap_resamples,
                             pipe.bootstrap_pipeline, model=spec.noise, seed=spec.seed)
         boot = {k: {"mean": ens.mean[k], "std": ens.std[k]} for k in ens.samples}

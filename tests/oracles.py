@@ -28,6 +28,12 @@ The purification oracles are the iteration the spectral projector replaced:
 ``to_pair_basis``/``from_pair_basis`` reshape rho2 over ordered pairs p < q
 in Python loops, ``mcweeney`` iterates P -> 3P^2 - 2P^3 until P^2 = P, and
 ``purify_rdm`` chains them the way the package's ``purify_rdm`` used to.
+
+``linear_trust_region`` is the optimizer loop as it stood before it carried
+held values: every rebuild evaluates its centre again, and a step that lands
+on a held point evaluates it again.  On a deterministic objective the
+package's ``optimize`` must evaluate the same points in the same order with
+those repeats removed.
 """
 
 import math
@@ -36,7 +42,7 @@ from itertools import combinations
 
 import numpy as np
 
-from rdmpt2 import pt2, qsim, rdm
+from rdmpt2 import pt2, qsim, rdm, vqe
 from rdmpt2.hamio import ValidationError
 from rdmpt2.pt2 import DENOMINATOR_FLOOR, DegenerateDenominatorError
 from rdmpt2.purify import PurificationError
@@ -544,3 +550,56 @@ def purify_rdm(pair):
     rho1 = np.einsum("prqr->pq", rho2)
     return rdm.RdmPair(rho1, rho2, replace(pair.meta, provenance="purified",
                                            purification=info))
+
+
+# ---------------------------------------------------------------------------
+# Optimizer
+# ---------------------------------------------------------------------------
+
+def linear_trust_region(f, x0, settings):
+    """Run to convergence and return the final trust radius."""
+    n = x0.size
+    rho = settings.rhobeg
+    points = [x0]
+    values = [f(x0)]
+
+    def rebuild(center, radius):
+        del points[:], values[:]
+        points.append(center)
+        values.append(f(center))
+        for k in range(n):
+            step = np.zeros(n)
+            step[k] = radius if center[k] + radius <= vqe.BOUNDS[1] else -radius
+            points.append(vqe._clip(center + step))
+            values.append(f(points[-1]))
+
+    rebuild(x0, rho)
+    while True:
+        b = int(np.argmin(values))
+        xb, fb = points[b], values[b]
+        d = np.array([points[k] - xb for k in range(len(points)) if k != b])
+        df = np.array([values[k] - fb for k in range(len(points)) if k != b])
+        try:
+            grad, *_ = np.linalg.lstsq(d, df, rcond=None)
+        except np.linalg.LinAlgError:
+            rebuild(xb, rho)
+            continue
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < 1e-14 or np.linalg.matrix_rank(d, tol=1e-12 * rho) < n:
+            rho *= 0.5
+            if rho < settings.rhoend:
+                return rho
+            rebuild(xb, rho)
+            continue
+        x_new = vqe._clip(xb - rho * grad / gnorm)
+        f_new = f(x_new)
+        predicted = rho * gnorm
+        if fb - f_new > 0.1 * predicted:
+            w = int(np.argmax(values))
+            points[w] = x_new
+            values[w] = f_new
+        else:
+            rho *= 0.5
+            if rho < settings.rhoend:
+                return rho
+            rebuild(xb, rho)

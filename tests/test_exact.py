@@ -28,15 +28,8 @@ def test_fci_matches_generator_references():
 def test_sector_hamiltonian_hermitian(lih):
     table, _ = lih
     basis = SectorBasis.build(table.n_so, table.n_electrons, 0)
-    ham = exact.sector_hamiltonian(table, basis, dense=True)
+    ham = exact.sector_hamiltonian(table, basis)
     assert np.abs(ham - ham.T).max() < 1e-12
-
-
-def test_dense_and_iterative_paths_agree(lih):
-    table, _ = lih
-    e_dense, _ = fci_ground_state(table)
-    e_sparse, _ = fci_ground_state(table, dense_cutoff=10)
-    assert abs(e_dense - e_sparse) < 1e-9
 
 
 def test_rdms_from_single_determinant():

@@ -200,7 +200,7 @@ def test_numerators_match_commutator_oracle_on_embedded_state(lih):
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
     basis = exact.SectorBasis.build(table.n_so, table.n_electrons, 0)
-    ham = exact.sector_hamiltonian(table, basis, dense=True)
+    ham = exact.sector_hamiltonian(table, basis)
 
     cas_basis = exact.SectorBasis.build(active.n_so, 2, 0)
     _, amps = exact.fci_ground_state(active)

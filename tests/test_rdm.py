@@ -251,6 +251,34 @@ def test_map_matches_dict_assembly_on_states(angles):
     assert np.abs(pair.rho2 - rho2).max() < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3), seed=st.integers(0, 2**20))
+def test_raw_rdms_are_hermitian_and_antisymmetric(angles, seed):
+    # exact and noiseless-sampled raw RDMs of the number-conserving ansatz
+    # also hold both traces at N = 2 and N(N-1) = 2; readout mitigation moves
+    # the noisy traces, so only the structure is checked there
+    schedule = build_schedule(4)
+    circuit = build_ansatz(angles)
+    exact_raw = rdm_from_state(simulate(circuit), schedule)
+    sampled = rdm_from_shots(measure_pauli_sets(circuit, schedule.bases, 256, seed=seed),
+                             schedule)
+    for pair in (exact_raw, sampled):
+        pair.validate(1e-12)
+        assert pair.trace1() == pytest.approx(2.0, abs=1e-12)
+        assert pair.trace2() == pytest.approx(2.0, abs=1e-12)
+    model = NoiseModel()
+    tables = measure_pauli_sets(circuit, schedule.bases, 256, model=model, seed=seed)
+    rdm_from_shots(tables, schedule, model=model).validate(1e-12)
+
+
+def test_validate_tolerance_is_absolute():
+    pair = random_pure_2e_rdm(np.random.default_rng(3))
+    pair.rho1[0, 1] += 1e-9
+    pair.validate(1e-8)
+    with pytest.raises(ValidationError, match="rho1 is not hermitian"):
+        pair.validate(1e-10)
+
+
 def test_coverage_error_names_missing_group_and_wrong_basis():
     schedule = build_schedule(4)
     tables = measure_pauli_sets(build_ansatz((0.2, 0.1, 0.0)), schedule.bases,

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from rdmpt2 import cli, hamio, qsim, vqe
 from rdmpt2.vqe import (OptimizerSettings, RunRecord, ScanSpec, optimize,
                         resolve_fixture, run_point, run_scan)
@@ -15,39 +18,95 @@ def test_optimizer_quadratic_bowl():
     def bowl(x):
         return float(np.sum((np.asarray(x) - target) ** 2))
 
-    for method in ("cobyla", "nelder-mead"):
-        trace = optimize(bowl, (0.0, 0.0, 0.0),
-                         OptimizerSettings(method=method, maxfev=100))
-        assert np.abs(trace.best_params - target).max() < 1e-3, method
-        assert trace.n_evals <= 100
+    trace = optimize(bowl, (0.0, 0.0, 0.0), OptimizerSettings(maxfev=100))
+    assert np.abs(trace.best_params - target).max() < 1e-3
+    assert trace.n_evals <= 100
 
 
 def test_optimizer_respects_budget_and_orders_evals():
     def sphere(x):
         return float(np.sum(np.asarray(x) ** 2))
 
-    for method in ("cobyla", "nelder-mead"):
-        calls = []
+    calls = []
 
-        def noisy(x):
-            calls.append(tuple(x))
-            return sphere(x)
+    def noisy(x):
+        calls.append(tuple(x))
+        return sphere(x)
 
-        trace = optimize(noisy, (1.0, 1.0, 1.0),
-                         OptimizerSettings(method=method, maxfev=37))
-        assert trace.n_evals == len(calls) <= 37
-        best = trace.best_so_far()
-        assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(best, best[1:]))
-        # without a binding budget the same run needs more than 37
-        # evaluations, so the budget cuts it off after exactly 37 of the
-        # same evaluations
-        free = optimize(sphere, (1.0, 1.0, 1.0),
-                        OptimizerSettings(method=method, maxfev=10_000))
-        assert free.converged and free.n_evals > 37, method
-        assert trace.n_evals == 37 and not trace.converged, method
-        assert calls == [tuple(x) for x, _ in free.evals[:37]], method
+    trace = optimize(noisy, (1.0, 1.0, 1.0), OptimizerSettings(maxfev=37))
+    assert trace.n_evals == len(calls) <= 37
+    best = trace.best_so_far()
+    assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(best, best[1:]))
+    # without a binding budget the same run needs more than 37
+    # evaluations, so the budget cuts it off after exactly 37 of the
+    # same evaluations
+    free = optimize(sphere, (1.0, 1.0, 1.0), OptimizerSettings(maxfev=10_000))
+    assert free.converged and free.n_evals > 37
+    assert trace.n_evals == 37 and not trace.converged
+    assert calls == [tuple(x) for x, _ in free.evals[:37]]
     with pytest.raises(hamio.ValidationError):
         optimize(sphere, (1.0, 1.0, 1.0), OptimizerSettings(maxfev=0))
+
+
+def _points(evals):
+    return [(tuple(x.tolist()), v) for x, v in evals]
+
+
+class _Stop(Exception):
+    pass
+
+
+COORD = st.one_of(st.sampled_from([-np.pi, np.pi]), st.floats(-np.pi, np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 3), flat=st.booleans(),
+       start=st.tuples(COORD, COORD, COORD), budget=st.floats(0.0, 1.0))
+# steps clip back onto the starting corner after the trust region has moved
+# away: the oracle evaluates the corner 27 times, and carrying the centre's
+# value alone still leaves 13 of them
+@example(seed=0, rank=2, flat=True, start=(np.pi, np.pi, np.pi), budget=0.5)
+def test_optimizer_is_the_oracle_without_repeats(seed, rank, flat, start, budget):
+    # a random quadratic, possibly flat along an axis and with its minimum
+    # outside the parameter cube (so steps clip onto faces and corners), is a
+    # deterministic objective: the package must evaluate the oracle's points
+    # in the oracle's order, minus the points the oracle evaluates again
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rank, 3))
+    if flat:
+        m[:, rng.integers(3)] = 0.0
+    center = rng.uniform(-4.0, 4.0, size=3)
+
+    def quadratic(x):
+        r = m @ (np.asarray(x) - center)
+        return float(r @ r)
+
+    oracle_evals = []
+
+    def f(x):
+        if len(oracle_evals) == 3000:  # ill-conditioned bowls converge slowly
+            raise _Stop
+        oracle_evals.append((x.copy(), quadratic(x)))
+        return oracle_evals[-1][1]
+
+    try:
+        oracles.linear_trust_region(f, vqe._clip(np.asarray(start, dtype=float)),
+                                    OptimizerSettings())
+        done = True
+    except _Stop:
+        done = False
+    expected = list(dict.fromkeys(_points(oracle_evals)))  # first of each point
+    full = optimize(quadratic, start, OptimizerSettings(maxfev=len(expected)))
+    assert _points(full.evals) == expected
+    if done:
+        assert full.converged
+    # a binding budget stops after exactly maxfev of the same evaluations
+    maxfev = max(1, int(budget * len(expected)))
+    cut = optimize(quadratic, start, OptimizerSettings(maxfev=maxfev))
+    assert cut.n_evals == maxfev
+    assert _points(cut.evals) == expected[:maxfev]
+    if maxfev < len(expected):
+        assert not cut.converged
 
 
 def test_noiseless_run_reaches_fci():
@@ -57,6 +116,9 @@ def test_noiseless_run_reaches_fci():
     fci = rec.references["e_fci_frozen"]
     assert abs(rec.last5["e_pure"]["mean"] - fci) < 1e-6
     assert rec.converged
+    # exact expectations are deterministic: no parameter point is measured twice
+    points = [tuple(it["params"]) for it in rec.iterations]
+    assert len(set(points)) == len(points)
 
 
 def test_objective_call_audit():
@@ -155,6 +217,55 @@ def test_scanspec_mirror_key(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--mirror"])
     assert "--mirror" in capsys.readouterr().err
+
+
+def test_scanspec_optimizer_keys(tmp_path, capsys):
+    # optimizer keys are checked by name; records.json settings written while
+    # a second optimizer existed hold "method": "cobyla", which still loads
+    path = tmp_path / "spec.json"
+    cfg = {"molecule": "h2", "geometries": [0.7]}
+    path.write_text(json.dumps(dict(cfg, optimizer={"max_evals": 5, "rho": 1})))
+    with pytest.raises(hamio.ValidationError, match="unknown optimizer keys: max_evals, rho"):
+        ScanSpec.from_json(path)
+    path.write_text(json.dumps(dict(cfg, optimizer={"method": "cobyla", "maxfev": 7})))
+    assert ScanSpec.from_json(path).optimizer == OptimizerSettings(maxfev=7)
+    path.write_text(json.dumps(dict(cfg, optimizer={"method": "nelder-mead"})))
+    with pytest.raises(hamio.ValidationError, match="'nelder-mead'"):
+        ScanSpec.from_json(path)
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--fixture", "h2", "--geometry", "0.7",
+                  "--optimizer", "cobyla"])
+    assert "--optimizer" in capsys.readouterr().err
+
+
+def test_older_records_settings_load_and_rerun(tmp_path):
+    # the settings block of a records.json written before the optimizer
+    # method was removed, verbatim
+    settings = {"bootstrap_resamples": 0, "noise": None,
+                "optimizer": {"maxfev": 12, "method": "cobyla", "rhobeg": 0.5,
+                              "rhoend": 0.0001},
+                "shots": None, "start": [0.0, 0.0, 0.0]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7], "seed": 0,
+                                **settings}))
+    spec = ScanSpec.from_json(path)
+    assert spec.optimizer == OptimizerSettings(maxfev=12)
+    record, = run_scan(spec)
+    assert record.error is None and record.n_objective_calls == 12
+    assert record.settings["optimizer"] == {"maxfev": 12, "rhobeg": 0.5,
+                                            "rhoend": 0.0001}
+
+
+def test_failed_purification_error_names_plain_params():
+    # at (0, 0, pi) the state is one open-shell determinant whose
+    # spin-reflection average has pair eigenvalues at 1/2: purification
+    # fails, and the point ends with an error that prints the parameters
+    spec = ScanSpec(molecule="h2", geometries=[0.7], shots=None, noise=None,
+                    start=(0.0, 0.0, math.pi))
+    record, = run_scan(spec)
+    assert "purification failed" in record.error
+    assert f"(0.0, 0.0, {math.pi})" in record.error
+    assert "np.float64" not in record.error
 
 
 def test_records_settings_reproduce_noise_model(tmp_path):
