@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -364,7 +365,7 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, path):
-        return cls.from_dict(json.loads(open(path).read()))
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self) -> dict:
         return {"p1": float(self.p1), "p2": float(self.p2), "n_qubits": self.n_qubits,

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import fbar, gammabar, reducible_3rdm
 from rdmpt2 import exact, hamio, pt2, purify, qsim, rdm, vqe
 from rdmpt2.hamio import (ActiveSpaceSpec, IntegralTable, ReferenceDeterminant,
                           ValidationError)
+from rdmpt2.rdm import RdmPair
 from rdmpt2.pt2 import (DegenerateDenominatorError, embed_active_rdm, hf_mp2,
                         rdm_pt2, transformed_energies)
 
@@ -162,8 +164,9 @@ def test_scalar_and_batch_numerators_agree(lih):
     emb = embed_active_rdm(active_rdm, space)
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
-    fmat = pt2._fbar_matrix(emb, table, occ, virt)
-    gten = pt2._gammabar_tensor(emb, table, occ, virt)
+    split = pt2._Split(emb, table, ref, space)
+    fmat = pt2._fbar_matrix(split)
+    gten = pt2._gammabar_tensor(split)
     rng = np.random.default_rng(2)
     for _ in range(8):
         i, j = rng.choice(len(occ), 2, replace=False)
@@ -183,9 +186,9 @@ def test_numerators_match_einsum_oracle_on_unphysical_rdm(fid):
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
     pair = random_rdm_pair(np.random.default_rng(4), table.n_so, table.n_electrons)
-    for got, want in ((pt2._fbar_matrix(pair, table, occ, virt),
-                       oracles.fbar_matrix(pair, table, occ, virt)),
-                      (pt2._gammabar_tensor(pair, table, occ, virt),
+    split = pt2._Split(pair, table, ref)
+    for got, want in ((pt2._fbar_matrix(split), oracles.fbar_matrix(pair, table, occ, virt)),
+                      (pt2._gammabar_tensor(split),
                        oracles.gammabar_tensor(pair, table, occ, virt))):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -228,7 +231,7 @@ def test_numerators_match_commutator_oracle_on_embedded_state(lih):
                 out[ti] += sign * vec[ci]
         return out
 
-    gten = pt2._gammabar_tensor(emb, table, occ, virt)
+    gten = pt2._gammabar_tensor(pt2._Split(emb, table, ref, space))
     rng = np.random.default_rng(3)
     active_set = set(space.active)
     checked = 0
@@ -281,9 +284,9 @@ def test_stationarity_at_fci(h2, h2_fci):
     ref = ReferenceDeterminant.aufbau(table)
     _, amps, basis = h2_fci
     pair = exact.rdms_from_amplitudes(amps, basis)
-    occ, virt = list(ref.occupied), list(ref.virtual)
-    assert np.abs(pt2._fbar_matrix(pair, table, occ, virt)).max() < 1e-6
-    assert np.abs(pt2._gammabar_tensor(pair, table, occ, virt)).max() < 1e-6
+    split = pt2._Split(pair, table, ref)
+    assert np.abs(pt2._fbar_matrix(split)).max() < 1e-6
+    assert np.abs(pt2._gammabar_tensor(split)).max() < 1e-6
     assert abs(rdm_pt2(pair, table, ref)) < 1e-8
 
 
@@ -464,10 +467,43 @@ def test_degenerate_internal_channel_is_masked_by_space():
     assert rdm_pt2(det, table, ref, space) == oracles.rdm_pt2(det, table, ref, space) == 0.0
 
 
+def fsum_of_every_term(eps_occ, eps_virt, fmat, gten, occ, virt, internal=()):
+    """The second-order sum over every kept channel, zero numerators included."""
+    act = np.isin(np.r_[occ, virt], list(internal))
+    act_o, act_v = act[:len(occ)], act[len(occ):]
+    d1 = eps_occ[:, None] - eps_virt
+    d2 = eps_occ[:, None, None, None] + eps_occ[:, None, None] - eps_virt[:, None] - eps_virt
+    keep1 = ~(act_o[:, None] & act_v)
+    keep2 = ~((act_o[:, None] & act_o)[:, :, None, None] & (act_v[:, None] & act_v))
+    return math.fsum((fmat ** 2 / d1)[keep1].tolist() + (0.25 * gten ** 2 / d2)[keep2].tolist())
+
+
+def test_second_order_sum_without_zero_terms_is_bit_identical(pipelines):
+    for fid in ("h2_0.70", "h2_2.00", "h2_3.00", "h2_4.00", "lih_1.5949", "nah_1.8874"):
+        table, _ = hamio.load_fixture(fid)
+        ref = ReferenceDeterminant.aufbau(table)
+        occ, virt = list(ref.occupied), list(ref.virtual)
+        f = table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
+        eps = f.diagonal()
+        gten = table.g[np.ix_(occ, occ, virt, virt)]
+        assert (gten == 0).any()
+        assert hf_mp2(table, ref) == fsum_of_every_term(
+            eps[occ], eps[virt], f[np.ix_(occ, virt)], gten, occ, virt), fid
+    for mol in ("h2", "lih", "nah"):
+        rdm_, table, ref, space = pipeline_pt2_case(pipelines[mol], (0.3, -0.2, 0.1))
+        split = pt2._Split(rdm_, table, ref, space)
+        gten = pt2._gammabar_tensor(split)
+        assert (gten == 0).any()
+        want = fsum_of_every_term(*transformed_energies(rdm_, table, ref),
+                                  pt2._fbar_matrix(split), gten, ref.occupied, ref.virtual,
+                                  space.active if space is not None else ())
+        assert rdm_pt2(rdm_, table, ref, space, warn_positive=False) == want, mol
+
+
 @settings(max_examples=15, deadline=None)
 @given(theta=ANGLES)
 def test_pt2_spin_relabeling_invariance_property(pipelines, theta):
-    for mol in ("h2", "lih"):
+    for mol in ("h2", "lih", "nah"):
         rdm_, table, ref, space = pipeline_pt2_case(pipelines[mol], theta)
         flip = np.arange(table.n_so) ^ 1
         flipped = rdm.RdmPair(rdm_.rho1[np.ix_(flip, flip)],
@@ -557,6 +593,47 @@ def test_embed_equals_loop_form_exactly(pipelines, mol):
         assert np.array_equal(emb.rho1, rho1)
         assert np.array_equal(emb.rho2, rho2)
         assert emb.meta.n_electrons == 2 + len(pipe.space.frozen_occupied)
+
+
+@pytest.mark.parametrize("fid", ["lih_1.5949", "nah_1.8874"])
+@pytest.mark.parametrize("reorder", [False, True])
+def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(fid, reorder):
+    # the core/active split is an algebraic identity of the reconstruction,
+    # so it holds off the N-representable set too; the reordered partitions
+    # (active spatials 0 and 2, below the core) put the core after the
+    # occupied active orbitals
+    table, entry = hamio.load_fixture(fid)
+    ref = ReferenceDeterminant.aufbau(table)
+    active = (0, 2) if reorder else entry["active_spatial_orbitals"]
+    space = ActiveSpaceSpec.from_active_spatials(table.n_spatial, table.n_electrons, active)
+    pair = random_rdm_pair(np.random.default_rng(6), 4, 2)
+    pair.meta.provenance = "exact"
+    emb = embed_active_rdm(pair, space)
+    assert (pt2._Split(emb, table, ref, space).perm is not None) == reorder
+    assert rdm_pt2(emb, table, ref, space, warn_positive=False) == pytest.approx(
+        oracles.rdm_pt2(emb, table, ref, space), rel=1e-12)
+
+
+def test_full_space_pt2_rejects_non_embedded_rho1(lih):
+    table, entry = lih
+    space, _, _, active_rdm = exact_active_rdm(table, entry)
+    ref = ReferenceDeterminant.aufbau(table)
+    emb = embed_active_rdm(active_rdm, space)
+    core, act, fv = space.frozen_occupied, space.active, space.frozen_virtual
+    rdm_pt2(emb, table, ref, space, warn_positive=False)
+    for p, q, value in ((core[0], core[0], 0.99),     # not the identity on the core
+                        (core[0], core[1], 1e-9),     # core off-diagonal
+                        (core[1], act[0], 1e-9),      # core-active coupling
+                        (fv[0], fv[0], 1e-9),         # frozen-virtual occupation
+                        (act[2], fv[1], 1e-9)):       # active-frozen-virtual coupling
+        bad = RdmPair(emb.rho1.copy(), emb.rho2, emb.meta)
+        bad.rho1[p, q] = bad.rho1[q, p] = value
+        with pytest.raises(ValidationError, match="embedded form"):
+            rdm_pt2(bad, table, ref, space)
+        # without a partition the same RDM is read in full
+        rdm_pt2(bad, table, ref, warn_positive=False)
+    with pytest.raises(ValidationError, match="partition"):
+        rdm_pt2(emb, table, ref, ActiveSpaceSpec(core, act, fv[1:]))
 
 
 def test_embed_rejects_overlapping_sets(h2_fci):
