@@ -28,7 +28,6 @@ the same code reads any RDM in full.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import replace
 
@@ -36,8 +35,6 @@ import numpy as np
 
 from .hamio import IntegralTable, ReferenceDeterminant, ActiveSpaceSpec, ValidationError
 from .rdm import RdmPair
-
-log = logging.getLogger(__name__)
 
 DENOMINATOR_FLOOR = 1e-8
 
@@ -379,7 +376,7 @@ def _second_order_sum(eps_occ, eps_virt, fmat, gten, occ, virt, internal=None) -
 
 
 def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
-            space: ActiveSpaceSpec | None = None, warn_positive=True) -> float:
+            space: ActiveSpaceSpec | None = None) -> float:
     """Second-order correction from the measured RDMs.
 
     Sums over the occupied/virtual split of ``ref`` within ``table``'s
@@ -401,14 +398,10 @@ def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
     _check_pt2_input(rdm)
     split = _Split(rdm, table, ref, space)
     eps_occ, eps_virt = transformed_energies(rdm, table, ref)
-    total = _second_order_sum(
+    return float(_second_order_sum(
         eps_occ, eps_virt, _fbar_matrix(split), _gammabar_tensor(split),
         list(ref.occupied), list(ref.virtual),
-        internal=space.active if space is not None else None)
-    if total > 0 and warn_positive:
-        log.warning("positive second-order correction %.3e Ha (ground-state "
-                    "corrections are expected to be negative)", total)
-    return float(total)
+        internal=space.active if space is not None else None))
 
 
 def embed_active_rdm(active_rdm: RdmPair, spec: ActiveSpaceSpec) -> RdmPair:

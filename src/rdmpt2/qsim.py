@@ -6,6 +6,9 @@ in one multinomial, and readout mitigation.
 Qubit k hosts spin orbital k (alpha/beta interleaved).  Basis states are
 little-endian: bit k of the amplitude index is the occupation of qubit k, and
 bitstrings are printed with qubit 0 as the leftmost character.
+
+One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
+noisy gate (one superoperator) to vec(rho) and every confusion matrix.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ class Circuit:
     def unitary(self) -> np.ndarray:
         rows = np.eye(1 << self.n_qubits, dtype=complex)  # row k evolves |k>
         for gate in self.gates:
-            rows = _apply_gate_batch(rows, gate, self.n_qubits)
+            rows = _apply_gate_batch(rows, gate.matrix, gate.qubits, self.n_qubits)
         return rows.T
 
 
@@ -233,7 +236,7 @@ class StateVector:
 
     def apply(self, gate: Gate):
         self.amplitudes = _apply_gate_batch(
-            self.amplitudes[None, :], gate, self.n_qubits)[0]
+            self.amplitudes[None, :], gate.matrix, gate.qubits, self.n_qubits)[0]
         return self
 
     def probabilities(self):
@@ -250,17 +253,18 @@ def simulate(circuit: Circuit) -> StateVector:
     return sv
 
 
-def _apply_gate_batch(states, gate, n_qubits):
-    """Apply a 1- or 2-qubit gate to a (batch, 2^n) array of amplitudes."""
+def _apply_gate_batch(states, matrix, qubits, n_qubits):
+    """Apply a 2^m x 2^m matrix to ``qubits`` of a (batch, 2^n) array, the
+    first-listed qubit being the most significant local bit."""
     batch = states.shape[0]
     t = states.reshape((batch,) + (2,) * n_qubits)
     # axis for qubit k in the reshaped tensor (axis 0 is the batch)
-    axes = [1 + (n_qubits - 1 - q) for q in gate.qubits]
+    axes = [1 + (n_qubits - 1 - q) for q in qubits]
     m = len(axes)
     t = np.moveaxis(t, axes, range(1, 1 + m))
     lead = t.shape[1 + m:]
     t = t.reshape(batch, 1 << m, -1)
-    t = np.einsum("ij,bjk->bik", gate.matrix, t)
+    t = np.einsum("ij,bjk->bik", matrix, t)
     t = t.reshape((batch,) + (2,) * m + lead)
     t = np.moveaxis(t, range(1, 1 + m), axes)
     return t.reshape(batch, 1 << n_qubits)
@@ -343,6 +347,8 @@ class NoiseModel:
             raise ValidationError("readout must be one 2x2 matrix per qubit")
         if not np.allclose(self.readout.sum(axis=1), 1.0, atol=1e-10):
             raise ValidationError("confusion matrix columns must sum to 1")
+        if ((self.readout < 0) | (self.readout > 1)).any():
+            raise ValidationError("confusion matrix entries must be in [0, 1]")
 
     @classmethod
     def ideal(cls, n_qubits=4):
@@ -419,44 +425,29 @@ def _rng_for(seed, *key):
         np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))))
 
 
-def _depolarize(rho, qubits, p, n_qubits):
-    """Depolarizing channel on ``qubits`` of a 2^n x 2^n density matrix.
-
-    The d^2 - 1 non-identity Paulis of a d = 2^k dimensional gate sum to
-    d (I_gate x Tr_gate rho) - rho, so the channel
-    (1 - p) rho + p/(d^2 - 1) sum_P P rho P needs one partial trace.
-    """
-    d = 1 << len(qubits)
-    t = rho.reshape((2,) * (2 * n_qubits))
-    for q in qubits:  # trace out qubit q and put the identity in its place
-        row, col = n_qubits - 1 - q, 2 * n_qubits - 1 - q
-        eye = np.eye(2).reshape([2 if ax in (row, col) else 1
-                                 for ax in range(2 * n_qubits)])
-        t = np.expand_dims(np.trace(t, axis1=row, axis2=col), (row, col)) * eye
-    twirl = t.reshape(rho.shape)
-    return (1 - p) * rho + p / (d * d - 1) * (d * twirl - rho)
+def _channel(gate: Gate, p: float) -> np.ndarray:
+    """``gate`` then depolarizing noise p as one matrix on vec(local rho):
+    U rho U^dagger is S = kron(U, conj U), and as the d^2 - 1 non-identity
+    Paulis sum to d (I x Tr_gate rho) - rho, with Tr_gate = <e| for
+    e = vec(I_d), (1 - p) rho + p/(d^2 - 1) sum_P P rho P is S plus rank one."""
+    d = gate.matrix.shape[0]
+    s = np.kron(gate.matrix, gate.matrix.conj())
+    e = np.eye(d).reshape(-1)
+    w = p / (d * d - 1)
+    return (1 - p - w) * s + w * d * np.outer(e, e @ s)
 
 
 def _evolve(rho, gates, model: NoiseModel):
-    """Apply each gate as rho -> U rho U^dagger followed by its noise."""
+    """Apply each gate and its noise as one ``_channel`` on vec(rho), a
+    2n-qubit vector whose qubit q is column qubit q and qubit q + n row qubit
+    q; the row qubits are listed first, matching kron(U, conj U)."""
     n = model.n_qubits
+    vec = rho.reshape(1, -1)
     for gate in gates:
-        rho = _apply_gate_batch(rho.T, gate, n).T
-        rho = _apply_gate_batch(rho.conj(), gate, n).conj()
         p = model.p1 if gate.arity == 1 else model.p2
-        if p > 0:
-            rho = _depolarize(rho, gate.qubits, p, n)
-    return rho
-
-
-def _per_qubit(v, mats):
-    """Apply the 2x2 matrix mats[q] to qubit q of a 2^n vector."""
-    n = len(mats)
-    t = v.reshape((2,) * n)
-    for q, m in enumerate(mats):
-        axis = n - 1 - q
-        t = np.moveaxis(np.tensordot(m, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
-    return t.reshape(-1)
+        rows = tuple(q + n for q in gate.qubits)
+        vec = _apply_gate_batch(vec, _channel(gate, p), rows + gate.qubits, 2 * n)
+    return vec.reshape(rho.shape)
 
 
 def _model_for(circuit: Circuit, model) -> NoiseModel:
@@ -478,10 +469,14 @@ def noisy_density_matrix(circuit: Circuit, model: NoiseModel | None) -> np.ndarr
 
 
 def _draw(rho, model: NoiseModel, shots: int, seed) -> np.ndarray:
-    """One multinomial draw from the readout-confused Born distribution."""
+    """One multinomial draw from the readout-confused Born distribution: the
+    diagonal of ``rho`` passes each qubit's confusion matrix in turn."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
-    probs = np.clip(_per_qubit(rho.diagonal().real, model.readout), 0.0, None)
+    probs = rho.diagonal().real[None, :]
+    for q, confusion in enumerate(model.readout):
+        probs = _apply_gate_batch(probs, confusion, (q,), model.n_qubits)
+    probs = np.clip(probs[0], 0.0, None)
     return _rng_for(seed, 0).multinomial(shots, probs / probs.sum())
 
 
@@ -545,8 +540,9 @@ def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
     """Sample one circuit per measurement basis (the group bases of
     ``qwc_groups``, as ``MeasurementSchedule.bases`` holds them).
 
-    The noisy state is evolved once and each group adds its basis rotation,
-    so a group's counts equal ``apply_noise`` on its rotated circuit."""
+    The noisy density matrix of ``circuit`` is evolved once; each group then
+    passes its basis-rotation tail (one superoperator per gate) and draws its
+    shots, so a group's counts equal ``apply_noise`` on its rotated circuit."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
     model = _model_for(circuit, model)

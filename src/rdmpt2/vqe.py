@@ -74,6 +74,10 @@ def optimize(objective, start, settings: OptimizerSettings | None = None) -> Opt
     settings = settings or OptimizerSettings()
     if settings.maxfev < 1:
         raise ValidationError(f"maxfev must be at least 1, got {settings.maxfev}")
+    for name in ("rhobeg", "rhoend"):  # a zero radius would rebuild forever
+        value = getattr(settings, name)
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
     x0 = _clip(np.asarray(list(start), dtype=float))
     evals = []
 
@@ -212,6 +216,10 @@ class ScanSpec:
     def __post_init__(self):
         if not self.geometries:
             raise ValidationError("a scan needs at least one geometry")
+        if self.shots is not None and self.shots < 1:
+            raise ValidationError(f"shots must be positive or None, got {self.shots}")
+        if self.bootstrap_resamples < 0:
+            raise ValidationError(f"bootstrap_resamples is {self.bootstrap_resamples} < 0")
         if self.shots is None and self.noise is not None:
             raise ValidationError(
                 "exact expectations (shots=None, CLI --shots 0) cannot apply a "
@@ -342,7 +350,7 @@ class PointPipeline:
             return out
         try:
             out["e_pt2_frozen"] = out["e_pure"] + pt2.rdm_pt2(
-                pure, self.table, self.ref, warn_positive=False)
+                pure, self.table, self.ref)
         except pt2.DegenerateDenominatorError as exc:
             out["e_pt2_frozen"] = None
             out["note"] = str(exc)
@@ -350,8 +358,7 @@ class PointPipeline:
             try:
                 embedded = pt2.embed_active_rdm(pure, self.space)
                 out["e_pt2_full"] = out["e_pure"] + pt2.rdm_pt2(
-                    embedded, self.table_full, self.ref_full, space=self.space,
-                    warn_positive=False)
+                    embedded, self.table_full, self.ref_full, space=self.space)
             except pt2.DegenerateDenominatorError as exc:
                 out["e_pt2_full"] = None
                 out["note"] = str(exc)

@@ -13,16 +13,18 @@ used before it switched to an exact density-matrix channel: every shot
 evolves its own statevector, draws a Pauli error after each gate with the
 gate's depolarizing probability, samples an outcome and flips each bit
 through the readout confusion matrix.  Its shot distribution is the one the
-density-matrix channel must reproduce.
+density-matrix channel must reproduce.  ``kraus_density_matrix`` is that
+channel's density matrix as an explicit sum over dense Pauli-error Kraus
+operators, one full-register matrix product per operator.
 
 The measurement oracles are the element-by-element assembly the compiled
 map replaced: ``rdm_from_expectations`` evaluates every scheduled element
 from a Pauli-word expectation callable and writes its antisymmetric
 and hermitian copies one by one; ``rdm_from_shots`` finds the
 first table that can measure each word; ``mitigate_readout`` inverts one
-table at a time, qubit by qubit; ``bootstrap`` resamples and reruns its
-pipeline one resample at a time.  ``embed_active_rdm`` is the loop form of
-the core embedding.
+table at a time through the Kronecker product of the per-qubit inverses;
+``bootstrap`` resamples and reruns its pipeline one resample at a time.
+``embed_active_rdm`` is the loop form of the core embedding.
 
 The purification oracles are the iteration the spectral projector replaced:
 ``to_pair_basis``/``from_pair_basis`` reshape rho2 over ordered pairs p < q
@@ -70,6 +72,23 @@ def expand_matrix(matrix, qubits, n_qubits):
                 extra = sum(((fill >> k) & 1) << rest[k] for k in range(len(rest)))
                 full[base_out | extra, base_in | extra] = amp
     return full
+
+
+def kraus_density_matrix(circuit, model):
+    """The noisy density matrix of ``circuit`` from |0...0>: after each gate
+    U, rho -> (1 - p) U rho U^dagger + p/(d^2 - 1) sum_P P U rho U^dagger P
+    over the gate's non-identity Pauli words, every operator dense."""
+    n = circuit.n_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        u = expand_matrix(gate.matrix, gate.qubits, n)
+        rho = u @ rho @ u.conj().T
+        p = model.p1 if gate.arity == 1 else model.p2
+        paulis = _PAULIS_1Q if gate.arity == 1 else _PAULIS_2Q
+        words = [expand_matrix(w, gate.qubits, n) for w in paulis]
+        rho = (1 - p) * rho + p / len(words) * sum(w @ rho @ w for w in words)
+    return rho
 
 
 def trajectory_counts(circuit, model, shots, seed):
@@ -425,7 +444,10 @@ def mitigate_readout(table, model):
     clipped at zero and rescaled to the original total."""
     v = np.asarray(table.counts, dtype=float)
     total = v.sum()
-    v = np.clip(qsim._per_qubit(v, [np.linalg.inv(m) for m in model.readout]), 0.0, None)
+    inv = np.ones((1, 1))
+    for m in model.readout:  # qubit 0 is the least significant bit
+        inv = np.kron(np.linalg.inv(m), inv)
+    v = np.clip(inv @ v, 0.0, None)
     return qsim.ShotTable(basis=table.basis, counts=v * (total / v.sum()),
                           shots=table.shots, seed=table.seed, n_qubits=table.n_qubits)
 

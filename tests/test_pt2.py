@@ -369,7 +369,7 @@ def test_mp2_reduction_every_fixture():
         table, entry = hamio.load_fixture(fid)
         ref = ReferenceDeterminant.aufbau(table)
         det = rdm.determinant_rdm(ref.occupied, table.n_so)
-        assert abs(rdm_pt2(det, table, ref, warn_positive=False)
+        assert abs(rdm_pt2(det, table, ref)
                    - hf_mp2(table, ref)) < 1e-10
 
 
@@ -428,10 +428,10 @@ def test_vectorized_pt2_matches_loop_oracle(pipelines, mol, theta):
         want = oracles.rdm_pt2(rdm_, table, ref, space)
     except DegenerateDenominatorError as exc:
         with pytest.raises(DegenerateDenominatorError) as err:
-            rdm_pt2(rdm_, table, ref, space, warn_positive=False)
+            rdm_pt2(rdm_, table, ref, space)
         assert err.value.orbitals == exc.orbitals
         return
-    assert rdm_pt2(rdm_, table, ref, space, warn_positive=False) == pytest.approx(
+    assert rdm_pt2(rdm_, table, ref, space) == pytest.approx(
         want, rel=1e-12, abs=1e-12)
 
 
@@ -497,7 +497,7 @@ def test_second_order_sum_without_zero_terms_is_bit_identical(pipelines):
         want = fsum_of_every_term(*transformed_energies(rdm_, table, ref),
                                   pt2._fbar_matrix(split), gten, ref.occupied, ref.virtual,
                                   space.active if space is not None else ())
-        assert rdm_pt2(rdm_, table, ref, space, warn_positive=False) == want, mol
+        assert rdm_pt2(rdm_, table, ref, space) == want, mol
 
 
 @settings(max_examples=15, deadline=None)
@@ -509,10 +509,10 @@ def test_pt2_spin_relabeling_invariance_property(pipelines, theta):
         flipped = rdm.RdmPair(rdm_.rho1[np.ix_(flip, flip)],
                               rdm_.rho2[np.ix_(flip, flip, flip, flip)], rdm_.meta)
         try:
-            v1 = rdm_pt2(rdm_, table, ref, space, warn_positive=False)
+            v1 = rdm_pt2(rdm_, table, ref, space)
         except DegenerateDenominatorError:
             assume(False)
-        v2 = rdm_pt2(flipped, table, ref, space, warn_positive=False)
+        v2 = rdm_pt2(flipped, table, ref, space)
         assert v2 == pytest.approx(v1, rel=1e-10, abs=1e-12), mol
 
 
@@ -523,8 +523,8 @@ def test_pt2_invariant_under_spin_relabeling(h2):
     flip = np.arange(4) ^ 1
     flipped = rdm.RdmPair(pair.rho1[np.ix_(flip, flip)],
                           pair.rho2[np.ix_(flip, flip, flip, flip)], pair.meta)
-    v1 = rdm_pt2(pair, table, ref, warn_positive=False)
-    v2 = rdm_pt2(flipped, table, ref, warn_positive=False)
+    v1 = rdm_pt2(pair, table, ref)
+    v2 = rdm_pt2(flipped, table, ref)
     assert v1 == pytest.approx(v2, abs=1e-12)
 
 
@@ -610,7 +610,7 @@ def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(fid, r
     pair.meta.provenance = "exact"
     emb = embed_active_rdm(pair, space)
     assert (pt2._Split(emb, table, ref, space).perm is not None) == reorder
-    assert rdm_pt2(emb, table, ref, space, warn_positive=False) == pytest.approx(
+    assert rdm_pt2(emb, table, ref, space) == pytest.approx(
         oracles.rdm_pt2(emb, table, ref, space), rel=1e-12)
 
 
@@ -620,7 +620,7 @@ def test_full_space_pt2_rejects_non_embedded_rho1(lih):
     ref = ReferenceDeterminant.aufbau(table)
     emb = embed_active_rdm(active_rdm, space)
     core, act, fv = space.frozen_occupied, space.active, space.frozen_virtual
-    rdm_pt2(emb, table, ref, space, warn_positive=False)
+    rdm_pt2(emb, table, ref, space)
     for p, q, value in ((core[0], core[0], 0.99),     # not the identity on the core
                         (core[0], core[1], 1e-9),     # core off-diagonal
                         (core[1], act[0], 1e-9),      # core-active coupling
@@ -631,7 +631,7 @@ def test_full_space_pt2_rejects_non_embedded_rho1(lih):
         with pytest.raises(ValidationError, match="embedded form"):
             rdm_pt2(bad, table, ref, space)
         # without a partition the same RDM is read in full
-        rdm_pt2(bad, table, ref, warn_positive=False)
+        rdm_pt2(bad, table, ref)
     with pytest.raises(ValidationError, match="partition"):
         rdm_pt2(emb, table, ref, ActiveSpaceSpec(core, act, fv[1:]))
 
@@ -650,7 +650,7 @@ def test_full_space_correction_beats_mp2_baseline(lih):
     space, active, e_active, active_rdm = exact_active_rdm(table, entry)
     emb = embed_active_rdm(active_rdm, space)
     ref = ReferenceDeterminant.aufbau(table)
-    corr = rdm_pt2(emb, table, ref, space=space, warn_positive=False)
+    corr = rdm_pt2(emb, table, ref, space=space)
     e_est = e_active + corr
     e_fci = entry["e_fci_full"]
     e_mp2 = entry["e_hf"] + hf_mp2(table, ref)

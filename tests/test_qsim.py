@@ -14,7 +14,7 @@ from rdmpt2.qsim import (Circuit, NoiseModel, PauliString, ShotTable,
                          measure_pauli_sets, mitigate_readout,
                          noisy_density_matrix, qwc_groups, simulate)
 
-from oracles import table_expectation, trajectory_counts
+from oracles import kraus_density_matrix, table_expectation, trajectory_counts
 
 
 def ladder_matrix(p, n, dagger):
@@ -216,8 +216,13 @@ def test_depolarizing_closed_form_matches_pauli_sum():
                 ops[q] = c
             words.append(PauliString("".join(ops)).matrix())
         assert len(words) == 4 ** len(qubits) - 1
+        # an identity gate leaves only the noise; vec(rho) is row-major, so
+        # row qubit q is qubit q + 4 of the 8-qubit vector
+        gate = qsim.Gate("id", qubits, np.eye(1 << len(qubits), dtype=complex))
+        rows = tuple(q + 4 for q in qubits)
         explicit = (1 - p) * rho + p / len(words) * sum(w @ rho @ w for w in words)
-        closed = qsim._depolarize(rho, qubits, p, 4)
+        closed = qsim._apply_gate_batch(rho.reshape(1, -1), qsim._channel(gate, p),
+                                        rows + qubits, 8).reshape(rho.shape)
         assert np.abs(closed - explicit).max() < 1e-12, qubits
 
 
@@ -244,6 +249,17 @@ def test_noisy_density_matrix_is_a_state(angles, basis, p1, p2):
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+       basis=st.text(alphabet="XYZ", min_size=4, max_size=4),
+       p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
+def test_noisy_density_matrix_matches_kraus_sum(angles, basis, p1, p2):
+    circuit = build_ansatz(angles).extended(basis_rotation(basis))
+    model = NoiseModel(p1=p1, p2=p2)
+    rho = noisy_density_matrix(circuit, model)
+    assert np.abs(rho - kraus_density_matrix(circuit, model)).max() < 1e-13
 
 
 def test_channel_rejects_mismatched_register():
@@ -366,3 +382,7 @@ def test_noise_model_validation():
     bad = np.array([[[0.5, 0.1], [0.1, 0.5]]] * 4)  # columns don't sum to 1
     with pytest.raises(ValidationError):
         NoiseModel(readout=bad)
+    # columns sum to 1, but the entries are not probabilities
+    unphysical = [[[1.2, -0.1], [-0.2, 1.1]]] * 4
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        NoiseModel(readout=unphysical)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ import oracles
 from rdmpt2 import cli, hamio, qsim, vqe
 from rdmpt2.vqe import (OptimizerSettings, RunRecord, ScanSpec, optimize,
                         resolve_fixture, run_point, run_scan)
+
+SRC = str(Path(vqe.__file__).resolve().parents[1])
 
 
 def test_optimizer_quadratic_bowl():
@@ -46,6 +52,23 @@ def test_optimizer_respects_budget_and_orders_evals():
     assert calls == [tuple(x) for x, _ in free.evals[:37]]
     with pytest.raises(hamio.ValidationError):
         optimize(sphere, (1.0, 1.0, 1.0), OptimizerSettings(maxfev=0))
+
+
+@pytest.mark.parametrize("field", ["rhobeg", "rhoend"])
+@pytest.mark.parametrize("radius", [0.0, -1e-3, math.nan, math.inf])
+def test_optimizer_rejects_invalid_radius(field, radius, tmp_path):
+    # a zero radius halves to itself and every rebuilt point is the centre,
+    # whose held value keeps the budget gate from ever firing
+    def bowl(x):
+        return float(np.sum(np.asarray(x) ** 2))
+
+    with pytest.raises(hamio.ValidationError, match=field):
+        optimize(bowl, (0.3, 0.2, 0.1), OptimizerSettings(maxfev=500, **{field: radius}))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7], "shots": None,
+                                "optimizer": {field: radius, "maxfev": 500}}))
+    record, = run_scan(ScanSpec.from_json(path))
+    assert field in record.error and record.n_objective_calls == 0
 
 
 def _points(evals):
@@ -341,6 +364,32 @@ def test_exact_expectations_reject_a_noise_model(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "--noise none" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_scanspec_rejects_bad_shots_and_resamples(tmp_path, capsys):
+    for shots in (0, -8):
+        with pytest.raises(hamio.ValidationError, match="shots"):
+            ScanSpec(molecule="h2", geometries=[0.7], shots=shots)
+    with pytest.raises(hamio.ValidationError, match="bootstrap_resamples"):
+        ScanSpec(molecule="h2", geometries=[0.7], bootstrap_resamples=-1)
+    assert ScanSpec(molecule="h2", geometries=[0.7], shots=None).shots is None
+    # the CLI stops with a usage error before any optimization
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "64",
+                  "--bootstrap", "-1", "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert "bootstrap_resamples" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it would add tens of MiB
+    # to every run's resident set
+    code = ("import sys, rdmpt2.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_scan_with_spec_file(tmp_path):
