@@ -83,7 +83,10 @@ def main(argv=None):
         _summarize(records)
         return 0
     if args.command == "scan":
-        spec = vqe.ScanSpec.from_json(args.spec)
+        try:
+            spec = vqe.ScanSpec.from_json(args.spec)
+        except hamio.ValidationError as exc:
+            p_scan.error(str(exc))
         records = vqe.run_scan(spec, out_dir=args.out)
         _summarize(records)
         return 0

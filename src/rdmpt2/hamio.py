@@ -105,11 +105,11 @@ class ReferenceDeterminant:
 
 @dataclass(frozen=True)
 class NormalOrderedHamiltonian:
-    """E0, Fock matrix f and two-body part relative to a determinant."""
+    """E0 and Fock matrix f relative to a determinant (the two-body part
+    is the table's g unchanged)."""
 
     e0: float
     f: np.ndarray
-    gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def normal_order(table: IntegralTable, ref: ReferenceDeterminant) -> NormalOrder
         f = table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
     else:
         f = table.h.copy()
-    return NormalOrderedHamiltonian(e0=e0, f=f, gamma=table.g)
+    return NormalOrderedHamiltonian(e0=e0, f=f)
 
 
 def freeze_core(table: IntegralTable, spec: ActiveSpaceSpec) -> IntegralTable:

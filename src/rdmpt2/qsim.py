@@ -1,11 +1,11 @@
 """Qubit-register simulation: Jordan-Wigner operators, the 3-parameter
-ansatz, statevectors for exact expectations, an exact density-matrix channel
-(depolarizing gate noise, readout confusion) that draws each circuit's shots
-in one multinomial, and readout mitigation.
+ansatz, amplitude arrays for exact expectations, an exact density-matrix
+channel (depolarizing gate noise, readout confusion) that draws each
+circuit's shots in one multinomial, and readout mitigation.
 
 Qubit k hosts spin orbital k (alpha/beta interleaved).  Basis states are
-little-endian: bit k of the amplitude index is the occupation of qubit k, and
-bitstrings are printed with qubit 0 as the leftmost character.
+little-endian: bit k of the amplitude index, and of a count vector's
+outcome index, is the occupation of qubit k.
 
 One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
 noisy gate (one superoperator) to vec(rho) and every confusion matrix.
@@ -155,7 +155,6 @@ def _givens(phi):
 
 @dataclass(frozen=True)
 class Gate:
-    name: str
     qubits: tuple
     matrix: np.ndarray
 
@@ -175,33 +174,33 @@ class Circuit:
     n_qubits: int
     gates: list = field(default_factory=list)
 
-    def add(self, name, qubits, matrix):
+    def add(self, qubits, matrix):
         q = tuple(qubits)
         if len(set(q)) != len(q) or any(k < 0 or k >= self.n_qubits for k in q):
             raise ValidationError(f"bad qubit tuple {q}")
-        self.gates.append(Gate(name, q, np.asarray(matrix, dtype=complex)))
+        self.gates.append(Gate(q, np.asarray(matrix, dtype=complex)))
         return self
 
     def x(self, q):
-        return self.add("x", (q,), _X)
+        return self.add((q,), _X)
 
     def h(self, q):
-        return self.add("h", (q,), _H)
+        return self.add((q,), _H)
 
     def sdg(self, q):
-        return self.add("sdg", (q,), _SDG)
+        return self.add((q,), _SDG)
 
     def cnot(self, control, target):
-        return self.add("cnot", (control, target), _CNOT)
+        return self.add((control, target), _CNOT)
 
     def cz(self, a, b):
-        return self.add("cz", (a, b), _CZ)
+        return self.add((a, b), _CZ)
 
     def fswap(self, a, b):
-        return self.add("fswap", (a, b), _FSWAP)
+        return self.add((a, b), _FSWAP)
 
     def givens(self, a, b, phi):
-        return self.add("givens", (a, b), _givens(phi))
+        return self.add((a, b), _givens(phi))
 
     def extended(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
@@ -215,42 +214,15 @@ class Circuit:
         return rows.T
 
 
-class StateVector:
-    """Complex amplitudes over the 2^n little-endian basis."""
-
-    def __init__(self, amplitudes, n_qubits=None):
-        self.amplitudes = np.asarray(amplitudes, dtype=complex)
-        self.n_qubits = n_qubits if n_qubits is not None else int(
-            np.log2(self.amplitudes.size))
-        if self.amplitudes.size != 1 << self.n_qubits:
-            raise ValidationError("amplitude count is not a power of two")
-
-    @classmethod
-    def computational(cls, n_qubits, index=0):
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps, n_qubits)
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def apply(self, gate: Gate):
-        self.amplitudes = _apply_gate_batch(
-            self.amplitudes[None, :], gate.matrix, gate.qubits, self.n_qubits)[0]
-        return self
-
-    def probabilities(self):
-        return np.abs(self.amplitudes) ** 2
-
-    def expectation(self, pauli: PauliString) -> complex:
-        return complex(np.vdot(self.amplitudes, pauli.matrix() @ self.amplitudes))
-
-
-def simulate(circuit: Circuit) -> StateVector:
-    sv = StateVector.computational(circuit.n_qubits, 0)
+def simulate(circuit: Circuit) -> np.ndarray:
+    """The amplitudes of ``circuit`` run from |0...0>, over the 2^n
+    little-endian basis."""
+    amplitudes = np.zeros((1, 1 << circuit.n_qubits), dtype=complex)
+    amplitudes[0, 0] = 1.0
     for gate in circuit.gates:
-        sv.apply(gate)
-    return sv
+        amplitudes = _apply_gate_batch(amplitudes, gate.matrix, gate.qubits,
+                                       circuit.n_qubits)
+    return amplitudes[0]
 
 
 def _apply_gate_batch(states, matrix, qubits, n_qubits):
@@ -274,45 +246,28 @@ def _apply_gate_batch(states, matrix, qubits, n_qubits):
 # The 3-parameter ansatz (4 qubits, 2 electrons)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnsatzParameters:
-    """Angles driving the paired double (theta0) and the alpha/beta single
-    excitations (theta1/theta2); (0,0,0) prepares the reference determinant."""
-
-    theta0: float = 0.0
-    theta1: float = 0.0
-    theta2: float = 0.0
-
-    def __iter__(self):
-        return iter((self.theta0, self.theta1, self.theta2))
-
-    @classmethod
-    def from_any(cls, params):
-        if isinstance(params, cls):
-            return params
-        t0, t1, t2 = params
-        return cls(float(t0), float(t1), float(t2))
-
-
 def build_ansatz(params) -> Circuit:
     """Reference-state preparation plus the three excitation rotations.
 
-    Each excitation is compiled to two-qubit primitives (Givens partial swaps
-    with fermionic-swap / CNOT conjugation).  At theta = pi the corresponding
-    excitation has full weight; the unitary on the N=2, Sz=0 sector matches
-    the exact exponentials of the Jordan-Wigner generators.
+    ``params`` holds three angles: theta0 drives the paired double, theta1
+    and theta2 the alpha and beta singles; (0, 0, 0) prepares the reference
+    determinant.  Each excitation is compiled to two-qubit primitives
+    (Givens partial swaps with fermionic-swap / CNOT conjugation).  At
+    theta = pi the corresponding excitation has full weight; the unitary on
+    the N=2, Sz=0 sector matches the exact exponentials of the Jordan-Wigner
+    generators.
     """
-    p = AnsatzParameters.from_any(params)
+    theta0, theta1, theta2 = (float(t) for t in params)
     c = Circuit(4)
     c.x(0).x(1)
     # paired double 01 -> 23: Givens on the pair marker, anti-controlled on q0
     c.cnot(1, 0).cnot(3, 2)
-    c.givens(1, 3, -p.theta0 / 4).cz(0, 1).givens(1, 3, -p.theta0 / 4).cz(0, 1)
+    c.givens(1, 3, -theta0 / 4).cz(0, 1).givens(1, 3, -theta0 / 4).cz(0, 1)
     c.cnot(3, 2).cnot(1, 0)
     # alpha single 0 -> 2 (modes made adjacent by a fermionic swap)
-    c.fswap(1, 2).givens(0, 1, -p.theta1 / 2).fswap(1, 2)
+    c.fswap(1, 2).givens(0, 1, -theta1 / 2).fswap(1, 2)
     # beta single 1 -> 3
-    c.fswap(2, 3).givens(1, 2, -p.theta2 / 2).fswap(2, 3)
+    c.fswap(2, 3).givens(1, 2, -theta2 / 2).fswap(2, 3)
     return c
 
 
@@ -382,42 +337,16 @@ class NoiseModel:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
 
-def bitstring(index: int, n_qubits: int) -> str:
-    """Qubit-0-first bitstring for a little-endian basis index."""
-    return "".join(str((index >> k) & 1) for k in range(n_qubits))
-
-
 @dataclass
 class ShotTable:
-    """Measured counts for one basis-rotated sampling circuit.
-
-    ``basis`` names the measured Pauli basis per qubit (Z where untouched);
-    ``counts[i]`` counts the little-endian outcome i.  The JSON form keys the
-    nonzero counts by bitstring.
-    """
+    """Measured counts for one basis-rotated sampling circuit: ``basis``
+    names the measured Pauli basis per qubit (Z where untouched),
+    ``counts[i]`` counts the little-endian outcome i, and ``shots`` is the
+    number drawn."""
 
     basis: str
     counts: np.ndarray
     shots: int
-    seed: int = 0
-    n_qubits: int = 4
-
-    def to_json(self) -> dict:
-        counts = {bitstring(i, self.n_qubits): c
-                  for i, c in enumerate(self.counts.tolist()) if c}
-        return {"basis": self.basis, "counts": dict(sorted(counts.items())),
-                "shots": self.shots, "seed": self.seed, "n_qubits": self.n_qubits}
-
-    @classmethod
-    def from_json(cls, d) -> "ShotTable":
-        n = int(d["n_qubits"])
-        counts = [0] * (1 << n)
-        for bits, c in d["counts"].items():
-            if len(bits) != n:
-                raise ValidationError(f"bitstring {bits!r} has wrong length")
-            counts[int(bits[::-1], 2)] = c  # qubit 0 is the leftmost bit
-        return cls(basis=d["basis"], counts=np.asarray(counts), shots=int(d["shots"]),
-                   seed=int(d.get("seed", 0)), n_qubits=n)
 
 
 def _rng_for(seed, *key):
@@ -552,7 +481,7 @@ def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
         rho = _evolve(prefix, basis_rotation(basis).gates, model)
         tables.append(ShotTable(basis=basis, counts=_draw(rho, model, shots,
                                                           _group_seed(seed, gi)),
-                                shots=shots, seed=seed, n_qubits=circuit.n_qubits))
+                                shots=shots))
     return tables
 
 

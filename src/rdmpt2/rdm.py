@@ -16,8 +16,8 @@ row e of K is e's Pauli coefficients times the outcome parities of its
 words.  raw is rho1.ravel() followed by rho2.ravel() (16 + 256 entries);
 each position reads its element with the antisymmetry sign, and a vanishing
 (Sz-changing or p = q) position has sign 0.
-Sampled counts reach P through readout mitigation or normalisation, a
-statevector psi as P[g] = |R_g psi|^2.
+Sampled counts reach P through readout mitigation or normalisation, the
+amplitudes psi of ``qsim.simulate`` as P[g] = |R_g psi|^2.
 """
 
 from __future__ import annotations
@@ -43,14 +43,16 @@ class CoverageError(ValidationError):
 
 @dataclass
 class RdmMeta:
+    """What the chain reads of a pair's history: ``provenance`` (raw ->
+    symmetrized -> purified, or exact) gates purification and PT2;
+    ``n_electrons`` defaults to the 2 that every measured pair holds;
+    ``purification`` holds ``purify_rdm``'s diagnostics; ``readout_clipped``
+    is the largest clipped quasi-probability mass of a circuit."""
+
     provenance: str = "raw"  # raw | symmetrized | purified | exact
-    shots: int = 0
-    seed: int = 0
     n_electrons: int = 2
-    sz_enforced: bool = False
-    reflection_averaged: bool = False
     purification: dict | None = None
-    readout_clipped: float = 0.0  # largest clipped quasi-probability mass of a circuit
+    readout_clipped: float = 0.0
 
 
 @dataclass
@@ -82,32 +84,6 @@ class RdmPair:
         if not np.allclose(r2, r2.transpose(2, 3, 0, 1), rtol=0.0, atol=tol):
             raise ValidationError("rho2 is not hermitian")
         return self
-
-    def to_json(self) -> dict:
-        return {
-            "n_so": self.n_so,
-            "rho1": self.rho1.tolist(),
-            "rho2": self.rho2.reshape(-1).tolist(),
-            "meta": {
-                "provenance": self.meta.provenance,
-                "shots": self.meta.shots,
-                "seed": self.meta.seed,
-                "n_electrons": self.meta.n_electrons,
-                "sz_enforced": self.meta.sz_enforced,
-                "reflection_averaged": self.meta.reflection_averaged,
-                "purification": self.meta.purification,
-                "readout_clipped": self.meta.readout_clipped,
-            },
-            "trace1": self.trace1(),
-            "trace2": self.trace2(),
-        }
-
-    @classmethod
-    def from_json(cls, d) -> "RdmPair":
-        n = int(d["n_so"])
-        meta = RdmMeta(**d["meta"])
-        return cls(np.asarray(d["rho1"], dtype=float),
-                   np.asarray(d["rho2"], dtype=float).reshape(n, n, n, n), meta)
 
 
 def determinant_rdm(occupied, n_so) -> RdmPair:
@@ -288,8 +264,7 @@ def _probabilities(counts, model):
     return counts / total, 0.0
 
 
-def rdm_from_shots(tables, schedule: MeasurementSchedule, model=None,
-                   n_electrons=2) -> RdmPair:
+def rdm_from_shots(tables, schedule: MeasurementSchedule, model=None) -> RdmPair:
     """Assemble the raw RDMs from measured shot tables, inverting ``model``'s
     readout confusion first when one is given.
 
@@ -299,53 +274,33 @@ def rdm_from_shots(tables, schedule: MeasurementSchedule, model=None,
     tables = _group_tables(tables, schedule)
     counts = np.array([t.counts for t in tables], dtype=float)
     probs, clipped = _probabilities(counts, model)
-    meta = RdmMeta(provenance="raw", shots=max(t.shots for t in tables),
-                   seed=tables[0].seed, n_electrons=n_electrons,
-                   readout_clipped=clipped)
-    return _pair(schedule, _assemble(schedule, probs), meta)
+    return _pair(schedule, _assemble(schedule, probs), RdmMeta(readout_clipped=clipped))
 
 
-def rdm_from_state(statevector, schedule: MeasurementSchedule,
-                   n_electrons=2) -> RdmPair:
-    """Infinite-shot (exact expectation) assembly: P[g] = |R_g psi|^2."""
-    probs = np.abs(schedule.rotations @ statevector.amplitudes) ** 2
-    meta = RdmMeta(provenance="raw", shots=0, seed=0, n_electrons=n_electrons)
-    return _pair(schedule, _assemble(schedule, probs), meta)
+def rdm_from_state(amplitudes, schedule: MeasurementSchedule) -> RdmPair:
+    """Infinite-shot (exact expectation) assembly from the amplitude array
+    psi of ``qsim.simulate``: P[g] = |R_g psi|^2."""
+    probs = np.abs(schedule.rotations @ amplitudes) ** 2
+    return _pair(schedule, _assemble(schedule, probs), RdmMeta())
 
 
 # ---------------------------------------------------------------------------
 # Symmetry enforcement
 # ---------------------------------------------------------------------------
 
-def enforce_sz(rdm: RdmPair) -> RdmPair:
-    """Zero every element whose index multiset changes total Sz (idempotent)."""
-    n = rdm.n_so
-    rho1 = np.where(sz_conserving_mask_1(n), rdm.rho1, 0.0)
-    rho2 = np.where(sz_conserving_mask_2(n), rdm.rho2, 0.0)
-    meta = replace(rdm.meta, sz_enforced=True)
-    meta.provenance = _symmetrized_provenance(meta)
-    return RdmPair(rho1, rho2, meta)
-
-
-def spin_reflection_average(rdm: RdmPair) -> RdmPair:
-    """Average each element with its alpha<->beta reflection (idempotent)."""
+def symmetrize(rdm: RdmPair) -> RdmPair:
+    """Zero every element whose indices change total Sz, then average each
+    element with its alpha<->beta reflection (idempotent).  A raw pair comes
+    out "symmetrized"; exact and purified pairs keep their provenance."""
     n = rdm.n_so
     f = _flip(n)
-    rho1 = 0.5 * (rdm.rho1 + rdm.rho1[np.ix_(f, f)])
-    rho2 = 0.5 * (rdm.rho2 + rdm.rho2[np.ix_(f, f, f, f)])
-    meta = replace(rdm.meta, reflection_averaged=True)
-    meta.provenance = _symmetrized_provenance(meta)
-    return RdmPair(rho1, rho2, meta)
-
-
-def _symmetrized_provenance(meta: RdmMeta) -> str:
-    if meta.provenance in ("purified", "exact"):
-        return meta.provenance
-    return "symmetrized" if (meta.sz_enforced and meta.reflection_averaged) else meta.provenance
-
-
-def symmetrize(rdm: RdmPair) -> RdmPair:
-    return spin_reflection_average(enforce_sz(rdm))
+    rho1 = np.where(sz_conserving_mask_1(n), rdm.rho1, 0.0)
+    rho2 = np.where(sz_conserving_mask_2(n), rdm.rho2, 0.0)
+    rho1 = 0.5 * (rho1 + rho1[np.ix_(f, f)])
+    rho2 = 0.5 * (rho2 + rho2[np.ix_(f, f, f, f)])
+    kept = rdm.meta.provenance in ("purified", "exact")
+    return RdmPair(rho1, rho2, replace(
+        rdm.meta, provenance=rdm.meta.provenance if kept else "symmetrized"))
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +315,13 @@ _BOOTSTRAP_BLOCK = 25
 
 @dataclass
 class BootstrapEnsemble:
-    """Multinomial-resampling ensemble of pipeline outputs.
-
-    ``samples`` maps each scalar name to its per-resample values; pipelines
-    returning a bare float are stored under "value".
-    """
+    """Multinomial-resampling ensemble of pipeline outputs: ``samples`` maps
+    each scalar name to its per-resample values."""
 
     n_resamples: int
     samples: dict
     mean: dict
     std: dict
-
-    def summary(self) -> dict:
-        return {k: {"mean": self.mean[k], "std": self.std[k]} for k in sorted(self.samples)}
 
 
 def bootstrap(tables, schedule: MeasurementSchedule, n, pipeline, model=None,
@@ -382,8 +331,8 @@ def bootstrap(tables, schedule: MeasurementSchedule, n, pipeline, model=None,
     Resample i draws every circuit in one multinomial from its own
     generator.  Blocks of ``_BOOTSTRAP_BLOCK`` resamples are mitigated (with
     ``model``) and assembled in one call each, and ``pipeline`` maps each
-    resample's raw RdmPair to a float or a dict of floats.  Summary
-    statistics use the population convention, so n = 1 gives std 0.
+    resample's raw RdmPair to a dict of floats.  Summary statistics use the
+    population convention, so n = 1 gives std 0.
     """
     if n < 1:
         raise ValidationError("need at least one resample")
@@ -400,10 +349,7 @@ def bootstrap(tables, schedule: MeasurementSchedule, n, pipeline, model=None,
                           for i in block], dtype=float)
         raw = _assemble(schedule, _probabilities(draws, model)[0])
         for i, raw_i in zip(block, raw):
-            meta = RdmMeta(provenance="raw", shots=max(shots), seed=tables[0].seed)
-            vals = pipeline(_pair(schedule, raw_i, meta))
-            if not isinstance(vals, dict):
-                vals = {"value": float(vals)}
+            vals = pipeline(_pair(schedule, raw_i, RdmMeta()))
             if out is None:
                 out = {k: np.empty(n) for k in vals}
             for k, v in vals.items():

@@ -25,11 +25,31 @@ BOUNDS = (-np.pi, np.pi)
 # Derivative-free optimizer
 # ---------------------------------------------------------------------------
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass
 class OptimizerSettings:
+    """The trust region's radii and its evaluation budget, checked on
+    construction: a zero radius would rebuild forever, and a budget that is
+    not a whole number would never meet the budget gate."""
+
     rhobeg: float = 0.5
     rhoend: float = 1e-4
     maxfev: int = 200
+
+    def __post_init__(self):
+        if not _is_count(self.maxfev):
+            raise ValidationError(f"maxfev must be an integer >= 1, got {self.maxfev!r}")
+        for name in ("rhobeg", "rhoend"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -72,12 +92,6 @@ def optimize(objective, start, settings: OptimizerSettings | None = None) -> Opt
     ``converged=False``.
     """
     settings = settings or OptimizerSettings()
-    if settings.maxfev < 1:
-        raise ValidationError(f"maxfev must be at least 1, got {settings.maxfev}")
-    for name in ("rhobeg", "rhoend"):  # a zero radius would rebuild forever
-        value = getattr(settings, name)
-        if not 0 < value < math.inf:
-            raise ValidationError(f"{name} must be finite and positive, got {value}")
     x0 = _clip(np.asarray(list(start), dtype=float))
     evals = []
 
@@ -202,7 +216,8 @@ class RunRecord:
 @dataclass
 class ScanSpec:
     """Everything needed to reproduce a run: fixture, geometries, noise,
-    shots, seeds and optimizer settings."""
+    shots, seeds and optimizer settings.  Checked on construction, so a bad
+    spec fails when it is loaded rather than at every point."""
 
     molecule: str
     geometries: list
@@ -216,8 +231,14 @@ class ScanSpec:
     def __post_init__(self):
         if not self.geometries:
             raise ValidationError("a scan needs at least one geometry")
-        if self.shots is not None and self.shots < 1:
-            raise ValidationError(f"shots must be positive or None, got {self.shots}")
+        if self.shots is not None and not _is_count(self.shots):
+            raise ValidationError(f"shots must be an integer >= 1 or None, got {self.shots!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        if not (isinstance(self.start, (tuple, list)) and len(self.start) == 3
+                and all(_is_finite(a) for a in self.start)):
+            raise ValidationError(f"start must be three finite angles, got {self.start!r}")
+        self.start = tuple(self.start)
         if self.bootstrap_resamples < 0:
             raise ValidationError(f"bootstrap_resamples is {self.bootstrap_resamples} < 0")
         if self.shots is None and self.noise is not None:
@@ -262,7 +283,7 @@ class ScanSpec:
                    seed=int(cfg.get("seed", 0)),
                    optimizer=OptimizerSettings(**opt),
                    bootstrap_resamples=int(cfg.get("bootstrap_resamples", 0)),
-                   start=tuple(cfg.get("start", (0.0, 0.0, 0.0))))
+                   start=cfg.get("start", (0.0, 0.0, 0.0)))
 
 
 def _reject_unknown(cfg, cls, what):

@@ -417,9 +417,14 @@ def rdm_from_expectations(expectation, schedule):
     return rho1, rho2
 
 
-def rdm_from_state(statevector, schedule):
+def expectation(psi, pauli):
+    """<psi|P|psi> of a Pauli word on an amplitude array, by its dense matrix."""
+    return complex(np.vdot(psi, pauli.matrix() @ psi))
+
+
+def rdm_from_state(psi, schedule):
     return rdm_from_expectations(
-        lambda w: float(statevector.expectation(qsim.PauliString(w)).real), schedule)
+        lambda w: expectation(psi, qsim.PauliString(w)).real, schedule)
 
 
 def table_expectation(table, pauli):
@@ -449,7 +454,7 @@ def mitigate_readout(table, model):
         inv = np.kron(np.linalg.inv(m), inv)
     v = np.clip(inv @ v, 0.0, None)
     return qsim.ShotTable(basis=table.basis, counts=v * (total / v.sum()),
-                          shots=table.shots, seed=table.seed, n_qubits=table.n_qubits)
+                          shots=table.shots)
 
 
 def bootstrap(tables, n, pipeline, seed=0):
@@ -464,7 +469,7 @@ def bootstrap(tables, n, pipeline, seed=0):
             v = np.asarray(t.counts, dtype=float)
             resampled.append(qsim.ShotTable(
                 basis=t.basis, counts=rng.multinomial(t.shots, v / v.sum()),
-                shots=t.shots, seed=t.seed, n_qubits=t.n_qubits))
+                shots=t.shots))
         out.append(pipeline(resampled))
     return out
 

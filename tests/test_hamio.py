@@ -96,7 +96,6 @@ def test_normal_order_brute_force(tmp_path):
             for i in occ:
                 f[p, q] += table.g[p, i, q, i]
     assert np.abs(no.f - f).max() < 1e-12
-    assert np.allclose(no.gamma, table.g)
 
 
 def test_wick_consistency_random_determinants(tmp_path):

@@ -8,13 +8,12 @@ from scipy.linalg import expm
 
 from rdmpt2 import qsim, rdm
 from rdmpt2.hamio import ValidationError
-from rdmpt2.qsim import (Circuit, NoiseModel, PauliString, ShotTable,
-                         apply_noise, basis_rotation, build_ansatz,
-                         jw_hermitian, jw_ladder, jw_operator,
-                         measure_pauli_sets, mitigate_readout,
+from rdmpt2.qsim import (Circuit, NoiseModel, PauliString, apply_noise,
+                         basis_rotation, build_ansatz, jw_hermitian, jw_ladder,
+                         jw_operator, measure_pauli_sets, mitigate_readout,
                          noisy_density_matrix, qwc_groups, simulate)
 
-from oracles import kraus_density_matrix, table_expectation, trajectory_counts
+from oracles import expectation, kraus_density_matrix, table_expectation, trajectory_counts
 
 
 def ladder_matrix(p, n, dagger):
@@ -95,13 +94,13 @@ SECTOR = [0b0011, 0b1100, 0b0110, 0b1001]  # N=2, Sz=0 basis indices
 
 
 def test_ansatz_reference_state():
-    sv = simulate(build_ansatz((0.0, 0.0, 0.0)))
-    assert abs(sv.amplitudes[qsim.HF_INDEX] - 1.0) < 1e-12
+    psi = simulate(build_ansatz((0.0, 0.0, 0.0)))
+    assert abs(psi[qsim.HF_INDEX] - 1.0) < 1e-12
 
 
 def test_ansatz_full_double_transfer():
-    sv = simulate(build_ansatz((np.pi, 0.0, 0.0)))
-    assert abs(sv.amplitudes[0b1100] - 1.0) < 1e-12
+    psi = simulate(build_ansatz((np.pi, 0.0, 0.0)))
+    assert abs(psi[0b1100] - 1.0) < 1e-12
 
 
 def test_ansatz_matches_generator_exponentials_on_sector():
@@ -124,7 +123,7 @@ def test_ansatz_conserves_n_and_sz():
     sz_op = 0.5 * sum((1 if p % 2 == 0 else -1) * ad[p] @ a[p] for p in range(n))
     rng = np.random.default_rng(11)
     for _ in range(5):
-        psi = simulate(build_ansatz(rng.uniform(-np.pi, np.pi, 3))).amplitudes
+        psi = simulate(build_ansatz(rng.uniform(-np.pi, np.pi, 3)))
         assert abs((psi.conj() @ n_op @ psi).real - 2.0) < 1e-12
         assert abs((psi.conj() @ sz_op @ psi).real) < 1e-12
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
@@ -132,16 +131,16 @@ def test_ansatz_conserves_n_and_sz():
 
 def test_ansatz_sector_golden_values():
     # sign conventions pinned: amplitudes of the state at fixed parameters
-    sv = simulate(build_ansatz((0.6, 0.4, -0.8)))
+    amplitudes = simulate(build_ansatz((0.6, 0.4, -0.8)))
     golden = {}
     u = exact_ansatz_unitary(0.6, 0.4, -0.8)
     psi = u[:, qsim.HF_INDEX]
     for idx in SECTOR:
         golden[idx] = psi[idx]
-        assert abs(sv.amplitudes[idx] - golden[idx]) < 1e-12
+        assert abs(amplitudes[idx] - golden[idx]) < 1e-12
     # the doubly excited amplitude is positive for positive theta0
-    sv2 = simulate(build_ansatz((0.6, 0.0, 0.0)))
-    assert sv2.amplitudes[0b1100].real > 0
+    psi2 = simulate(build_ansatz((0.6, 0.0, 0.0)))
+    assert psi2[0b1100].real > 0
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def test_ansatz_sector_golden_values():
 
 def test_noiseless_channel_matches_born():
     circuit = build_ansatz((0.4, 0.1, -0.2))
-    probs = simulate(circuit).probabilities()
+    probs = np.abs(simulate(circuit)) ** 2
     counts = apply_noise(circuit, NoiseModel.ideal(), seed=3)(200_000)
     total = counts.sum()
     for i in np.nonzero(counts)[0]:
@@ -218,7 +217,7 @@ def test_depolarizing_closed_form_matches_pauli_sum():
         assert len(words) == 4 ** len(qubits) - 1
         # an identity gate leaves only the noise; vec(rho) is row-major, so
         # row qubit q is qubit q + 4 of the 8-qubit vector
-        gate = qsim.Gate("id", qubits, np.eye(1 << len(qubits), dtype=complex))
+        gate = qsim.Gate(qubits, np.eye(1 << len(qubits), dtype=complex))
         rows = tuple(q + 4 for q in qubits)
         explicit = (1 - p) * rho + p / len(words) * sum(w @ rho @ w for w in words)
         closed = qsim._apply_gate_batch(rho.reshape(1, -1), qsim._channel(gate, p),
@@ -270,7 +269,7 @@ def test_channel_rejects_mismatched_register():
 def test_shot_noise_scaling():
     circuit = build_ansatz((0.5, 0.2, -0.1))
     obs = PauliString("ZIII")
-    exact_val = float(simulate(circuit).expectation(obs).real)
+    exact_val = expectation(simulate(circuit), obs).real
     for shots in (1000, 10_000, 100_000):
         tables = measure_pauli_sets(circuit, qwc_groups([obs])[0], shots, model=None,
                                     seed=17)
@@ -337,7 +336,7 @@ def test_mitigation_recovers_modeled_readout():
         th = rng.uniform(-np.pi, np.pi, 3)
         circuit = build_ansatz(th)
         obs = PauliString("ZZII")
-        exact_val = float(simulate(circuit).expectation(obs).real)
+        exact_val = expectation(simulate(circuit), obs).real
         tables = measure_pauli_sets(circuit, qwc_groups([obs])[0], shots, model=model,
                                     seed=100 + trial)
         fixed, _ = mitigate_readout(tables[0].counts, model)
@@ -347,22 +346,10 @@ def test_mitigation_recovers_modeled_readout():
 
 
 def test_statevector_norm_preserved():
-    circuit = build_ansatz((1.1, -0.7, 0.3)).extended(basis_rotation("XYZY"))
-    sv = qsim.StateVector.computational(4)
-    for gate in circuit.gates:
-        sv.apply(gate)
-        assert abs(sv.norm() - 1.0) < 1e-12
-
-
-def test_shot_table_serialization_round_trip():
-    counts = np.zeros(16)
-    counts[0b1100], counts[0b0011] = 10.5, 5.0  # bitstrings 0011 and 1100
-    table = ShotTable(basis="XZYZ", counts=counts, shots=16, seed=7, n_qubits=4)
-    assert table.to_json()["counts"] == {"0011": 10.5, "1100": 5.0}
-    again = ShotTable.from_json(table.to_json())
-    assert again.basis == table.basis
-    assert np.array_equal(again.counts, table.counts)
-    assert again.shots == table.shots
+    # the amplitudes stay normalized after every gate
+    gates = build_ansatz((1.1, -0.7, 0.3)).extended(basis_rotation("XYZY")).gates
+    for k in range(1, len(gates) + 1):
+        assert abs(np.linalg.norm(simulate(Circuit(4, gates[:k]))) - 1.0) < 1e-12
 
 
 def test_noise_model_config_round_trip(tmp_path):

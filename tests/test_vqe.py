@@ -58,17 +58,69 @@ def test_optimizer_respects_budget_and_orders_evals():
 @pytest.mark.parametrize("radius", [0.0, -1e-3, math.nan, math.inf])
 def test_optimizer_rejects_invalid_radius(field, radius, tmp_path):
     # a zero radius halves to itself and every rebuilt point is the centre,
-    # whose held value keeps the budget gate from ever firing
-    def bowl(x):
-        return float(np.sum(np.asarray(x) ** 2))
-
+    # whose held value keeps the budget gate from ever firing; the settings
+    # are refused when built, so a spec file holding one fails at load
     with pytest.raises(hamio.ValidationError, match=field):
-        optimize(bowl, (0.3, 0.2, 0.1), OptimizerSettings(maxfev=500, **{field: radius}))
+        OptimizerSettings(maxfev=500, **{field: radius})
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7], "shots": None,
                                 "optimizer": {field: radius, "maxfev": 500}}))
-    record, = run_scan(ScanSpec.from_json(path))
-    assert field in record.error and record.n_objective_calls == 0
+    with pytest.raises(hamio.ValidationError, match=field):
+        ScanSpec.from_json(path)
+
+
+@pytest.mark.parametrize("maxfev", [5.5, 10.0, True, 0, -1, "10"])
+def test_optimizer_rejects_non_integer_budget(maxfev):
+    # the budget gate compares an evaluation count with maxfev: at 5.5 it
+    # never fires, and True would stop after one evaluation
+    with pytest.raises(hamio.ValidationError, match="maxfev"):
+        OptimizerSettings(maxfev=maxfev)
+
+
+def test_scanspec_rejects_bad_seed_and_start(tmp_path, capsys):
+    with pytest.raises(hamio.ValidationError, match="seed"):
+        ScanSpec(molecule="h2", geometries=[0.7], seed=-1)
+    # numpy refused the seed at every point while the command exited 0
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "64",
+                  "--seed", "-1", "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    for start in ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, math.inf, 0.0),
+                  (math.nan, 0.0, 0.0), (0.0, "a", 0.0), 0.5):
+        with pytest.raises(hamio.ValidationError, match="start"):
+            ScanSpec(molecule="h2", geometries=[0.7], start=start)
+    assert ScanSpec(molecule="h2", geometries=[0.7], start=[0, 0.5, -1]).start == (0, 0.5, -1)
+
+
+BAD_SPECS = [
+    ({"optimizer": {"maxfev": 5.5}}, "maxfev"),
+    ({"optimizer": {"maxfev": True}}, "maxfev"),
+    ({"optimizer": {"rhoend": 0}}, "rhoend"),
+    ({"shots": 100.5}, "shots"),
+    ({"shots": True}, "shots"),
+    ({"shots": 0}, "shots"),
+    ({"seed": -1}, "seed"),
+    ({"start": [0.0, 0.0]}, "start"),
+    ({"start": [0.0, 0.0, math.nan]}, "start"),
+    ({"start": 0.5}, "start"),
+]
+
+
+@pytest.mark.parametrize("bad, name", BAD_SPECS)
+def test_scan_rejects_bad_spec_at_load(bad, name, tmp_path, capsys):
+    # each of these used to load and then fail (or silently misbehave) at
+    # every point while the command exited 0, or exit 1 with a traceback
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7], **bad}))
+    with pytest.raises(hamio.ValidationError, match=name):
+        ScanSpec.from_json(path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["scan", "--spec", str(path), "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def _points(evals):
@@ -367,7 +419,8 @@ def test_exact_expectations_reject_a_noise_model(tmp_path, capsys):
 
 
 def test_scanspec_rejects_bad_shots_and_resamples(tmp_path, capsys):
-    for shots in (0, -8):
+    # 100.5 drew 100 shots per circuit and recorded 100.5; True drew one
+    for shots in (0, -8, 100.5, 8192.0, True):
         with pytest.raises(hamio.ValidationError, match="shots"):
             ScanSpec(molecule="h2", geometries=[0.7], shots=shots)
     with pytest.raises(hamio.ValidationError, match="bootstrap_resamples"):
