@@ -246,6 +246,9 @@ def _apply_gate_batch(states, matrix, qubits, n_qubits):
 # The 3-parameter ansatz (4 qubits, 2 electrons)
 # ---------------------------------------------------------------------------
 
+ANSATZ_QUBITS = 4
+
+
 def build_ansatz(params) -> Circuit:
     """Reference-state preparation plus the three excitation rotations.
 
@@ -258,7 +261,7 @@ def build_ansatz(params) -> Circuit:
     generators.
     """
     theta0, theta1, theta2 = (float(t) for t in params)
-    c = Circuit(4)
+    c = Circuit(ANSATZ_QUBITS)
     c.x(0).x(1)
     # paired double 01 -> 23: Givens on the pair marker, anti-controlled on q0
     c.cnot(1, 0).cnot(3, 2)
@@ -289,7 +292,7 @@ class NoiseModel:
     p1: float = 0.001
     p2: float = 0.01
     readout: np.ndarray = None
-    n_qubits: int = 4
+    n_qubits: int = ANSATZ_QUBITS
 
     def __post_init__(self):
         if not (0 <= self.p1 <= 1 and 0 <= self.p2 <= 1):
@@ -306,7 +309,7 @@ class NoiseModel:
             raise ValidationError("confusion matrix entries must be in [0, 1]")
 
     @classmethod
-    def ideal(cls, n_qubits=4):
+    def ideal(cls, n_qubits=ANSATZ_QUBITS):
         return cls(p1=0.0, p2=0.0,
                    readout=np.array([np.eye(2)] * n_qubits), n_qubits=n_qubits)
 
@@ -315,7 +318,7 @@ class NoiseModel:
         unknown = sorted(set(cfg) - {"p1", "p2", "readout", "n_qubits"})
         if unknown:
             raise ValidationError(f"unknown noise-model keys: {', '.join(unknown)}")
-        n = int(cfg.get("n_qubits", 4))
+        n = int(cfg.get("n_qubits", ANSATZ_QUBITS))
         readout = cfg.get("readout")
         if isinstance(readout, (int, float)):
             eps = float(readout)

@@ -316,12 +316,15 @@ _BOOTSTRAP_BLOCK = 25
 @dataclass
 class BootstrapEnsemble:
     """Multinomial-resampling ensemble of pipeline outputs: ``samples`` maps
-    each scalar name to its per-resample values."""
+    each scalar name to its per-resample values, NaN where a resample failed;
+    ``failed`` counts those resamples, and ``mean``/``std`` are taken over the
+    rest, so a name whose every resample failed has neither."""
 
     n_resamples: int
     samples: dict
     mean: dict
     std: dict
+    failed: dict
 
 
 def bootstrap(tables, schedule: MeasurementSchedule, n, pipeline, model=None,
@@ -331,8 +334,10 @@ def bootstrap(tables, schedule: MeasurementSchedule, n, pipeline, model=None,
     Resample i draws every circuit in one multinomial from its own
     generator.  Blocks of ``_BOOTSTRAP_BLOCK`` resamples are mitigated (with
     ``model``) and assembled in one call each, and ``pipeline`` maps each
-    resample's raw RdmPair to a dict of floats.  Summary statistics use the
-    population convention, so n = 1 gives std 0.
+    resample's raw RdmPair to a dict of floats; a value of None, or a name
+    the dict leaves out, marks that resample failed for that name.  Summary
+    statistics use the population convention, so one kept resample gives
+    std 0.
     """
     if n < 1:
         raise ValidationError("need at least one resample")
@@ -342,18 +347,19 @@ def bootstrap(tables, schedule: MeasurementSchedule, n, pipeline, model=None,
     tables = _group_tables(tables, schedule)
     shots = [t.shots for t in tables]
     probs, _ = _probabilities(np.array([t.counts for t in tables], dtype=float), None)
-    out = None
+    out = {}
     for start in range(0, n, _BOOTSTRAP_BLOCK):
         block = range(start, min(n, start + _BOOTSTRAP_BLOCK))
         draws = np.array([qsim._rng_for(seed, 1, i).multinomial(shots, probs)
                           for i in block], dtype=float)
         raw = _assemble(schedule, _probabilities(draws, model)[0])
         for i, raw_i in zip(block, raw):
-            vals = pipeline(_pair(schedule, raw_i, RdmMeta()))
-            if out is None:
-                out = {k: np.empty(n) for k in vals}
-            for k, v in vals.items():
-                out[k][i] = float(v)
-    mean = {k: float(v.mean()) for k, v in out.items()}
-    std = {k: float(v.std(ddof=0)) for k, v in out.items()}
-    return BootstrapEnsemble(n_resamples=n, samples=out, mean=mean, std=std)
+            for k, v in pipeline(_pair(schedule, raw_i, RdmMeta())).items():
+                if k not in out:
+                    out[k] = np.full(n, np.nan)
+                out[k][i] = np.nan if v is None else v
+    kept = {k: v[~np.isnan(v)] for k, v in out.items()}
+    mean = {k: float(v.mean()) for k, v in kept.items() if v.size}
+    std = {k: float(v.std(ddof=0)) for k, v in kept.items() if v.size}
+    return BootstrapEnsemble(n_resamples=n, samples=out, mean=mean, std=std,
+                             failed={k: n - v.size for k, v in kept.items()})

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hamio, pt2, purify, qsim, rdm
+from . import exact, hamio, pt2, purify, qsim, rdm
 from .hamio import ValidationError
 
 log = logging.getLogger(__name__)
@@ -25,8 +25,8 @@ BOUNDS = (-np.pi, np.pi)
 # Derivative-free optimizer
 # ---------------------------------------------------------------------------
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+def _is_count(x, least=1) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
 
 
 def _is_finite(x) -> bool:
@@ -233,14 +233,19 @@ class ScanSpec:
             raise ValidationError("a scan needs at least one geometry")
         if self.shots is not None and not _is_count(self.shots):
             raise ValidationError(f"shots must be an integer >= 1 or None, got {self.shots!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        if not _is_count(self.seed, least=0):
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (isinstance(self.start, (tuple, list)) and len(self.start) == 3
                 and all(_is_finite(a) for a in self.start)):
             raise ValidationError(f"start must be three finite angles, got {self.start!r}")
         self.start = tuple(self.start)
-        if self.bootstrap_resamples < 0:
-            raise ValidationError(f"bootstrap_resamples is {self.bootstrap_resamples} < 0")
+        if not _is_count(self.bootstrap_resamples, least=0):
+            raise ValidationError("bootstrap_resamples must be an integer >= 0, "
+                                  f"got {self.bootstrap_resamples!r}")
+        if self.noise is not None and self.noise.n_qubits != qsim.ANSATZ_QUBITS:
+            raise ValidationError(
+                f"the noise model has n_qubits={self.noise.n_qubits}; the ansatz "
+                f"register has {qsim.ANSATZ_QUBITS}")
         if self.shots is None and self.noise is not None:
             raise ValidationError(
                 "exact expectations (shots=None, CLI --shots 0) cannot apply a "
@@ -256,7 +261,15 @@ class ScanSpec:
         optimizer ``"method": "cobyla"`` (the one remaining optimizer); both
         are ignored, while ``"mirror": true`` or any other method is
         rejected."""
-        cfg = json.loads(Path(path).read_text())
+        try:
+            cfg = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"cannot read scan spec {path}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ValidationError(f"scan spec {path} is not a JSON object")
+        missing = [k for k in ("molecule", "geometries") if k not in cfg]
+        if missing:
+            raise ValidationError(f"scan spec {path} lacks {', '.join(missing)}")
         if cfg.pop("mirror", False):
             raise ValidationError(
                 '"mirror": true is no longer supported: the mirrored schedule '
@@ -280,9 +293,9 @@ class ScanSpec:
         return cls(molecule=cfg["molecule"],
                    geometries=[float(g) for g in cfg["geometries"]],
                    shots=cfg.get("shots", 8192), noise=model,
-                   seed=int(cfg.get("seed", 0)),
+                   seed=cfg.get("seed", 0),
                    optimizer=OptimizerSettings(**opt),
-                   bootstrap_resamples=int(cfg.get("bootstrap_resamples", 0)),
+                   bootstrap_resamples=cfg.get("bootstrap_resamples", 0),
                    start=cfg.get("start", (0.0, 0.0, 0.0)))
 
 
@@ -328,8 +341,7 @@ class PointPipeline:
 
     # -- references -----------------------------------------------------
     def references(self) -> dict:
-        from . import exact
-        e_frozen, _ = exact.fci_ground_state(self.table)
+        e_frozen = exact.fci_ground_state(self.table)
         refs = {"e_fci_frozen": e_frozen, "e_hf": hamio.normal_order(
             self.table_full, self.ref_full).e0}
         if "e_fci_full" in self.entry:
@@ -388,8 +400,9 @@ class PointPipeline:
         return out
 
     def bootstrap_pipeline(self, raw: rdm.RdmPair) -> dict:
-        return {k: v for k, v in self._energies(raw).items()
-                if k in ENERGY_KEYS and v is not None}
+        """Every energy of ``ENERGY_KEYS``, None where the chain failed."""
+        energies = self._energies(raw)
+        return {k: energies.get(k) for k in ENERGY_KEYS}
 
 
 def _eval_seed(seed, tag):
@@ -430,7 +443,10 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
         _, tables = pipe.evaluate(trace.best_params, len(record.iterations))
         ens = rdm.bootstrap(tables, pipe.schedule, spec.bootstrap_resamples,
                             pipe.bootstrap_pipeline, model=spec.noise, seed=spec.seed)
-        boot = {k: {"mean": ens.mean[k], "std": ens.std[k]} for k in ens.samples}
+        boot = {k: {"failed": failed} for k, failed in ens.failed.items()}
+        for k, stats in boot.items():
+            if k in ens.mean:  # else every resample failed
+                stats.update(mean=ens.mean[k], std=ens.std[k])
     record.finalize(bootstrap_std=boot)
     record.references = pipe.references()
     return record

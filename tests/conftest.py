@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rdmpt2 import exact, hamio, rdm
+import oracles
+from rdmpt2 import hamio, rdm
 
 logging.getLogger("rdmpt2").setLevel(logging.ERROR)
 
@@ -22,8 +23,8 @@ def h2():
 @pytest.fixture(scope="session")
 def h2_fci(h2):
     table, _ = h2
-    energy, amps = exact.fci_ground_state(table)
-    basis = exact.SectorBasis.build(table.n_so, 2, 0)
+    energy, amps = oracles.fci_ground_state(table)
+    basis = oracles.SectorBasis.build(table.n_so, 2, 0)
     return energy, amps, basis
 
 
@@ -46,7 +47,7 @@ def random_rdm_pair(rng, n_so=4, n_elec=2):
 
 def random_pure_2e_rdm(rng, n_so=4):
     """Exact RDMs of a random normalized 2-electron Sz=0 state."""
-    basis = exact.SectorBasis.build(n_so, 2, 0)
+    basis = oracles.SectorBasis.build(n_so, 2, 0)
     amps = rng.normal(size=len(basis))
     amps /= np.linalg.norm(amps)
-    return exact.rdms_from_amplitudes(amps, basis)
+    return oracles.rdms_from_amplitudes(amps, basis)

@@ -1,8 +1,13 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rdmpt2 import exact, hamio, rdm
-from rdmpt2.exact import SectorBasis, fci_ground_state, rdms_from_amplitudes
+import oracles
+from oracles import SectorBasis, fci_ground_state, rdms_from_amplitudes
+from rdmpt2 import exact, hamio, purify, rdm, vqe
 from rdmpt2.hamio import ReferenceDeterminant, ValidationError
 
 
@@ -28,7 +33,7 @@ def test_fci_matches_generator_references():
 def test_sector_hamiltonian_hermitian(lih):
     table, _ = lih
     basis = SectorBasis.build(table.n_so, table.n_electrons, 0)
-    ham = exact.sector_hamiltonian(table, basis)
+    ham = oracles.sector_hamiltonian(table, basis)
     assert np.abs(ham - ham.T).max() < 1e-12
 
 
@@ -74,7 +79,7 @@ def test_variational_bound_of_ansatz_states(h2, h2_fci):
 
 def test_dimension_cap_advises_freezing(monkeypatch):
     table, _ = hamio.load_fixture("nah_1.8874")
-    monkeypatch.setattr(exact, "DIMENSION_CAP", 100)
+    monkeypatch.setattr(oracles, "DIMENSION_CAP", 100)
     with pytest.raises(ValidationError, match="freeze"):
         fci_ground_state(table)
 
@@ -83,3 +88,45 @@ def test_empty_sector_rejected(h2):
     table, _ = h2
     with pytest.raises(ValidationError, match="empty sector"):
         SectorBasis.build(4, 3, 0)  # odd N cannot have Sz = 0
+
+
+MANIFEST = hamio.load_manifest()["fixtures"]
+
+
+@cache
+def frozen_table(fixture_id):
+    """The active-space table ``PointPipeline.references`` diagonalizes."""
+    entry = MANIFEST[fixture_id]
+    r = entry["bond_length_angstrom"]
+    spec = vqe.ScanSpec(molecule=entry["molecule"], geometries=[r], shots=None)
+    return vqe.PointPipeline(spec, r).table
+
+
+@pytest.mark.parametrize("fixture_id", sorted(MANIFEST))
+def test_pair_model_matches_sector_fci(fixture_id):
+    table = frozen_table(fixture_id)
+    e_sector, _ = fci_ground_state(table)
+    assert abs(exact.fci_ground_state(table) - e_sector) < 1e-12
+
+
+def test_pair_model_rejects_other_electron_counts(lih):
+    table, _ = lih
+    with pytest.raises(ValidationError, match="2 electrons"):
+        exact.fci_ground_state(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1, 1), min_size=36, max_size=36),
+       st.sampled_from(sorted(MANIFEST)))
+def test_pair_energy_is_linear_in_the_pair_matrix(entries, fixture_id):
+    # E = e_nuclear + Tr(K M) for any PSD unit-trace pair matrix M, with rho1
+    # the partial trace of rho2
+    a = np.reshape(entries, (6, 6))
+    m = a @ a.T
+    assume(np.trace(m) > 1e-3)
+    m /= np.trace(m)
+    table = frozen_table(fixture_id)
+    rho2 = purify.from_pair_basis(m, table.n_so)
+    pair = rdm.RdmPair(np.einsum("prqr->pq", rho2), rho2)
+    e_pair = table.e_nuclear + np.trace(exact.pair_hamiltonian(table) @ m)
+    assert abs(e_pair - hamio.energy_from_rdm(table, pair)) < 1e-12

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rdmpt2 import exact, hamio, rdm
+import oracles
+from rdmpt2 import hamio, rdm
 from rdmpt2.hamio import (ActiveSpaceSpec, FcidumpError, IntegralTable,
                           ReferenceDeterminant, ValidationError)
 
@@ -113,7 +114,7 @@ def test_wick_consistency_random_determinants(tmp_path):
 def test_energy_from_rdm_fci_and_zero(h2, h2_fci):
     table, _ = h2
     energy, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     assert abs(hamio.energy_from_rdm(table, pair) - energy) < 1e-10
     zero = rdm.RdmPair(np.zeros((4, 4)), np.zeros((4, 4, 4, 4)))
     assert hamio.energy_from_rdm(table, zero) == table.e_nuclear
@@ -143,9 +144,9 @@ def test_freeze_core_matches_restricted_fci(lih):
     spec = ActiveSpaceSpec.from_active_spatials(
         table.n_spatial, table.n_electrons, entry["active_spatial_orbitals"])
     frozen = hamio.freeze_core(table, spec)
-    e_frozen, _ = exact.fci_ground_state(frozen)
+    e_frozen, _ = oracles.fci_ground_state(frozen)
     # the restricted sector also freezes the virtuals outside the active set
-    e_restricted, _ = exact.fci_ground_state(
+    e_restricted, _ = oracles.fci_ground_state(
         table, n_elec=table.n_electrons, sz2=0,
         restrict_occupied=spec.frozen_occupied,
         restrict_virtual_empty=spec.frozen_virtual)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_rdm_pair
 from oracles import fbar, gammabar, reducible_3rdm
-from rdmpt2 import exact, hamio, pt2, purify, qsim, rdm, vqe
+from rdmpt2 import hamio, pt2, purify, qsim, rdm, vqe
 from rdmpt2.hamio import (ActiveSpaceSpec, IntegralTable, ReferenceDeterminant,
                           ValidationError)
 from rdmpt2.rdm import RdmPair
@@ -21,9 +21,9 @@ def exact_active_rdm(table, entry):
     space = ActiveSpaceSpec.from_active_spatials(
         table.n_spatial, table.n_electrons, entry["active_spatial_orbitals"])
     active = hamio.freeze_core(table, space)
-    e_active, amps = exact.fci_ground_state(active)
-    basis = exact.SectorBasis.build(active.n_so, 2, 0)
-    return space, active, e_active, exact.rdms_from_amplitudes(amps, basis)
+    e_active, amps = oracles.fci_ground_state(active)
+    basis = oracles.SectorBasis.build(active.n_so, 2, 0)
+    return space, active, e_active, oracles.rdms_from_amplitudes(amps, basis)
 
 
 ANGLES = st.tuples(*[st.floats(-np.pi, np.pi)] * 3)
@@ -202,11 +202,11 @@ def test_numerators_match_commutator_oracle_on_embedded_state(lih):
     emb = embed_active_rdm(active_rdm, space)
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
-    basis = exact.SectorBasis.build(table.n_so, table.n_electrons, 0)
-    ham = exact.sector_hamiltonian(table, basis)
+    basis = oracles.SectorBasis.build(table.n_so, table.n_electrons, 0)
+    ham = oracles.sector_hamiltonian(table, basis)
 
-    cas_basis = exact.SectorBasis.build(active.n_so, 2, 0)
-    _, amps = exact.fci_ground_state(active)
+    cas_basis = oracles.SectorBasis.build(active.n_so, 2, 0)
+    _, amps = oracles.fci_ground_state(active)
     core = 0
     for c in space.frozen_occupied:
         core |= 1 << c
@@ -223,7 +223,7 @@ def test_numerators_match_commutator_oracle_on_embedded_state(lih):
         for ci, det in enumerate(basis.states):
             if vec[ci] == 0.0:
                 continue
-            d2, sign = exact._apply_ladder(det, ops)
+            d2, sign = oracles._apply_ladder(det, ops)
             if d2 is None:
                 continue
             ti = basis.index.get(d2)
@@ -283,7 +283,7 @@ def test_stationarity_at_fci(h2, h2_fci):
     table, _ = h2
     ref = ReferenceDeterminant.aufbau(table)
     _, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     split = pt2._Split(pair, table, ref)
     assert np.abs(pt2._fbar_matrix(split)).max() < 1e-6
     assert np.abs(pt2._gammabar_tensor(split)).max() < 1e-6
@@ -329,7 +329,7 @@ def test_transformed_energies_shift_directions(h2, h2_fci):
     table, _ = h2
     ref = ReferenceDeterminant.aufbau(table)
     _, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     f = hamio.normal_order(table, ref).f
     eps_occ, eps_virt = transformed_energies(pair, table, ref)
     for i, e in zip(ref.occupied, eps_occ, strict=True):
@@ -342,7 +342,7 @@ def test_transformed_energies_zero_offdiagonal_blocks(h2, h2_fci):
     table, _ = h2
     ref = ReferenceDeterminant.aufbau(table)
     _, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     stripped = rdm.RdmPair(np.diag(np.diag(pair.rho1)), pair.rho2.copy(),
                            pair.meta)
     occ = list(ref.occupied)
@@ -534,7 +534,7 @@ def test_pt2_invariant_under_spin_relabeling(h2):
 
 def test_embed_identity_with_no_frozen_orbitals(h2_fci):
     _, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     spec = ActiveSpaceSpec(frozen_occupied=(), active=(0, 1, 2, 3),
                            frozen_virtual=())
     emb = embed_active_rdm(pair, spec)
@@ -638,7 +638,7 @@ def test_full_space_pt2_rejects_non_embedded_rho1(lih):
 
 def test_embed_rejects_overlapping_sets(h2_fci):
     _, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     spec = ActiveSpaceSpec(frozen_occupied=(0,), active=(0, 1, 2, 3),
                            frozen_virtual=())
     with pytest.raises(ValidationError):

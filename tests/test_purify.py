@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rdmpt2 import exact, hamio, qsim, rdm, vqe
+from rdmpt2 import hamio, qsim, rdm, vqe
 from rdmpt2.hamio import ValidationError
 from rdmpt2.purify import (MIDPOINT_TOL, PurificationError, from_pair_basis,
                            purify_rdm, to_pair_basis)
@@ -264,7 +264,7 @@ def test_projector_matches_mcweeney_on_exact_rdms(h2, theta):
 
 def test_purify_fixed_point_on_exact_rdm(h2_fci):
     _, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     pure = purify_rdm(pair)
     assert np.abs(pure.rho2 - pair.rho2).max() < 1e-10
     assert np.abs(pure.rho1 - pair.rho1).max() < 1e-10
@@ -277,7 +277,7 @@ def test_purify_improves_mixed_rdm(h2, h2_fci):
     # recovers the pure state, strictly improving the energy
     table, _ = h2
     e_fci, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     mixed_m = 0.95 * to_pair_basis(pair) + 0.05 * np.eye(6) / 6.0
     mixed = rdm.RdmPair(pair.rho1.copy(), from_pair_basis(mixed_m, 4),
                         rdm.RdmMeta(provenance="exact", n_electrons=2))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rdmpt2 import exact, hamio, qsim, rdm, vqe
+from rdmpt2 import hamio, qsim, rdm, vqe
 from rdmpt2.hamio import ValidationError
 from rdmpt2.qsim import NoiseModel, ShotTable, build_ansatz, measure_pauli_sets, simulate
 from rdmpt2.rdm import (CoverageError, RdmMeta, RdmPair, bootstrap, build_schedule,
@@ -63,7 +63,7 @@ def test_sampled_rdm_energy_within_shot_noise(h2, h2_fci):
     table, _ = h2
     e_fci, amps, basis = h2_fci
     # optimal parameters: theta0 from the FCI pair amplitudes
-    pair_exact = exact.rdms_from_amplitudes(amps, basis)
+    pair_exact = oracles.rdms_from_amplitudes(amps, basis)
     theta0 = 2 * np.arctan2(pair_exact.rho2[2, 3, 0, 1], pair_exact.rho2[0, 1, 0, 1])
     circuit = build_ansatz((theta0, 0, 0))
     schedule = build_schedule(4)
@@ -127,7 +127,7 @@ def test_reflection_average_exact_invariance():
 
 def test_symmetrization_fixed_point_on_singlet(h2_fci):
     _, amps, basis = h2_fci
-    pair = exact.rdms_from_amplitudes(amps, basis)
+    pair = oracles.rdms_from_amplitudes(amps, basis)
     sym = symmetrize(pair)
     assert np.abs(sym.rho1 - pair.rho1).max() < 1e-12
     assert np.abs(sym.rho2 - pair.rho2).max() < 1e-12
@@ -155,6 +155,31 @@ def test_bootstrap_matches_binomial_closed_form():
     ens = bootstrap([table], schedule, 10_000, mean_z, seed=3)
     closed_form = 1.0 / np.sqrt(shots)  # std of <Z> for p = 1/2
     assert abs(ens.std["value"] - closed_form) / closed_form < 0.2
+
+
+@pytest.mark.parametrize("failing", [{0}, {1}, {0, 1, 2, 3}])
+def test_bootstrap_counts_failed_resamples(failing):
+    # a failure on resample 0 used to make every later resample raise
+    # KeyError, and one on a later resample left uninitialised memory in its
+    # sample and so in the mean and std
+    schedule = build_schedule(4)
+    tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.bases,
+                                100, seed=0)
+    index = iter(range(4))
+
+    def pipeline(raw):
+        i = next(index)
+        return {"steady": 1.0, "flaky": None if i in failing else float(i)}
+
+    ens = bootstrap(tables, schedule, 4, pipeline, seed=0)
+    kept = np.array([float(i) for i in range(4) if i not in failing])
+    assert ens.failed == {"steady": 0, "flaky": len(failing)}
+    assert np.array_equal(np.isnan(ens.samples["flaky"]), [i in failing for i in range(4)])
+    assert ens.mean["steady"] == 1.0 and ens.std["steady"] == 0.0
+    if kept.size:
+        assert ens.mean["flaky"] == kept.mean() and ens.std["flaky"] == kept.std()
+    else:
+        assert "flaky" not in ens.mean and "flaky" not in ens.std
 
 
 def test_bootstrap_rejects_empty():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rdmpt2 import cli, hamio, qsim, vqe
+from rdmpt2 import cli, hamio, qsim, rdm, vqe
 from rdmpt2.vqe import (OptimizerSettings, RunRecord, ScanSpec, optimize,
                         resolve_fixture, run_point, run_scan)
 
@@ -105,6 +105,9 @@ BAD_SPECS = [
     ({"start": [0.0, 0.0]}, "start"),
     ({"start": [0.0, 0.0, math.nan]}, "start"),
     ({"start": 0.5}, "start"),
+    ({"seed": 1.7}, "seed"),
+    ({"bootstrap_resamples": 2.5}, "bootstrap_resamples"),
+    ({"noise": {"n_qubits": 2}}, "n_qubits"),
 ]
 
 
@@ -114,6 +117,45 @@ def test_scan_rejects_bad_spec_at_load(bad, name, tmp_path, capsys):
     # every point while the command exited 0, or exit 1 with a traceback
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7], **bad}))
+    with pytest.raises(hamio.ValidationError, match=name):
+        ScanSpec.from_json(path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["scan", "--spec", str(path), "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_scanspec_rejects_fractional_counts_and_foreign_noise(tmp_path, capsys):
+    # from_json cast 1.7 to 1; a 2-qubit model failed at every point
+    for name, value in (("seed", 1.7), ("seed", True), ("bootstrap_resamples", 2.5)):
+        with pytest.raises(hamio.ValidationError, match=name):
+            ScanSpec(molecule="h2", geometries=[0.7], **{name: value})
+    two_qubit = qsim.NoiseModel(n_qubits=2)  # still a valid model for qsim
+    with pytest.raises(hamio.ValidationError, match="n_qubits"):
+        ScanSpec(molecule="h2", geometries=[0.7], noise=two_qubit)
+    noise_path = tmp_path / "noise.json"
+    two_qubit.to_json(noise_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "64",
+                  "--noise", str(noise_path), "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert "n_qubits" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("text, name", [
+    (None, "cannot read"),
+    ('{"molecule": "h2", "geometries": [0.7],', "cannot read"),
+    ('{"geometries": [0.7]}', "molecule"),
+    ('["h2", 0.7]', "JSON object"),
+])
+def test_scan_rejects_unreadable_spec(text, name, tmp_path, capsys):
+    # a missing file, malformed JSON or a missing molecule exited 1 with a
+    # traceback
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text)
     with pytest.raises(hamio.ValidationError, match=name):
         ScanSpec.from_json(path)
     with pytest.raises(SystemExit) as exit_info:
@@ -224,6 +266,35 @@ def test_combined_error_is_quadrature():
     rec.finalize(bootstrap_std={"e_pure": {"mean": 3.0, "std": 0.5}})
     assert rec.combined_error["e_pure"] == pytest.approx(
         math.sqrt(np.array([1, 2, 3, 4, 5]).std() ** 2 + 0.25))
+
+
+@pytest.mark.parametrize("n_failed", [2, 4])
+def test_bootstrap_failures_are_counted_in_the_record(n_failed, monkeypatch):
+    # resamples 0 .. n_failed-1 fail purification; the record counts them per
+    # energy and keeps statistics only where some resample survived
+    real = vqe.PointPipeline.bootstrap_pipeline
+    calls = []
+
+    def failing_first(self, raw):
+        calls.append(raw)
+        if len(calls) <= n_failed:
+            raw = rdm.RdmPair(np.zeros_like(raw.rho1), np.zeros_like(raw.rho2))
+        return real(self, raw)
+
+    monkeypatch.setattr(vqe.PointPipeline, "bootstrap_pipeline", failing_first)
+    spec = ScanSpec(molecule="h2", geometries=[0.7], shots=256, noise=qsim.NoiseModel(),
+                    seed=2, optimizer=OptimizerSettings(maxfev=5), bootstrap_resamples=4)
+    rec = run_point(spec, 0.7)
+    assert len(calls) == 4
+    assert rec.bootstrap["e_raw"]["failed"] == 0
+    for key in ("e_pure", "e_pt2_frozen", "e_pt2_full"):
+        stats = rec.bootstrap[key]
+        assert stats["failed"] == n_failed
+        if n_failed < 4:
+            assert math.isfinite(stats["mean"]) and stats["std"] >= 0.0
+        else:
+            assert set(stats) == {"failed"}
+    assert rec.combined_error.keys() == rec.last5.keys()
 
 
 def test_determinism_bit_identical_records_and_csv(tmp_path):
