@@ -4,40 +4,19 @@ or re-emit reports from archived records."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import hamio, qsim, vqe
-
-
-def _noise_from_args(args):
-    if args.noise == "none":
-        return None
-    if args.noise == "default":
-        return qsim.NoiseModel()
-    return qsim.NoiseModel.from_json(args.noise)
-
-
-def _spec_from_args(args, geometries):
-    return vqe.ScanSpec(
-        molecule=args.fixture,
-        geometries=geometries,
-        shots=None if args.shots == 0 else args.shots,
-        noise=_noise_from_args(args),
-        seed=args.seed,
-        optimizer=vqe.OptimizerSettings(maxfev=args.max_evals),
-        bootstrap_resamples=args.bootstrap,
-    )
+from . import hamio, vqe
 
 
 def _add_common(p):
     p.add_argument("--shots", type=int, default=8192,
-                   help="shots per measurement circuit; 0 = exact expectations")
+                   help="shots per measurement circuit; 0 = exact expectations "
+                        "(a spec's null)")
     p.add_argument("--noise", default="default",
-                   help="'default', 'none', or a noise-model JSON file "
+                   help="'default', 'none' (a spec's null), or a JSON file of "
+                        "NoiseModel fields p1, p2, readout, n_qubits "
                         "(--shots 0 needs 'none')")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bootstrap", type=int, default=0,
@@ -74,19 +53,19 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
+    if args.command in ("run", "scan"):
         try:
-            spec = _spec_from_args(args, [args.geometry])
+            if args.command == "run":
+                spec = vqe.ScanSpec.from_dict({
+                    "molecule": args.fixture, "geometries": [args.geometry],
+                    "shots": None if args.shots == 0 else args.shots,
+                    "noise": None if args.noise == "none" else args.noise,
+                    "seed": args.seed, "optimizer": {"maxfev": args.max_evals},
+                    "bootstrap_resamples": args.bootstrap})
+            else:
+                spec = vqe.ScanSpec.from_json(args.spec)
         except hamio.ValidationError as exc:
-            p_run.error(str(exc))
-        records = vqe.run_scan(spec, out_dir=args.out)
-        _summarize(records)
-        return 0
-    if args.command == "scan":
-        try:
-            spec = vqe.ScanSpec.from_json(args.spec)
-        except hamio.ValidationError as exc:
-            p_scan.error(str(exc))
+            sub.choices[args.command].error(str(exc))
         records = vqe.run_scan(spec, out_dir=args.out)
         _summarize(records)
         return 0

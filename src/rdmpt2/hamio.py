@@ -9,8 +9,9 @@ over spatial orbitals) are converted once at load time.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,14 @@ class FcidumpError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when inputs violate a structural precondition."""
+
+
+def _is_count(x, least=1) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def spatial_of(p: int) -> int:
@@ -236,42 +245,6 @@ def load_fcidump(path) -> IntegralTable:
                          e_nuclear=e_nuc, h=h, g=g)
 
 
-def write_fcidump(table: IntegralTable, path, ms2=0):
-    """Write a restricted table back to FCIDUMP (inverse of load_fcidump).
-
-    The spatial integrals are recovered from the alpha-alpha (one-body) and
-    alpha-beta (two-body) blocks, which is exact for spin-restricted tables.
-    """
-    n_sp = table.n_spatial
-    h_sp = table.h[0::2, 0::2]
-    if not np.allclose(h_sp, table.h[1::2, 1::2], atol=1e-12):
-        raise ValidationError("table is not spin-restricted; cannot write FCIDUMP")
-    # alpha-beta block of <pq|rs> has no exchange part: g[2i,2k+1,2j,2l+1] = (ij|kl)
-    chem = table.g[0::2, 1::2, 0::2, 1::2].transpose(0, 2, 1, 3)
-    lines = [f"&FCI NORB={n_sp},NELEC={table.n_electrons},MS2={ms2},",
-             "  ORBSYM=" + "1," * n_sp, "  ISYM=1,", "&END"]
-    seen = set()
-    for i in range(n_sp):
-        for j in range(n_sp):
-            for k in range(n_sp):
-                for l in range(n_sp):
-                    ij = (max(i, j), min(i, j))
-                    kl = (max(k, l), min(k, l))
-                    key = max(ij + kl, kl + ij)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if abs(chem[i, j, k, l]) > 1e-16:
-                        lines.append(f"{chem[i, j, k, l]: .16e} "
-                                     f"{i + 1:3d} {j + 1:3d} {k + 1:3d} {l + 1:3d}")
-    for i in range(n_sp):
-        for j in range(i + 1):
-            if abs(h_sp[i, j]) > 1e-16:
-                lines.append(f"{h_sp[i, j]: .16e} {i + 1:3d} {j + 1:3d}   0   0")
-    lines.append(f"{table.e_nuclear: .16e}   0   0   0   0")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Normal ordering and derived energies
 # ---------------------------------------------------------------------------
@@ -338,18 +311,16 @@ def energy_from_rdm(table: IntegralTable, rdm) -> float:
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
-def load_manifest(directory=None) -> dict:
-    d = Path(directory) if directory else FIXTURE_DIR
-    return json.loads((d / "manifest.json").read_text())
+def load_manifest() -> dict:
+    return json.loads((FIXTURE_DIR / "manifest.json").read_text())
 
 
-def load_fixture(fixture_id: str, directory=None):
+def load_fixture(fixture_id: str):
     """Load a committed fixture; returns (IntegralTable, manifest entry)."""
-    d = Path(directory) if directory else FIXTURE_DIR
-    manifest = load_manifest(d)
+    manifest = load_manifest()
     if fixture_id not in manifest["fixtures"]:
         raise KeyError(f"fixture not found: {fixture_id!r} "
                        f"(available: {sorted(manifest['fixtures'])})")
     entry = manifest["fixtures"][fixture_id]
-    table = load_fcidump(d / entry["file"])
+    table = load_fcidump(FIXTURE_DIR / entry["file"])
     return table, entry

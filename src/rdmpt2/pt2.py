@@ -208,7 +208,7 @@ def _fbar_matrix(s: _Split) -> np.ndarray:
     return s.to_ref(s.fbar)
 
 
-def _gammabar_tensor(s: _Split, include_3rdm=None) -> np.ndarray:
+def _gammabar_tensor(s: _Split) -> np.ndarray:
     """All Re <[a+_i a+_j a_b a_a, H]> at once, shape (occ, occ, virt, virt).
 
     gammabar = X - U - A_ij A_ab S (A_ij S = S - S with i, j swapped):
@@ -218,11 +218,9 @@ def _gammabar_tensor(s: _Split, include_3rdm=None) -> np.ndarray:
     1/2 sum_m h_im rho2_mjab - sum_m h_am rho2_ijmb, which need an active j
     (the latter halved for active i, whose mirror term A_ij supplies).  The
     three-body terms add to S (``_gamma_3rdm_terms``); they vanish
-    identically for 2-electron states and are skipped there unless
-    ``include_3rdm`` forces them.
+    identically for 2-electron states and are skipped there.
     """
-    if include_3rdm is None:
-        include_3rdm = s.n_electrons > 2
+    include_3rdm = s.n_electrons > 2
     nc, nao, nav, va, A, O, W, h, r2 = s.nc, s.nao, s.nav, s.va, s.A, s.O, s.W, s.h, s.r2
     # the pair transform of g_mnaw, w in W for X and, first, in A for the
     # three-body terms; U_ivab also for v in Av there

@@ -9,17 +9,20 @@ outcome index, is the occupation of qubit k.
 
 One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
 noisy gate (one superoperator) to vec(rho) and every confusion matrix.
+
+A ``NoiseModel``'s fields are ``p1``/``p2``, the depolarizing probability
+after each one-/two-qubit gate (a real in [0, 1]); ``readout``, one flip
+probability for every qubit (None: 0.02) or one 2x2 confusion matrix per
+qubit; and ``n_qubits``, an integer >= 1.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .hamio import ValidationError
+from .hamio import ValidationError, _is_count, _is_finite
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -283,7 +286,7 @@ HF_INDEX = 0b0011  # qubits 0 and 1 occupied
 
 @dataclass
 class NoiseModel:
-    """Depolarizing-plus-readout noise description.
+    """Depolarizing-plus-readout noise description, checked on construction.
 
     ``readout[q]`` is the 2x2 confusion matrix with columns indexed by the
     true bit: readout[q][m, t] = P(measured m | true t).
@@ -295,14 +298,23 @@ class NoiseModel:
     n_qubits: int = ANSATZ_QUBITS
 
     def __post_init__(self):
-        if not (0 <= self.p1 <= 1 and 0 <= self.p2 <= 1):
-            raise ValidationError("depolarizing probabilities must be in [0, 1]")
-        if self.readout is None:
-            eps = 0.02
-            self.readout = np.array([[[1 - eps, eps], [eps, 1 - eps]]] * self.n_qubits)
-        self.readout = np.asarray(self.readout, dtype=float)
-        if self.readout.shape != (self.n_qubits, 2, 2):
-            raise ValidationError("readout must be one 2x2 matrix per qubit")
+        if not _is_count(self.n_qubits):
+            raise ValidationError(f"n_qubits must be an integer >= 1, got {self.n_qubits!r}")
+        for name in ("p1", "p2"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and 0 <= value <= 1):
+                raise ValidationError(f"{name} must be a real number in [0, 1], got {value!r}")
+        if self.readout is None or _is_finite(self.readout):  # a bool is neither
+            eps = 0.02 if self.readout is None else self.readout
+            self.readout = [[[1 - eps, eps], [eps, 1 - eps]]] * self.n_qubits
+        try:
+            readout = np.asarray(self.readout, dtype=float)
+        except (TypeError, ValueError):
+            readout = None
+        if readout is None or readout.shape != (self.n_qubits, 2, 2):
+            raise ValidationError("readout must be a flip probability or one 2x2 "
+                                  f"matrix per qubit, got {self.readout!r}")
+        self.readout = readout
         if not np.allclose(self.readout.sum(axis=1), 1.0, atol=1e-10):
             raise ValidationError("confusion matrix columns must sum to 1")
         if ((self.readout < 0) | (self.readout > 1)).any():
@@ -315,29 +327,15 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, cfg):
-        unknown = sorted(set(cfg) - {"p1", "p2", "readout", "n_qubits"})
+        """The inverse of ``to_dict``; a missing field takes its default."""
+        unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"unknown noise-model keys: {', '.join(unknown)}")
-        n = int(cfg.get("n_qubits", ANSATZ_QUBITS))
-        readout = cfg.get("readout")
-        if isinstance(readout, (int, float)):
-            eps = float(readout)
-            readout = [[[1 - eps, eps], [eps, 1 - eps]]] * n
-        return cls(p1=float(cfg.get("p1", 0.001)), p2=float(cfg.get("p2", 0.01)),
-                   readout=np.asarray(readout) if readout is not None else None,
-                   n_qubits=n)
-
-    @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls(**cfg)
 
     def to_dict(self) -> dict:
         return {"p1": float(self.p1), "p2": float(self.p2), "n_qubits": self.n_qubits,
                 "readout": self.readout.tolist()}
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
 
 @dataclass
@@ -412,19 +410,6 @@ def _draw(rho, model: NoiseModel, shots: int, seed) -> np.ndarray:
     return _rng_for(seed, 0).multinomial(shots, probs / probs.sum())
 
 
-def apply_noise(circuit: Circuit, model: NoiseModel | None, seed: int):
-    """A seeded noisy sampling channel for one circuit.
-
-    The circuit's exact noisy density matrix is evolved once; the returned
-    callable shots -> count vector draws all shots in one multinomial
-    over the readout-confused outcome distribution.  ``model=None`` samples
-    the exact Born distribution.
-    """
-    model = _model_for(circuit, model)
-    rho = noisy_density_matrix(circuit, model)
-    return lambda shots: _draw(rho, model, shots, seed)
-
-
 def qwc_groups(observables):
     """Greedy grouping into qubit-wise commuting sets.
 
@@ -474,7 +459,8 @@ def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
 
     The noisy density matrix of ``circuit`` is evolved once; each group then
     passes its basis-rotation tail (one superoperator per gate) and draws its
-    shots, so a group's counts equal ``apply_noise`` on its rotated circuit."""
+    shots, so a group's counts equal the per-circuit channel of the tests'
+    ``oracles.apply_noise`` on its rotated circuit."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
     model = _model_for(circuit, model)

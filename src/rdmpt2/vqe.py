@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact, hamio, pt2, purify, qsim, rdm
-from .hamio import ValidationError
+from .hamio import ValidationError, _is_count, _is_finite
 
 log = logging.getLogger(__name__)
 
@@ -24,14 +24,6 @@ BOUNDS = (-np.pi, np.pi)
 # ---------------------------------------------------------------------------
 # Derivative-free optimizer
 # ---------------------------------------------------------------------------
-
-def _is_count(x, least=1) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= least
-
-
-def _is_finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
 
 @dataclass
 class OptimizerSettings:
@@ -58,14 +50,6 @@ class OptimizeTrace:
     best_params: np.ndarray
     n_evals: int
     converged: bool        # False when the evaluation budget ended the run
-
-    def best_so_far(self):
-        out = []
-        best = math.inf
-        for _, v in self.evals:
-            best = min(best, v)
-            out.append(best)
-        return out
 
 
 def _clip(x):
@@ -189,7 +173,8 @@ class RunRecord:
     error: str | None = None
 
     def finalize(self, bootstrap_std=None):
-        """Last-5-iteration statistics plus quadrature with the bootstrap."""
+        """Last-5-iteration statistics plus quadrature with the bootstrap; the
+        combined error is None where every bootstrap resample failed."""
         for key in ENERGY_KEYS:
             series = [it[key] for it in self.iterations[-5:]
                       if it.get(key) is not None]
@@ -201,8 +186,9 @@ class RunRecord:
         if bootstrap_std:
             self.bootstrap = dict(bootstrap_std)
         for key, stats in self.last5.items():
-            bs = self.bootstrap.get(key, {}).get("std", 0.0)
-            self.combined_error[key] = math.sqrt(stats["std"] ** 2 + bs ** 2)
+            bs = self.bootstrap.get(key, {"std": 0.0}).get("std")
+            self.combined_error[key] = (None if bs is None
+                                        else math.sqrt(stats["std"] ** 2 + bs ** 2))
         return self
 
     def to_json(self) -> dict:
@@ -229,8 +215,13 @@ class ScanSpec:
     start: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not self.geometries:
-            raise ValidationError("a scan needs at least one geometry")
+        if not isinstance(self.molecule, str):
+            raise ValidationError(f"molecule must be a name such as 'h2', got {self.molecule!r}")
+        if not (isinstance(self.geometries, (list, tuple)) and self.geometries
+                and all(_is_finite(g) for g in self.geometries)):
+            raise ValidationError("geometries must be a non-empty list of bond "
+                                  f"lengths, got {self.geometries!r}")
+        self.geometries = [float(g) for g in self.geometries]
         if self.shots is not None and not _is_count(self.shots):
             raise ValidationError(f"shots must be an integer >= 1 or None, got {self.shots!r}")
         if not _is_count(self.seed, least=0):
@@ -253,50 +244,71 @@ class ScanSpec:
 
     @classmethod
     def from_json(cls, path) -> "ScanSpec":
-        """Read a spec file; ``noise`` is null, "default", a dict of
-        ``NoiseModel`` fields (as ``records.json`` settings hold it) or the
-        path of a noise-model file.  Unknown keys, top-level or under
-        ``optimizer``, are rejected by name.  Older files may hold
-        ``"mirror": false`` (the removed spin-reflection schedule) and an
-        optimizer ``"method": "cobyla"`` (the one remaining optimizer); both
-        are ignored, while ``"mirror": true`` or any other method is
-        rejected."""
+        """Read a spec file, a JSON object of ``from_dict``'s keys."""
         try:
             cfg = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read scan spec {path}: {exc}") from exc
+        return cls.from_dict(cfg)
+
+    @classmethod
+    def from_dict(cls, cfg) -> "ScanSpec":
+        """The one way from outside settings to a spec, for a spec file's
+        object (``from_json``) and for ``rdmpt2 run``'s flags.  ``molecule``
+        and ``geometries`` (bond lengths in Angstrom) are required; ``shots``
+        is null (exact expectations) or a count per circuit (default 8192);
+        ``noise`` is null (the default), "default" (``qsim.NoiseModel()``), an
+        object of ``NoiseModel`` fields (as ``records.json`` settings hold it)
+        or the path of a JSON file holding one.  Unknown keys, top-level or
+        under ``optimizer``, are rejected by name.  Older files may hold
+        ``"mirror": false`` (the removed spin-reflection schedule) and an
+        optimizer ``"method": "cobyla"`` (the one remaining optimizer); both
+        are ignored, while ``"mirror": true`` or any other method is
+        rejected."""
         if not isinstance(cfg, dict):
-            raise ValidationError(f"scan spec {path} is not a JSON object")
+            raise ValidationError("scan spec is not a JSON object")
+        cfg = dict(cfg)
         missing = [k for k in ("molecule", "geometries") if k not in cfg]
         if missing:
-            raise ValidationError(f"scan spec {path} lacks {', '.join(missing)}")
+            raise ValidationError(f"scan spec lacks {', '.join(missing)}")
         if cfg.pop("mirror", False):
             raise ValidationError(
                 '"mirror": true is no longer supported: the mirrored schedule '
                 "needed the same 13 circuits; remove the key")
         _reject_unknown(cfg, cls, "scan-spec")
-        opt = dict(cfg.get("optimizer", {}))
+        opt = cfg.get("optimizer", {})
+        if not isinstance(opt, dict):
+            raise ValidationError(f"optimizer must be a JSON object, got {opt!r}")
+        opt = dict(opt)
         method = opt.pop("method", "cobyla")
         if method != "cobyla":
             raise ValidationError(
                 f"optimizer method {method!r} is no longer supported: the linear "
                 'trust region ("cobyla") is the only optimizer; remove the key')
         _reject_unknown(opt, OptimizerSettings, "optimizer")
-        noise = cfg.get("noise")
-        model = None
-        if noise == "default":
-            model = qsim.NoiseModel()
-        elif isinstance(noise, dict):
-            model = qsim.NoiseModel.from_dict(noise)
-        elif isinstance(noise, str) and noise:
-            model = qsim.NoiseModel.from_json(noise)
-        return cls(molecule=cfg["molecule"],
-                   geometries=[float(g) for g in cfg["geometries"]],
-                   shots=cfg.get("shots", 8192), noise=model,
+        return cls(molecule=cfg["molecule"], geometries=cfg["geometries"],
+                   shots=cfg.get("shots", 8192), noise=_noise_model(cfg.get("noise")),
                    seed=cfg.get("seed", 0),
                    optimizer=OptimizerSettings(**opt),
                    bootstrap_resamples=cfg.get("bootstrap_resamples", 0),
                    start=cfg.get("start", (0.0, 0.0, 0.0)))
+
+
+def _noise_model(noise) -> qsim.NoiseModel | None:
+    """A spec's ``noise`` entry as ``ScanSpec.from_dict`` documents it."""
+    if noise is None:
+        return None
+    if noise == "default":
+        return qsim.NoiseModel()
+    if isinstance(noise, str):
+        try:
+            noise = json.loads(Path(noise).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"cannot read noise-model file {noise!r}: {exc}") from exc
+    if not isinstance(noise, dict):
+        raise ValidationError('noise must be null, "default", an object of noise-model '
+                              f"fields or a file holding one, got {noise!r}")
+    return qsim.NoiseModel.from_dict(noise)
 
 
 def _reject_unknown(cfg, cls, what):

@@ -26,6 +26,10 @@ through the readout confusion matrix.  Its shot distribution is the one the
 density-matrix channel must reproduce.  ``kraus_density_matrix`` is that
 channel's density matrix as an explicit sum over dense Pauli-error Kraus
 operators, one full-register matrix product per operator.
+``apply_noise`` is the package's channel for one circuit at a time, the
+reference ``qsim.measure_pauli_sets`` must match group by group: it evolves
+the whole circuit's noisy density matrix and draws every shot in one
+multinomial.
 
 The measurement oracles are the element-by-element assembly the compiled
 map replaced: ``rdm_from_expectations`` evaluates every scheduled element
@@ -99,6 +103,16 @@ def kraus_density_matrix(circuit, model):
         words = [expand_matrix(w, gate.qubits, n) for w in paulis]
         rho = (1 - p) * rho + p / len(words) * sum(w @ rho @ w for w in words)
     return rho
+
+
+def apply_noise(circuit, model, seed):
+    """A seeded noisy sampling channel for one circuit: the returned callable
+    shots -> count vector draws from the readout-confused outcome
+    distribution of its noisy density matrix (``model=None`` samples the
+    exact Born distribution)."""
+    model = qsim._model_for(circuit, model)
+    rho = qsim.noisy_density_matrix(circuit, model)
+    return lambda shots: qsim._draw(rho, model, shots, seed)
 
 
 def trajectory_counts(circuit, model, shots, seed):

@@ -164,18 +164,6 @@ def test_freeze_all_occupied_gives_hf(lih):
     assert frozen.n_electrons == 0
 
 
-def test_fcidump_round_trip(tmp_path, lih):
-    table, _ = lih
-    out = tmp_path / "roundtrip.fcidump"
-    hamio.write_fcidump(table, out)
-    again = hamio.load_fcidump(out)
-    assert again.n_spatial == table.n_spatial
-    assert again.n_electrons == table.n_electrons
-    assert abs(again.e_nuclear - table.e_nuclear) < 1e-12
-    assert np.abs(again.h - table.h).max() < 1e-12
-    assert np.abs(again.g - table.g).max() < 1e-12
-
-
 def test_active_space_spec_validation():
     spec = ActiveSpaceSpec(frozen_occupied=(0, 1), active=(2, 3), frozen_virtual=())
     spec.validate(4)

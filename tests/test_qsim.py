@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from scipy.linalg import expm
 
 from rdmpt2 import qsim, rdm
 from rdmpt2.hamio import ValidationError
-from rdmpt2.qsim import (Circuit, NoiseModel, PauliString, apply_noise,
-                         basis_rotation, build_ansatz, jw_hermitian, jw_ladder,
-                         jw_operator, measure_pauli_sets, mitigate_readout,
-                         noisy_density_matrix, qwc_groups, simulate)
+from rdmpt2.qsim import (Circuit, NoiseModel, PauliString, basis_rotation,
+                         build_ansatz, jw_hermitian, jw_ladder, jw_operator,
+                         measure_pauli_sets, mitigate_readout, noisy_density_matrix,
+                         qwc_groups, simulate)
 
-from oracles import expectation, kraus_density_matrix, table_expectation, trajectory_counts
+from oracles import (apply_noise, expectation, kraus_density_matrix, table_expectation,
+                     trajectory_counts)
 
 
 def ladder_matrix(p, n, dagger):
@@ -355,8 +357,8 @@ def test_statevector_norm_preserved():
 def test_noise_model_config_round_trip(tmp_path):
     model = NoiseModel(p1=0.002, p2=0.02, n_qubits=4)
     path = tmp_path / "noise.json"
-    model.to_json(path)
-    again = NoiseModel.from_json(path)
+    path.write_text(json.dumps(model.to_dict()))
+    again = NoiseModel.from_dict(json.loads(path.read_text()))
     assert again.p1 == model.p1 and again.p2 == model.p2
     assert np.allclose(again.readout, model.readout)
     with pytest.raises(ValidationError, match="p_2"):

@@ -41,8 +41,7 @@ def test_optimizer_respects_budget_and_orders_evals():
 
     trace = optimize(noisy, (1.0, 1.0, 1.0), OptimizerSettings(maxfev=37))
     assert trace.n_evals == len(calls) <= 37
-    best = trace.best_so_far()
-    assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(best, best[1:]))
+    assert [v for _, v in trace.evals] == [sphere(x) for x in calls]
     # without a binding budget the same run needs more than 37
     # evaluations, so the budget cuts it off after exactly 37 of the
     # same evaluations
@@ -108,6 +107,17 @@ BAD_SPECS = [
     ({"seed": 1.7}, "seed"),
     ({"bootstrap_resamples": 2.5}, "bootstrap_resamples"),
     ({"noise": {"n_qubits": 2}}, "n_qubits"),
+    ({"geometries": 0.7}, "geometries"),
+    ({"geometries": ["x"]}, "geometries"),
+    ({"noise": "nope.json"}, "noise"),
+    ({"noise": "none"}, "noise"),
+    ({"noise": {"p1": None}}, "p1"),
+    ({"noise": {"n_qubits": 4.7}}, "n_qubits"),
+    ({"noise": {"readout": True}}, "readout"),
+    ({"noise": {"p1": "0.1"}}, "p1"),
+    ({"noise": {"readout": "x"}}, "readout"),
+    ({"optimizer": 5}, "optimizer"),
+    ({"molecule": 5}, "molecule"),
 ]
 
 
@@ -135,7 +145,7 @@ def test_scanspec_rejects_fractional_counts_and_foreign_noise(tmp_path, capsys):
     with pytest.raises(hamio.ValidationError, match="n_qubits"):
         ScanSpec(molecule="h2", geometries=[0.7], noise=two_qubit)
     noise_path = tmp_path / "noise.json"
-    two_qubit.to_json(noise_path)
+    noise_path.write_text(json.dumps(two_qubit.to_dict()))
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "64",
                   "--noise", str(noise_path), "--out", str(tmp_path / "runs")])
@@ -162,6 +172,20 @@ def test_scan_rejects_unreadable_spec(text, name, tmp_path, capsys):
         cli.main(["scan", "--spec", str(path), "--out", str(tmp_path / "runs")])
     assert exit_info.value.code == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("text", [None, '{"p1": 0.002,'])
+def test_run_rejects_unreadable_noise_file(text, tmp_path, capsys):
+    # a missing or malformed noise-model file exited 1 with a traceback
+    noise_path = tmp_path / "noise.json"
+    if text is not None:
+        noise_path.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "64",
+                  "--noise", str(noise_path), "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert "cannot read noise-model file" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -294,6 +318,7 @@ def test_bootstrap_failures_are_counted_in_the_record(n_failed, monkeypatch):
             assert math.isfinite(stats["mean"]) and stats["std"] >= 0.0
         else:
             assert set(stats) == {"failed"}
+            assert rec.combined_error[key] is None
     assert rec.combined_error.keys() == rec.last5.keys()
 
 
@@ -524,3 +549,18 @@ def test_cli_scan_with_spec_file(tmp_path):
     rc = cli.main(["scan", "--spec", str(spec_path), "--out", str(tmp_path / "o")])
     assert rc == 0
     assert (tmp_path / "o" / "records.json").exists()
+
+
+def test_run_flags_and_spec_file_write_identical_records(tmp_path):
+    # `run` builds its spec from flags and `scan` from a file, both through
+    # ScanSpec.from_dict: the same settings give the same records.json
+    assert cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "0",
+                     "--noise", "none", "--max-evals", "8",
+                     "--out", str(tmp_path / "run")]) == 0
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7],
+                                     "shots": None, "noise": None,
+                                     "optimizer": {"maxfev": 8}}))
+    assert cli.main(["scan", "--spec", str(spec_path), "--out", str(tmp_path / "scan")]) == 0
+    assert ((tmp_path / "run" / "records.json").read_bytes()
+            == (tmp_path / "scan" / "records.json").read_bytes())
