@@ -20,7 +20,8 @@ def _add_common(p):
                         "(--shots 0 needs 'none')")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bootstrap", type=int, default=0,
-                   help="bootstrap resamples at the final point")
+                   help="bootstrap resamples at the final point "
+                        "(needs --shots > 0)")
     p.add_argument("--max-evals", type=int, default=200,
                    help="objective evaluations per point (hard cap)")
     p.add_argument("--out", default="runs", help="output directory")
@@ -68,9 +69,12 @@ def main(argv=None):
             sub.choices[args.command].error(str(exc))
         records = vqe.run_scan(spec, out_dir=args.out)
         _summarize(records)
-        return 0
+        return 1 if any(rec.error is not None for rec in records) else 0
     if args.command == "report":
-        records = vqe.read_archive(Path(args.indir) / "records.json")
+        try:
+            records = vqe.read_archive(Path(args.indir) / "records.json")
+        except hamio.ValidationError as exc:
+            p_rep.error(str(exc))
         out = vqe.write_outputs(records, args.out or args.indir)
         print(f"wrote {out}")
         return 0

@@ -7,6 +7,12 @@ Qubit k hosts spin orbital k (alpha/beta interleaved).  Basis states are
 little-endian: bit k of the amplitude index, and of a count vector's
 outcome index, is the occupation of qubit k.
 
+Operators are dense 2^n x 2^n matrices in that basis: ``jw_ladder`` gives
+a_p, and products of them are matmuls.  A Pauli word is a plain string
+whose letter k (I, X, Y or Z) acts on qubit k; ``pauli_matrix`` gives its
+matrix and ``z_parity_signs`` its eigenvalue on each outcome after its
+basis rotation.
+
 One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
 noisy gate (one superoperator) to vec(rho) and every confusion matrix.
 
@@ -31,109 +37,34 @@ _PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# single-qubit product table: (a, b) -> (phase, result)
-_MUL = {}
-for _a in "IXYZ":
-    _MUL[("I", _a)] = (1.0, _a)
-    _MUL[(_a, "I")] = (1.0, _a)
-    _MUL[(_a, _a)] = (1.0, "I")
-_MUL[("X", "Y")] = (1j, "Z")
-_MUL[("Y", "X")] = (-1j, "Z")
-_MUL[("Y", "Z")] = (1j, "X")
-_MUL[("Z", "Y")] = (-1j, "X")
-_MUL[("Z", "X")] = (1j, "Y")
-_MUL[("X", "Z")] = (-1j, "Y")
+
+def pauli_matrix(word: str) -> np.ndarray:
+    """Dense matrix of a Pauli word (letter k acts on qubit k) in the
+    little-endian basis."""
+    m = np.ones((1, 1), dtype=complex)
+    for c in word:  # kron grows most-significant side first
+        m = np.kron(_PAULI_MATS[c], m)
+    return m
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A Pauli word with a complex coefficient.
-
-    ``ops`` holds one letter per qubit (position k = qubit k).
-    """
-
-    ops: str
-    coeff: complex = 1.0
-
-    def __post_init__(self):
-        if any(c not in "IXYZ" for c in self.ops):
-            raise ValidationError(f"bad Pauli label {self.ops!r}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.ops)
-
-    @property
-    def support(self) -> tuple:
-        return tuple(k for k, c in enumerate(self.ops) if c != "I")
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if len(self.ops) != len(other.ops):
-            raise ValidationError("qubit counts differ")
-        phase = self.coeff * other.coeff
-        out = []
-        for a, b in zip(self.ops, other.ops):
-            ph, c = _MUL[(a, b)]
-            phase *= ph
-            out.append(c)
-        return PauliString("".join(out), phase)
-
-    def matrix(self) -> np.ndarray:
-        """Dense matrix in the little-endian basis (qubit 0 = LSB)."""
-        m = np.array([[self.coeff]], dtype=complex)
-        for c in self.ops:  # kron grows most-significant side first
-            m = np.kron(_PAULI_MATS[c], m)
-        return m
-
-    def z_parity_signs(self) -> np.ndarray:
-        """(-1)^(bit parity on support) for every basis index; requires I/Z only
-        up to a basis rotation, used for expectation from counts."""
-        n = len(self.ops)
-        signs = np.ones(1 << n)
-        idx = np.arange(1 << n)
-        for k in self.support:
+def z_parity_signs(word: str) -> np.ndarray:
+    """(-1)^(bit parity on the word's support) for every basis index: the
+    word's eigenvalue on each outcome once its basis is rotated onto Z."""
+    idx = np.arange(1 << len(word))
+    signs = np.ones(idx.size)
+    for k, c in enumerate(word):
+        if c != "I":
             signs *= 1 - 2.0 * ((idx >> k) & 1)
-        return signs
+    return signs
 
 
-def combine_paulis(terms, tol=1e-14):
-    """Sum a list of PauliStrings, merging like words and dropping zeros."""
-    acc = {}
-    for t in terms:
-        acc[t.ops] = acc.get(t.ops, 0.0) + t.coeff
-    return [PauliString(ops, c) for ops, c in sorted(acc.items()) if abs(c) > tol]
-
-
-def jw_ladder(p: int, n_qubits: int, dagger: bool):
-    """Jordan-Wigner image of a_p (or a_p^dagger): 1/2 (X_p +- i Y_p) Z_{p-1}..Z_0."""
+def jw_ladder(p: int, n_qubits: int) -> np.ndarray:
+    """Jordan-Wigner matrix of a_p: Z on the qubits below p and |0><1| on p,
+    which is (X_p + i Y_p)/2 times Z_{p-1}..Z_0."""
     if p < 0 or p >= n_qubits:
         raise ValidationError(f"mode index {p} out of range for {n_qubits} qubits")
-    zs = "Z" * p
-    tail = "I" * (n_qubits - p - 1)
-    sign = -1j if dagger else 1j
-    return [PauliString(zs + "X" + tail, 0.5),
-            PauliString(zs + "Y" + tail, 0.5 * sign)]
-
-
-def jw_operator(ops, n_qubits: int):
-    """Pauli expansion of a product of ladder operators.
-
-    ``ops`` is a sequence of (mode index, dagger flag), applied left to right
-    as written, e.g. [(1, True), (0, False)] is a_1^dagger a_0.
-    """
-    terms = [PauliString("I" * n_qubits, 1.0)]
-    for p, dag in ops:
-        factors = jw_ladder(p, n_qubits, dag)
-        terms = [t * f for t in terms for f in factors]
-    return combine_paulis(terms)
-
-
-def jw_hermitian(ops, n_qubits: int):
-    """Pauli expansion of (A + A^dagger)/2 for the ladder product A."""
-    fwd = jw_operator(ops, n_qubits)
-    rev = jw_operator([(p, not dag) for p, dag in reversed(ops)], n_qubits)
-    out = combine_paulis(fwd + rev)
-    return [PauliString(t.ops, 0.5 * t.coeff) for t in out]
+    zs, tail = "Z" * p, "I" * (n_qubits - p - 1)
+    return 0.5 * (pauli_matrix(zs + "X" + tail) + 1j * pauli_matrix(zs + "Y" + tail))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +250,11 @@ class NoiseModel:
             raise ValidationError("confusion matrix columns must sum to 1")
         if ((self.readout < 0) | (self.readout > 1)).any():
             raise ValidationError("confusion matrix entries must be in [0, 1]")
+        for q, confusion in enumerate(self.readout):  # mitigation inverts each
+            try:
+                np.linalg.inv(confusion)
+            except np.linalg.LinAlgError as exc:
+                raise ValidationError(f"singular confusion matrix on qubit {q}") from exc
 
     @classmethod
     def ideal(cls, n_qubits=ANSATZ_QUBITS):
@@ -410,19 +346,19 @@ def _draw(rho, model: NoiseModel, shots: int, seed) -> np.ndarray:
     return _rng_for(seed, 0).multinomial(shots, probs / probs.sum())
 
 
-def qwc_groups(observables):
-    """Greedy grouping into qubit-wise commuting sets.
+def qwc_groups(words):
+    """Greedy grouping of Pauli words into qubit-wise commuting sets.
 
     Returns (group basis strings, assignment list index->group).
     """
     bases = []
     assignment = []
-    for obs in observables:
+    for word in words:
         placed = False
         for gi, basis in enumerate(bases):
             merged = list(basis)
             ok = True
-            for k, c in enumerate(obs.ops):
+            for k, c in enumerate(word):
                 if c == "I":
                     continue
                 if merged[k] == "I":
@@ -436,7 +372,7 @@ def qwc_groups(observables):
                 placed = True
                 break
         if not placed:
-            bases.append(list(obs.ops))
+            bases.append(list(word))
             assignment.append(len(bases) - 1)
     return ["".join("Z" if c == "I" else c for c in b) for b in bases], assignment
 

@@ -13,8 +13,11 @@ commuting group in the order of ``schedule.bases`` (13 x 16 for 4 qubits),
 column i the little-endian outcome after the group's basis rotation.  x holds
 the measured elements (``elements1`` then ``elements2``, 18 for 4 qubits):
 row e of K is e's Pauli coefficients times the outcome parities of its
-words.  raw is rho1.ravel() followed by rho2.ravel() (16 + 256 entries);
-each position reads its element with the antisymmetry sign, and a vanishing
+words.  The coefficients come from matrices: e's ladder product A is a
+matmul of ``qsim.jw_ladder`` matrices, and its hermitian part
+O = (A + A+)/2 has c_w = Tr(P_w O) / 2^n on word w (k0 holds c_I).
+raw is rho1.ravel() followed by rho2.ravel() (16 + 256 entries); each
+position reads its element with the antisymmetry sign, and a vanishing
 (Sz-changing or p = q) position has sign 0.
 Sampled counts reach P through readout mitigation or normalisation, the
 amplitudes psi of ``qsim.simulate`` as P[g] = |R_g psi|^2.
@@ -30,7 +33,6 @@ import numpy as np
 
 from . import qsim
 from .hamio import ValidationError
-from .qsim import PauliString, jw_hermitian
 
 
 class CoverageError(ValidationError):
@@ -166,21 +168,6 @@ def _order_element(t):
     return ((p, q, r, s), sign)
 
 
-def _decompose(ops, n_so):
-    """Identity offset and real Pauli coefficients of (A + A+)/2."""
-    const = 0.0
-    terms = []
-    for t in jw_hermitian(ops, n_so):
-        if abs(t.coeff.imag) > 1e-12:
-            raise AssertionError("hermitian part produced a complex coefficient")
-        c = float(t.coeff.real)
-        if t.ops == "I" * n_so:
-            const += c
-        else:
-            terms.append((t.ops, c))
-    return const, tuple(terms)
-
-
 def _elements(n_so):
     """Stored-form Sz-conserving elements."""
     mask1 = sz_conserving_mask_1(n_so)
@@ -192,15 +179,41 @@ def _elements(n_so):
     return el1, el2
 
 
+_PAULI_BASIS = np.array([qsim.pauli_matrix(c) for c in "IXYZ"])
+
+
+def _pauli_words(n):
+    """Every n-letter Pauli word, in sorted order."""
+    return ["".join(t) for t in product("IXYZ", repeat=n)]
+
+
+def _pauli_coefficients(ops, n):
+    """c[e, w] = Tr(P_w O_e) / 2^n for a stack of 2^n x 2^n operators, the
+    words w in ``_pauli_words(n)`` order: one contraction of every qubit's
+    row and column index with the 4 x 2 x 2 stack of I, X, Y, Z."""
+    # the reshaped axes list qubit n - 1 first; labels: row of qubit q is
+    # 1 + q, its column 1 + n + q and its letter 1 + 2n + q
+    qubits = range(n - 1, -1, -1)
+    args = [ops.reshape((len(ops),) + (2,) * (2 * n)),
+            [0] + [1 + q for q in qubits] + [1 + n + q for q in qubits]]
+    for q in range(n):  # Tr(P O) = sum_ij P[j, i] O[i, j]
+        args += [_PAULI_BASIS, [1 + 2 * n + q, 1 + n + q, 1 + q]]
+    coeffs = np.einsum(*args, [0] + [1 + 2 * n + q for q in range(n)], optimize=True)
+    return coeffs.reshape(len(ops), -1) / (1 << n)
+
+
 @lru_cache(maxsize=8)
 def build_schedule(n_so) -> MeasurementSchedule:
     el1, el2 = _elements(n_so)
-    decomp = {e: _decompose([(e[0], True), (e[1], False)], n_so) for e in el1}
-    decomp.update({e: _decompose([(e[0], True), (e[1], True), (e[3], False),
-                                  (e[2], False)], n_so) for e in el2})
-    words = sorted({w for _, terms in decomp.values() for w, _ in terms})
-    observables = tuple(PauliString(w) for w in words)
-    bases, assignment = qsim.qwc_groups(observables)
+    a = [qsim.jw_ladder(p, n_so) for p in range(n_so)]
+    ad = [m.conj().T for m in a]
+    ops = np.array([ad[p] @ a[q] for p, q in el1]
+                   + [ad[p] @ ad[q] @ a[s] @ a[r] for p, q, r, s in el2])
+    coeffs = _pauli_coefficients(0.5 * (ops + ops.conj().transpose(0, 2, 1)), n_so).real
+    k0, coeffs = coeffs[:, 0], coeffs[:, 1:]  # word 0 is the identity
+    used = coeffs.any(axis=0)
+    words = [w for w, u in zip(_pauli_words(n_so)[1:], used) if u]
+    bases, assignment = qsim.qwc_groups(words)
     group = dict(zip(words, assignment))
     uncovered = [w for w, g in group.items()
                  if any(c not in ("I", bases[g][k]) for k, c in enumerate(w))]
@@ -208,13 +221,10 @@ def build_schedule(n_so) -> MeasurementSchedule:
         raise CoverageError(uncovered)
 
     dim = 1 << n_so
-    parity = {p.ops: p.z_parity_signs() for p in observables}
-    slot = {e: j for j, e in enumerate(decomp)}
-    k0 = np.array([const for const, _ in decomp.values()])
-    K = np.zeros((len(decomp), len(bases) * dim))
-    for j, (_, terms) in enumerate(decomp.values()):
-        for w, c in terms:
-            K[j, group[w] * dim:(group[w] + 1) * dim] += c * parity[w]
+    K = np.zeros((len(ops), len(bases) * dim))
+    for w, c in zip(words, coeffs[:, used].T):
+        K[:, group[w] * dim:(group[w] + 1) * dim] += np.outer(c, qsim.z_parity_signs(w))
+    slot = {e: j for j, e in enumerate(el1 + el2)}
     index = np.zeros(n_so ** 2 + n_so ** 4, dtype=int)
     sign = np.zeros(index.size)
     positions = chain(product(range(n_so), repeat=2), product(range(n_so), repeat=4))

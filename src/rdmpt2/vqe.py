@@ -241,6 +241,10 @@ class ScanSpec:
             raise ValidationError(
                 "exact expectations (shots=None, CLI --shots 0) cannot apply a "
                 "noise model; pass noise=None (CLI --noise none) or a shot count")
+        if self.shots is None and self.bootstrap_resamples:
+            raise ValidationError(
+                "exact expectations (shots=None, CLI --shots 0) have no counts to "
+                "resample; pass bootstrap_resamples=0 (CLI --bootstrap 0) or a shot count")
 
     @classmethod
     def from_json(cls, path) -> "ScanSpec":
@@ -451,7 +455,7 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
     record.best_params = tuple(float(x) for x in trace.best_params)
     record.converged = trace.converged
     boot = None
-    if spec.bootstrap_resamples and spec.shots is not None:
+    if spec.bootstrap_resamples:
         _, tables = pipe.evaluate(trace.best_params, len(record.iterations))
         ens = rdm.bootstrap(tables, pipe.schedule, spec.bootstrap_resamples,
                             pipe.bootstrap_pipeline, model=spec.noise, seed=spec.seed)
@@ -526,5 +530,15 @@ def write_outputs(records, out_dir):
 
 
 def read_archive(path):
-    data = json.loads(Path(path).read_text())
-    return [RunRecord.from_json(d) for d in data["records"]]
+    """The RunRecords of a ``records.json``.  A file that cannot be read, or
+    whose records do not load or do not render as CSV rows, raises
+    ValidationError."""
+    try:
+        data = json.loads(Path(path).read_text())
+        records = [RunRecord.from_json(d) for d in data["records"]]
+        for rec in records:
+            record_row(rec)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"cannot read records archive {path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    return records

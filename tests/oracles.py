@@ -32,8 +32,9 @@ the whole circuit's noisy density matrix and draws every shot in one
 multinomial.
 
 The measurement oracles are the element-by-element assembly the compiled
-map replaced: ``rdm_from_expectations`` evaluates every scheduled element
-from a Pauli-word expectation callable and writes its antisymmetric
+map replaced: ``element_terms`` expands every measured element in Pauli
+words by one dense trace per word; ``rdm_from_expectations`` evaluates each
+element from a Pauli-word expectation callable and writes its antisymmetric
 and hermitian copies one by one; ``rdm_from_shots`` finds the
 first table that can measure each word; ``mitigate_readout`` inverts one
 table at a time through the Kronecker product of the per-qubit inverses;
@@ -54,7 +55,7 @@ those repeats removed.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -598,44 +599,66 @@ def _set2(rho2, p, q, r, s, v):
             rho2[c, d, a, b] = sg1 * sg2 * v
 
 
+def element_terms(elements, n):
+    """Each (p, q) or (p, q, r, s) element's identity offset and nonzero Pauli
+    coefficients, one trace per word: c_w = Tr(P_w O) / 2^n for the hermitian
+    part O of a+_p a_q, or of a+_p a+_q a_s a_r."""
+    a = [qsim.jw_ladder(p, n) for p in range(n)]
+    ad = [m.conj().T for m in a]
+    words = {"".join(t): qsim.pauli_matrix("".join(t))
+             for t in product("IXYZ", repeat=n)}
+    out = {}
+    for e in elements:
+        if len(e) == 2:
+            op = ad[e[0]] @ a[e[1]]
+        else:
+            op = ad[e[0]] @ ad[e[1]] @ a[e[3]] @ a[e[2]]
+        op = 0.5 * (op + op.conj().T)
+        coeffs = {w: complex(np.trace(m @ op)) / (1 << n) for w, m in words.items()}
+        assert all(c.imag == 0 for c in coeffs.values())
+        const = coeffs.pop("I" * n).real
+        out[e] = const, {w: c.real for w, c in coeffs.items() if c != 0}
+    return out
+
+
 def rdm_from_expectations(expectation, schedule):
     """(rho1, rho2) from a Pauli-word expectation callable, element by element."""
     n = schedule.n_so
     rho1 = np.zeros((n, n))
     rho2 = np.zeros((n, n, n, n))
-    for p, q in schedule.elements1:
-        const, terms = rdm._decompose([(p, True), (q, False)], n)
-        _set1(rho1, p, q, const + sum(c * expectation(w) for w, c in terms))
-    for p, q, r, s in schedule.elements2:
-        const, terms = rdm._decompose([(p, True), (q, True), (s, False), (r, False)], n)
-        _set2(rho2, p, q, r, s, const + sum(c * expectation(w) for w, c in terms))
+    elements = schedule.elements1 + schedule.elements2
+    for e, (const, terms) in element_terms(elements, n).items():
+        value = const + sum(c * expectation(w) for w, c in terms.items())
+        if len(e) == 2:
+            _set1(rho1, *e, value)
+        else:
+            _set2(rho2, *e, value)
     return rho1, rho2
 
 
-def expectation(psi, pauli):
+def expectation(psi, word):
     """<psi|P|psi> of a Pauli word on an amplitude array, by its dense matrix."""
-    return complex(np.vdot(psi, pauli.matrix() @ psi))
+    return complex(np.vdot(psi, qsim.pauli_matrix(word) @ psi))
 
 
 def rdm_from_state(psi, schedule):
-    return rdm_from_expectations(
-        lambda w: expectation(psi, qsim.PauliString(w)).real, schedule)
+    return rdm_from_expectations(lambda w: expectation(psi, w).real, schedule)
 
 
-def table_expectation(table, pauli):
+def table_expectation(table, word):
     """A Pauli word's expectation from one table's counts (its letters must
     match the table's basis)."""
-    assert all(c in ("I", b) for c, b in zip(pauli.ops, table.basis))
-    return float(pauli.z_parity_signs() @ table.counts / table.counts.sum())
+    assert all(c in ("I", b) for c, b in zip(word, table.basis))
+    return float(qsim.z_parity_signs(word) @ table.counts / table.counts.sum())
 
 
 def rdm_from_shots(tables, schedule):
     """Each word's expectation from the first table whose basis measures it."""
     lookup = {}
-    for pauli in (qsim.PauliString(w) for words in schedule.words for w in words):
+    for w in (w for words in schedule.words for w in words):
         table = next(t for t in tables
-                     if all(c == "I" or c == t.basis[k] for k, c in enumerate(pauli.ops)))
-        lookup[pauli.ops] = table_expectation(table, pauli)
+                     if all(c == "I" or c == t.basis[k] for k, c in enumerate(w)))
+        lookup[w] = table_expectation(table, w)
     return rdm_from_expectations(lookup.__getitem__, schedule)
 
 

@@ -109,7 +109,7 @@ def test_true_3rdm_vanishes_for_two_electron_states(h2_fci):
     # statevector oracle: any 3-body expectation on a 2-electron state is zero
     _, amps, basis = h2_fci
     n = 4
-    a = {p: sum(t.matrix() for t in qsim.jw_ladder(p, n, False)) for p in range(n)}
+    a = {p: qsim.jw_ladder(p, n) for p in range(n)}
     ad = {p: m.conj().T for p, m in a.items()}
     psi = np.zeros(16)
     for i, det in enumerate(basis.states):

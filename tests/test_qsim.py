@@ -9,59 +9,74 @@ from scipy.linalg import expm
 
 from rdmpt2 import qsim, rdm
 from rdmpt2.hamio import ValidationError
-from rdmpt2.qsim import (Circuit, NoiseModel, PauliString, basis_rotation,
-                         build_ansatz, jw_hermitian, jw_ladder, jw_operator,
+from rdmpt2.qsim import (Circuit, NoiseModel, basis_rotation, build_ansatz, jw_ladder,
                          measure_pauli_sets, mitigate_readout, noisy_density_matrix,
-                         qwc_groups, simulate)
+                         pauli_matrix, qwc_groups, simulate, z_parity_signs)
 
 from oracles import (apply_noise, expectation, kraus_density_matrix, table_expectation,
                      trajectory_counts)
 
 
 def ladder_matrix(p, n, dagger):
-    return sum(t.matrix() for t in jw_ladder(p, n, dagger))
+    a = jw_ladder(p, n)
+    return a.conj().T if dagger else a
 
 
-def test_pauli_products_match_matrices():
-    rng = np.random.default_rng(0)
-    letters = "IXYZ"
-    for _ in range(30):
-        a = "".join(rng.choice(list(letters), 3))
-        b = "".join(rng.choice(list(letters), 3))
-        pa = PauliString(a, complex(rng.normal(), rng.normal()))
-        pb = PauliString(b, complex(rng.normal(), rng.normal()))
-        assert np.allclose((pa * pb).matrix(), pa.matrix() @ pb.matrix())
+def occupation_annihilator(p, n):
+    """a_p from its action on occupation-number states: it empties mode p
+    with sign (-1)^(occupied modes below p), and kills the state if p is empty."""
+    a = np.zeros((1 << n, 1 << n))
+    for i in range(1 << n):
+        if i >> p & 1:
+            a[i ^ (1 << p), i] = (-1) ** bin(i & ((1 << p) - 1)).count("1")
+    return a
+
+
+def test_jw_ladder_matches_occupation_rule():
+    for n in (1, 2, 4):
+        for p in range(n):
+            assert np.array_equal(jw_ladder(p, n), occupation_annihilator(p, n))
+    with pytest.raises(ValidationError, match="out of range"):
+        jw_ladder(4, 4)
 
 
 def test_jw_number_operator():
-    terms = jw_operator([(0, True), (0, False)], 1)
-    as_dict = {t.ops: t.coeff for t in terms}
-    assert as_dict == {"I": 0.5, "Z": -0.5}
+    a = jw_ladder(0, 1)
+    assert np.array_equal(a.conj().T @ a, 0.5 * (pauli_matrix("I") - pauli_matrix("Z")))
 
 
 def test_jw_nilpotency():
-    assert jw_operator([(0, True), (0, True)], 2) == []
+    for p in range(4):
+        a = jw_ladder(p, 4)
+        assert not (a @ a).any()
+        assert not (a.conj().T @ a.conj().T).any()
 
 
 def test_jw_hopping_matches_dense():
-    # a+_1 a_0 against the fermionic matrix representation
-    terms = jw_operator([(1, True), (0, False)], 2)
-    dense = ladder_matrix(1, 2, True) @ ladder_matrix(0, 2, False)
-    assert np.allclose(sum(t.matrix() for t in terms), dense, atol=1e-12)
+    # a+_1 a_0 moves the electron of |n0=1, n1=0> (index 1) to |n0=0, n1=1>
+    # (index 2) with sign +1, and kills every other basis state
+    dense = np.zeros((4, 4))
+    dense[0b10, 0b01] = 1.0
+    assert np.array_equal(ladder_matrix(1, 2, True) @ ladder_matrix(0, 2, False), dense)
 
 
 def test_jw_hermitian_hoppings_dense_small_register():
-    # a+_p a_q + h.c. expansions on up to 6 qubits are hermitian Pauli sums
+    # (a+_p a_q + a+_q a_p)/2 on 6 qubits is (I - Z_p)/2 for p = q and
+    # (X_p Z..Z X_q + Y_p Z..Z Y_q)/4 for p < q, the Zs on the modes between
     n = 6
     a = {p: ladder_matrix(p, n, False) for p in range(n)}
     ad = {p: ladder_matrix(p, n, True) for p in range(n)}
     for p in range(n):
-        for q in range(n):
-            terms = jw_hermitian([(p, True), (q, False)], n)
-            assert all(abs(t.coeff.imag) < 1e-14 for t in terms)
+        for q in range(p, n):
             dense = 0.5 * (ad[p] @ a[q] + ad[q] @ a[p])
-            total = sum((t.matrix() for t in terms), np.zeros((64, 64), complex))
-            assert np.abs(total - dense).max() < 1e-12
+            if p == q:
+                words = 0.5 * (pauli_matrix("I" * n)
+                               - pauli_matrix("I" * p + "Z" + "I" * (n - p - 1)))
+            else:
+                def word(c):
+                    return "I" * p + c + "Z" * (q - p - 1) + c + "I" * (n - q - 1)
+                words = 0.25 * (pauli_matrix(word("X")) + pauli_matrix(word("Y")))
+            assert np.array_equal(dense, words), (p, q)
 
 
 def test_anticommutation_relations():
@@ -69,10 +84,12 @@ def test_anticommutation_relations():
     for p in range(n):
         for q in range(n):
             a_p = ladder_matrix(p, n, False)
+            a_q = ladder_matrix(q, n, False)
             ad_q = ladder_matrix(q, n, True)
             acc = a_p @ ad_q + ad_q @ a_p
             expected = np.eye(16) if p == q else np.zeros((16, 16))
-            assert np.abs(acc - expected).max() < 1e-12
+            assert np.array_equal(acc, expected)
+            assert not (a_p @ a_q + a_q @ a_p).any()
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +232,7 @@ def test_depolarizing_closed_form_matches_pauli_sum():
             ops = ["I"] * 4
             for q, c in zip(qubits, letters):
                 ops[q] = c
-            words.append(PauliString("".join(ops)).matrix())
+            words.append(pauli_matrix("".join(ops)))
         assert len(words) == 4 ** len(qubits) - 1
         # an identity gate leaves only the noise; vec(rho) is row-major, so
         # row qubit q is qubit q + 4 of the 8-qubit vector
@@ -270,7 +287,7 @@ def test_channel_rejects_mismatched_register():
 
 def test_shot_noise_scaling():
     circuit = build_ansatz((0.5, 0.2, -0.1))
-    obs = PauliString("ZIII")
+    obs = "ZIII"
     exact_val = expectation(simulate(circuit), obs).real
     for shots in (1000, 10_000, 100_000):
         tables = measure_pauli_sets(circuit, qwc_groups([obs])[0], shots, model=None,
@@ -280,9 +297,9 @@ def test_shot_noise_scaling():
 
 
 def test_qwc_grouping():
-    bases, assign = qwc_groups([PauliString("ZI"), PauliString("IZ")])
+    bases, assign = qwc_groups(["ZI", "IZ"])
     assert len(bases) == 1
-    bases, assign = qwc_groups([PauliString("XX"), PauliString("YY")])
+    bases, assign = qwc_groups(["XX", "YY"])
     assert len(bases) == 2
 
 
@@ -297,12 +314,12 @@ def test_readout_confusion_biases_expectation():
     readout = np.array([[[0.9, 0.1], [0.1, 0.9]]])
     model = NoiseModel(p1=0.0, p2=0.0, readout=readout, n_qubits=1)
     shots = 200_000
-    tables = measure_pauli_sets(circuit, qwc_groups([PauliString("Z")])[0], shots,
+    tables = measure_pauli_sets(circuit, qwc_groups(["Z"])[0], shots,
                                 model=model, seed=1)
-    raw = table_expectation(tables[0], PauliString("Z"))
+    raw = table_expectation(tables[0], "Z")
     assert abs(raw - 0.8) < 5 / np.sqrt(shots)
     fixed, _ = mitigate_readout(tables[0].counts, model)
-    assert abs(fixed @ PauliString("Z").z_parity_signs() - 1.0) < 7 / np.sqrt(shots)
+    assert abs(fixed @ z_parity_signs("Z") - 1.0) < 7 / np.sqrt(shots)
 
 
 def test_asymmetric_readout_conditions_on_true_bit():
@@ -323,8 +340,17 @@ def test_mitigation_identity_confusion_is_noop():
 
 
 def test_mitigation_singular_confusion_raises():
+    # a model that mitigation cannot invert is rejected on construction ...
     half = np.array([[[0.5, 0.5], [0.5, 0.5]]])
-    model = NoiseModel(p1=0, p2=0, readout=half, n_qubits=1)
+    with pytest.raises(ValidationError, match="singular confusion matrix on qubit 0"):
+        NoiseModel(p1=0, p2=0, readout=half, n_qubits=1)
+    with pytest.raises(ValidationError, match="singular confusion matrix on qubit 2"):
+        NoiseModel(readout=[np.eye(2), np.eye(2), half[0], np.eye(2)])
+    with pytest.raises(ValidationError, match="singular"):
+        NoiseModel.from_dict({"readout": 0.5})
+    # ... and mitigation keeps its own check for one changed afterwards
+    model = NoiseModel(p1=0, p2=0, readout=np.array([np.eye(2)]), n_qubits=1)
+    model.readout[0] = half[0]
     with pytest.raises(ValidationError, match="singular"):
         mitigate_readout(np.array([10, 0]), model)
 
@@ -337,14 +363,14 @@ def test_mitigation_recovers_modeled_readout():
     for trial in range(10):
         th = rng.uniform(-np.pi, np.pi, 3)
         circuit = build_ansatz(th)
-        obs = PauliString("ZZII")
+        obs = "ZZII"
         exact_val = expectation(simulate(circuit), obs).real
         tables = measure_pauli_sets(circuit, qwc_groups([obs])[0], shots, model=model,
                                     seed=100 + trial)
         fixed, _ = mitigate_readout(tables[0].counts, model)
         # inverse confusion inflates variance by roughly (1 - 2 eps)^-2
         sigma = 1.1 / np.sqrt(shots) / (1 - 2 * 0.02) ** 2
-        assert abs(fixed @ obs.z_parity_signs() - exact_val) < 3.5 * sigma
+        assert abs(fixed @ z_parity_signs(obs) - exact_val) < 3.5 * sigma
 
 
 def test_statevector_norm_preserved():

@@ -19,7 +19,7 @@ from conftest import random_pure_2e_rdm, random_rdm_pair
 def dense_rdm_oracle(psi):
     """1-/2-RDM by direct contraction with dense ladder matrices."""
     n = 4
-    a = {p: sum(t.matrix() for t in qsim.jw_ladder(p, n, False)) for p in range(n)}
+    a = {p: qsim.jw_ladder(p, n) for p in range(n)}
     ad = {p: m.conj().T for p, m in a.items()}
     rho1 = np.zeros((n, n))
     rho2 = np.zeros((n, n, n, n))
@@ -49,6 +49,32 @@ def test_assembled_rdm_matches_dense_oracle():
         assert np.abs(pair.rho1 - rho1_o).max() < 1e-12
         assert np.abs(pair.rho2 - rho2_o).max() < 1e-12
         pair.validate(1e-10)
+
+
+def test_pauli_coefficients_rebuild_every_measured_element():
+    # sum_w c_w P_w rebuilds each element's hermitian part exactly, the
+    # contraction agrees with one trace per word, and the schedule measures
+    # exactly the non-identity words some element uses
+    n = 4
+    schedule = build_schedule(n)
+    elements = schedule.elements1 + schedule.elements2
+    a = {p: qsim.jw_ladder(p, n) for p in range(n)}
+    ad = {p: m.conj().T for p, m in a.items()}
+    ops = [ad[e[0]] @ a[e[1]] if len(e) == 2 else ad[e[0]] @ ad[e[1]] @ a[e[3]] @ a[e[2]]
+           for e in elements]
+    ops = np.array([0.5 * (m + m.conj().T) for m in ops])
+    coeffs = rdm._pauli_coefficients(ops, n)
+    assert not coeffs.imag.any()
+    coeffs = coeffs.real
+    words = rdm._pauli_words(n)
+    reference = oracles.element_terms(elements, n)
+    for e, op, c in zip(elements, ops, coeffs):
+        rebuilt = sum(ci * qsim.pauli_matrix(w) for w, ci in zip(words, c) if ci)
+        assert np.array_equal(rebuilt, op), e
+        assert reference[e] == (c[0], {w: ci for w, ci in zip(words[1:], c[1:]) if ci})
+    assert np.array_equal(schedule.k0, coeffs[:, 0])
+    used = {w for w, u in zip(words[1:], coeffs[:, 1:].any(axis=0)) if u}
+    assert used == {w for group in schedule.words for w in group}
 
 
 def test_hf_rdm_from_exact_state():

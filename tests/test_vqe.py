@@ -118,6 +118,8 @@ BAD_SPECS = [
     ({"noise": {"readout": "x"}}, "readout"),
     ({"optimizer": 5}, "optimizer"),
     ({"molecule": 5}, "molecule"),
+    ({"shots": None, "bootstrap_resamples": 5}, "bootstrap_resamples"),
+    ({"noise": {"readout": 0.5}}, "singular confusion matrix"),
 ]
 
 
@@ -187,6 +189,46 @@ def test_run_rejects_unreadable_noise_file(text, tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "cannot read noise-model file" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("text", [
+    None, "directory", '{"records": [', '["x"]', '{"runs": []}',
+    '{"records": [{"fixture_id": "h2_0.70", "geometry": 0.7}]}',
+    '{"records": [{"fixture_id": "h2_0.70", "geometry": "r", "seed": 0}]}',
+])
+def test_report_rejects_unreadable_archive(text, tmp_path, capsys):
+    # a missing, unreadable or malformed records.json exited 1 with a traceback
+    indir = tmp_path / "runs"
+    if text == "directory":
+        (indir / "records.json").mkdir(parents=True)
+    elif text is not None:
+        indir.mkdir()
+        (indir / "records.json").write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["report", "--in", str(indir), "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "cannot read records archive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["report", "--in", str(indir)])
+    assert exit_info.value.code == 2
+    assert not (indir / "scan.csv").exists()
+
+
+def test_failed_point_exits_nonzero_and_still_writes(tmp_path, capsys):
+    # a point with no fixture printed FAILED and the command exited 0
+    assert cli.main(["run", "--fixture", "h2", "--geometry", "9.9", "--shots", "0",
+                     "--noise", "none", "--out", str(tmp_path / "run")]) == 1
+    assert "FAILED" in capsys.readouterr().out
+    record, = vqe.read_archive(tmp_path / "run" / "records.json")
+    assert "no fixture" in record.error
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"molecule": "h2", "geometries": [0.7, 9.9],
+                                     "shots": None, "optimizer": {"maxfev": 3}}))
+    assert cli.main(["scan", "--spec", str(spec_path), "--out", str(tmp_path / "scan")]) == 1
+    good, bad = vqe.read_archive(tmp_path / "scan" / "records.json")
+    assert good.error is None and bad.error is not None
+    assert (tmp_path / "scan" / "scan.csv").exists()
 
 
 def _points(evals):
@@ -528,6 +570,16 @@ def test_scanspec_rejects_bad_shots_and_resamples(tmp_path, capsys):
                   "--bootstrap", "-1", "--out", str(tmp_path / "runs")])
     assert exit_info.value.code == 2
     assert "bootstrap_resamples" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    # exact expectations have no counts to resample: the resamples were
+    # recorded and never drawn
+    with pytest.raises(hamio.ValidationError, match="bootstrap_resamples"):
+        ScanSpec(molecule="h2", geometries=[0.7], shots=None, bootstrap_resamples=5)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "0",
+                  "--noise", "none", "--bootstrap", "5", "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert "--bootstrap 0" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
