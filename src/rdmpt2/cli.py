@@ -44,7 +44,8 @@ def main(argv=None):
     p_scan.add_argument("--spec", required=True, help="ScanSpec JSON file")
     p_scan.add_argument("--out", default="runs")
 
-    p_rep = sub.add_parser("report", help="emit CSV from archived records")
+    p_rep = sub.add_parser("report", help="write scan.csv from archived records "
+                                          "(records.json is only read)")
     p_rep.add_argument("--in", dest="indir", required=True,
                        help="directory holding records.json")
     p_rep.add_argument("--out", default=None,
@@ -75,7 +76,7 @@ def main(argv=None):
             records = vqe.read_archive(Path(args.indir) / "records.json")
         except hamio.ValidationError as exc:
             p_rep.error(str(exc))
-        out = vqe.write_outputs(records, args.out or args.indir)
+        out = vqe.write_csv(records, args.out or args.indir)
         print(f"wrote {out}")
         return 0
     if args.command == "fixtures":

@@ -37,13 +37,14 @@ def spatial_of(p: int) -> int:
     return p >> 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralTable:
     """One- and two-body integrals over spin orbitals, plus nuclear repulsion.
 
     ``h`` is hermitian, ``g`` carries the full antisymmetry
     g_pqrs = -g_qprs = -g_pqsr and vanishes unless spins pair up.
-    Instances are immutable; the arrays are marked read-only.
+    Instances are immutable; the arrays are marked read-only.  A table is
+    hashed and compared by identity (``pt2`` keys its plans by it).
     """
 
     n_spatial: int

@@ -23,12 +23,24 @@ the active set alone; nothing is contracted over frozen virtuals, and the
 reconstructed 3-RDM, written in rho1 and lambda, splits the same way.
 Without a partition the core is empty and every orbital counts as active, so
 the same code reads any RDM in full.
+
+What depends only on the integral table, the reference and the partition is
+computed once, on the first call, and kept while the table lives (the plans
+are weakly keyed by the table): ``_Plan`` holds the index classes, the
+partition and reference checks, every block of h and g the numerators read
+(with the core's mean field and h plus it) and the masks of the channels the
+second-order sum keeps; ``_EnergyPlan`` holds the bare Fock diagonal and the
+blocks of h and g behind ``transformed_energies``.  Per RDM there remain its
+active blocks (``_Split``), the O(n^2) check that rho1 has the embedded form,
+and the contractions themselves, whose inputs and summation order are those
+of cutting the blocks on every call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -89,26 +101,27 @@ def _wedge(a, b) -> np.ndarray:
     return a[:, None, :, None] * b[None, :, None, :] - a[:, None, None, :] * b[None, :, :, None]
 
 
-def _check_embedded(rho1, ref: ReferenceDeterminant, space: ActiveSpaceSpec):
-    """The O(n^2) check that rho1 has ``embed_active_rdm``'s form."""
-    space.validate(len(rho1))
-    if not (set(space.frozen_occupied) <= set(ref.occupied)
-            and set(space.frozen_virtual) <= set(ref.virtual)):
-        raise ValidationError("frozen-occupied orbitals must be occupied and frozen-virtual "
-                              "ones virtual in the reference")
-    core, act = list(space.frozen_occupied), np.ix_(space.active, space.active)
-    embedded = np.zeros_like(rho1)
-    embedded[core, core] = 1.0
-    embedded[act] = rho1[act]
-    if not np.array_equal(rho1, embedded):
-        raise ValidationError(
-            "with an active-space partition, rho1 must have the embedded form: the identity "
-            "on the frozen-occupied orbitals, zero on the frozen-virtual ones and no "
-            "frozen-active coupling")
+# Plans, weakly keyed by the table: each is built on first use and dropped
+# with its table, which no plan refers to.
+_PLANS = weakref.WeakKeyDictionary()
 
 
-class _Split:
-    """An RDM and the integrals cut by index class for the numerators.
+def _plan(kind, table: IntegralTable, *args):
+    """``kind(table, *args)``, built on the first call for this table and
+    these arguments and reused after; a build that raises caches nothing."""
+    key = (kind,) + args
+    plans = _PLANS.get(table)
+    if plans is not None and key in plans:
+        return plans[key]
+    plan = kind(table, *args)
+    _PLANS.setdefault(table, {})[key] = plan
+    return plan
+
+
+class _Plan:
+    """What the numerators and the second-order sum read of one (table,
+    reference, partition): index classes, blocks of h and g, and the masks
+    of the channels kept.
 
     Classes: the core C (frozen-occupied), the active set A, its occupied
     and virtual parts Ao and Av, and the frozen virtuals V.  On an embedded
@@ -117,22 +130,34 @@ class _Split:
     they touch are read.  Without a partition C and V are empty and every
     orbital counts as active.
 
-    The numerators are built with the occupied axis ordered C then Ao and the
-    virtual axis as in the reference when Av and V each form one run there
-    (Av at the slice ``va``), else Av then V; ``to_ref`` restores the
+    The numerators are built with the occupied axis O ordered C then Ao and
+    the virtual axis W as in the reference when Av and V each form one run
+    there (Av at the slice ``va``), else Av then V; ``to_ref`` restores the
     reference's order when it differs.  A is ordered Ao then Av.
+
+    A block is kept in the layout its first use reads: as cut (a view where
+    every index is one run) for products and matmuls, C-contiguous where
+    ``_dot`` would copy it into that layout anyway.
     """
 
-    def __init__(self, rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
-                 space: ActiveSpaceSpec | None = None):
-        occ, virt = tuple(ref.occupied), tuple(ref.virtual)
+    def __init__(self, table: IntegralTable, ref: ReferenceDeterminant,
+                 space: ActiveSpaceSpec | None):
+        self.occ, self.virt = occ, virt = tuple(ref.occupied), tuple(ref.virtual)
         core = fv = ()
         ao, av = occ, virt
+        self.embedded = None
         if space is not None:
-            _check_embedded(rdm.rho1, ref, space)
+            space.validate(table.n_so)
+            if not (set(space.frozen_occupied) <= set(occ)
+                    and set(space.frozen_virtual) <= set(virt)):
+                raise ValidationError("frozen-occupied orbitals must be occupied and "
+                                      "frozen-virtual ones virtual in the reference")
             core, fv = space.frozen_occupied, space.frozen_virtual
             ao = tuple(p for p in occ if p in space.active)
             av = tuple(p for p in virt if p in space.active)
+            template = np.zeros((table.n_so,) * 2)
+            template[list(core), list(core)] = 1.0
+            self.embedded = template, np.ix_(space.active, space.active)
         self.nc, self.nao, self.nav = nc, nao, nav = len(core), len(ao), len(av)
         self.nv = len(virt)
         virt_order = virt if virt == fv + av else av + fv
@@ -140,55 +165,112 @@ class _Split:
         self.va = slice(start, start + nav)
         self.perm = None
         if core + ao != occ or virt_order != virt:
-            self.perm = ([(core + ao).index(p) for p in occ], [virt_order.index(p) for p in virt])
-        self.n_electrons = rdm.meta.n_electrons
-        self.h, self.g = table.h, table.g
-        self.C, self.A, self.O, self.W, self.CA, self.AW = (_index(x) for x in (
+            po = [(core + ao).index(p) for p in occ]
+            pv = [virt_order.index(p) for p in virt]
+            self.perm = np.ix_(po, pv), np.ix_(po, po, pv, pv)
+        C, A, O, W, CA, AW = (_index(x) for x in (
             core, ao + av, core + ao, virt_order, core + ao + av, ao + av + virt_order))
+        self.A, self.O, self.W = A, O, W
 
-        A, every = self.A, slice(None)
+        h, g, every = table.h, table.g, slice(None)
+        # the core's mean field sum_c g_pcqc, a diagonal sum of g
+        self.gf_core = (np.einsum("pcqc->pq", _block(g, every, C, every, C)) if nc else 0.0)
+        # ``one_body``'s blocks of h and of h plus the core's mean field
+        self.h_cuts, self.hf_cuts = ((_block(f, C, W), _block(f, A, W), _block(f, O, A))
+                                     for f in (h, h + self.gf_core))
+        g_xaaa = _block(g, every, A, A, A)
+        self.g_xaaa = np.ascontiguousarray(g_xaaa)
+        self.g_oaaa = g_xaaa[O].transpose(0, 1, 3, 2)                  # g_iwnm
+        self.g_cwaa = (np.ascontiguousarray(_block(g, C, A, W, A).transpose(0, 2, 1, 3))
+                       if nc else None)                                # g_iawb, i in C
+        self.g_xxaa = np.ascontiguousarray(
+            _block(g, every, A, every, A).transpose(0, 2, 1, 3))       # g_pmqn
+        self.g_kwaa = np.ascontiguousarray(
+            _block(g, A, CA, W, A).transpose(1, 2, 0, 3))              # g_mnaw, n in C + A
+        # ``_pair_transform``'s g_mnwx and U's g_ijmn: x in W and j in O for
+        # two electrons; x in A + W and j in C + A with the three-body terms
+        self.pair = {}
+        for three_body in (False, True):
+            x = AW if three_body else W
+            self.pair[three_body] = (
+                np.ascontiguousarray(_block(g, A, A, W, x)),
+                _block(g, C, C, W, x) if nc else None,
+                np.ascontiguousarray(_block(g, C, A, W, x).transpose(1, 0, 2, 3)) if nc else None,
+                np.ascontiguousarray(_block(g, O, CA if three_body else O, A, A)))
+        # ``_second_order_sum``'s masks: with a partition, every channel
+        # whose indices all lie in the active set is dropped
+        self.keeps = (None, None)
+        if space is not None:
+            act = np.zeros(len(occ) + len(virt), dtype=bool)
+            act[list(space.active)] = True
+            act_o, act_v = act[list(occ)], act[list(virt)]
+            self.keeps = (~(act_o[:, None] & act_v),
+                          ~((act_o[:, None] & act_o)[:, :, None, None]
+                            & (act_v[:, None] & act_v)))
+
+    def check_embedded(self, rho1):
+        """The O(n^2) check that rho1 has ``embed_active_rdm``'s form."""
+        template, act = self.embedded
+        embedded = template.copy()
+        if rho1.shape == embedded.shape:
+            embedded[act] = rho1[act]
+        if not np.array_equal(rho1, embedded):
+            raise ValidationError(
+                "with an active-space partition, rho1 must have the embedded form: the "
+                "identity on the frozen-occupied orbitals, zero on the frozen-virtual ones "
+                "and no frozen-active coupling")
+
+    def to_ref(self, x):
+        if self.perm is None:
+            return x
+        return x[self.perm[0] if x.ndim == 2 else self.perm[1]]
+
+
+class _Split:
+    """One RDM's active blocks, read against the plan of (table, ref,
+    space): r = rho1 on A, rho2 on A^4 and the blocks ro, rv, t of r.
+    Checks that rho1 has the embedded form when there is a partition."""
+
+    def __init__(self, rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
+                 space: ActiveSpaceSpec | None = None):
+        self.plan = plan = _plan(_Plan, table, ref, space)
+        if plan.embedded is not None:
+            plan.check_embedded(rdm.rho1)
+        self.n_electrons = rdm.meta.n_electrons
+        A, nao = plan.A, plan.nao
         self.r = r = _block(rdm.rho1, A, A)
         self.r2 = _block(rdm.rho2, A, A, A, A)
         self.ro, self.rv, self.t = r[:, :nao], r[:, nao:], r[:nao, nao:]
-        self.g_xaaa = _block(self.g, every, A, A, A)
-        # the core's mean field sum_c g_pcqc, a diagonal sum of g
-        self.gf_core = (np.einsum("pcqc->pq", _block(self.g, every, self.C, every, self.C))
-                        if nc else 0.0)
 
     def occ_side(self, x_core, x_act):
         """sum_m rho_mi x_m... along a leading axis split over C and A, for i
         in C + Ao: a slice for core i, a contraction with r for active i."""
         act = _dot(self.ro.T, x_act)
-        return np.concatenate([x_core, act]) if self.nc else act
+        return np.concatenate([x_core, act]) if self.plan.nc else act
 
-    def one_body(self, f):
-        """sum_m (f_am rho_mi - f_im rho_ma), shape (occ, virt); rho_ma
-        vanishes unless a is active."""
-        out = self.occ_side(_block(f, self.C, self.W), _block(f, self.A, self.W))
-        out[:, self.va] -= _block(f, self.O, self.A) @ self.rv
+    def one_body(self, cuts):
+        """sum_m (f_am rho_mi - f_im rho_ma), shape (occ, virt), from the
+        blocks (f_CW, f_AW, f_OA); rho_ma vanishes unless a is active."""
+        f_cw, f_aw, f_oa = cuts
+        out = self.occ_side(f_cw, f_aw)
+        out[:, self.plan.va] -= f_oa @ self.rv
         return out
 
     @functools.cached_property
     def fbar(self):
         """fbar in the numerators' order (see ``_fbar_matrix``)."""
-        nc, nao = self.nc, self.nao
-        out = self.one_body(self.h + self.gf_core)
+        p = self.plan
+        nc, nao = p.nc, p.nao
+        out = self.one_body(p.hf_cuts)
         # 1/2 sum_mvw (g_amvw rho2_vwim - g_imvw rho2_vwam) over A is
         # 1/2 (y_ia - y_ai), y_pq = sum_wmn g_pwmn rho2_mnwq, by the
         # symmetries of g and rho2
-        y = _dot(self.g_xaaa, self.r2.transpose(2, 0, 1, 3), 3)
-        out[nc:] -= 0.5 * y[self.W][:, :nao].T
-        out[:, self.va] += 0.5 * y[self.O][:, nao:]
+        y = _dot(p.g_xaaa, self.r2.transpose(2, 0, 1, 3), 3)
+        out[nc:] -= 0.5 * y[p.W][:, :nao].T
+        out[:, p.va] += 0.5 * y[p.O][:, nao:]
         if nc:  # the active mean field on a core i
-            g_cawa = _block(self.g, self.C, self.A, self.W, self.A)
-            out[:nc] += _dot(g_cawa.transpose(0, 2, 1, 3), self.r.T, 2)
+            out[:nc] += _dot(p.g_cwaa, self.r.T, 2)
         return out
-
-    def to_ref(self, x):
-        if self.perm is None:
-            return x
-        po, pv = self.perm
-        return x[np.ix_(po, pv)] if x.ndim == 2 else x[np.ix_(po, po, pv, pv)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +287,7 @@ def _fbar_matrix(s: _Split) -> np.ndarray:
     everywhere, and the active one for a core i), so g contracts rho2 over A
     only.
     """
-    return s.to_ref(s.fbar)
+    return s.plan.to_ref(s.fbar)
 
 
 def _gammabar_tensor(s: _Split) -> np.ndarray:
@@ -220,43 +302,46 @@ def _gammabar_tensor(s: _Split) -> np.ndarray:
     three-body terms add to S (``_gamma_3rdm_terms``); they vanish
     identically for 2-electron states and are skipped there.
     """
-    include_3rdm = s.n_electrons > 2
-    nc, nao, nav, va, A, O, W, h, r2 = s.nc, s.nao, s.nav, s.va, s.A, s.O, s.W, s.h, s.r2
+    p, r2 = s.plan, s.r2
+    nc, nao, nav, va = p.nc, p.nao, p.nav, p.va
+    h_cw, h_aw, h_oa = p.h_cuts
     # the pair transform of g_mnaw, w in W for X and, first, in A for the
     # three-body terms; U_ivab also for v in Av there
-    om = _pair_transform(s, W, s.AW if include_3rdm else W)
-    u = 0.5 * _dot(_block(s.g, O, s.CA if include_3rdm else O, A, A), r2[:, :, nao:, nao:], 2)
-    if include_3rdm:
+    three_body = s.n_electrons > 2
+    g_aawx, g_ccwx, g_acwx, g_ojaa = p.pair[three_body]
+    om = _pair_transform(s, g_aawx, g_ccwx, g_acwx)
+    u = 0.5 * _dot(g_ojaa, r2[:, :, nao:, nao:], 2)
+    if three_body:
         gen = _gamma_3rdm_terms(s, om, u)
     else:
         gen = np.zeros(om.shape[:3] + (nav,))
-    gen[:, nc:, va] += 0.5 * _dot(_block(h, O, A), r2[:, :nao, nao:, nao:])
+    gen[:, nc:, va] += 0.5 * _dot(h_oa, r2[:, :nao, nao:, nao:])
     if nc:
-        gen[:nc, nc:] -= _block(h, s.C, W)[:, None, :, None] * s.t[:, None, :]
+        gen[:nc, nc:] -= h_cw[:, None, :, None] * s.t[:, None, :]
     gen[nc:, nc:] -= 0.5 * (r2[:nao, :nao, :, nao:].transpose(0, 1, 3, 2)
-                            @ _block(h, A, W)).transpose(0, 1, 3, 2)
+                            @ h_aw).transpose(0, 1, 3, 2)
     gen -= gen.transpose(1, 0, 2, 3)
-    out = om[..., -s.nv:]                                  # X
+    out = om[..., -p.nv:]                                  # X
     out[:, :, va, va] -= u[:, :nc + nao]                   # U
     out[..., va] -= gen
     out[:, :, va] += gen.transpose(0, 1, 3, 2)
-    return s.to_ref(out)
+    return p.to_ref(out)
 
 
-def _pair_transform(s: _Split, w, x) -> np.ndarray:
-    """1/2 sum_mn rho2_ijmn g_mnwx for i, j in C + Ao and w, x cut by the
-    ``_index`` values ``w``, ``x``.
+def _pair_transform(s: _Split, g_aawx, g_ccwx, g_acwx) -> np.ndarray:
+    """1/2 sum_mn rho2_ijmn g_mnwx for i, j in C + Ao, from the plan's
+    blocks g_mnwx on A x A, C x C and (transposed) C x A.
 
     On core i, j this is g_ijwx itself; on core i and active j it is
     sum_n g_inwx rho_nj; only active i, j contract rho2, over A x A.
     """
-    nc, nao, C, A = s.nc, s.nao, s.C, s.A
-    aa = 0.5 * _dot(s.r2[:nao, :nao], _block(s.g, A, A, w, x), 2)
+    nc, nao = s.plan.nc, s.plan.nao
+    aa = 0.5 * _dot(s.r2[:nao, :nao], g_aawx, 2)
     if not nc:
         return aa
     out = np.empty((nc + nao, nc + nao) + aa.shape[2:])
-    out[:nc, :nc] = _block(s.g, C, C, w, x)
-    ca = _dot(s.ro.T, _block(s.g, C, A, w, x).transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    out[:nc, :nc] = g_ccwx
+    ca = _dot(s.ro.T, g_acwx).transpose(1, 0, 2, 3)
     out[:nc, nc:] = ca
     out[nc:, :nc] = -ca.transpose(1, 0, 2, 3)
     out[nc:, nc:] = aa
@@ -277,10 +362,10 @@ def _gamma_3rdm_terms(s: _Split, om, u) -> np.ndarray:
     transform of g_mnaw, w in A first) and ``u`` (U_ivab for v in C + A);
     what remains contracts lambda with g over active indices only.
     """
-    nc, nao, va, A, W, r = s.nc, s.nao, s.va, s.A, s.W, s.r
+    p, r = s.plan, s.r
+    nc, nao, va = p.nc, p.nao, p.va
     lam = s.r2 - _wedge(r, r)
-    every = slice(None)
-    gf = s.gf_core + _dot(_block(s.g, every, A, every, A).transpose(0, 2, 1, 3), r.T, 2)
+    gf = p.gf_core + _dot(p.g_xxaa, r.T, 2)
     # 1/2 sum_mn rho2_ijmn K_mnab, K_mnab = sum_w g_mnaw rho_wb
     gen = 0.5 * (om[..., :len(r)] @ s.rv)
     # -1/4 sum_mn G_ijmn rho2_mnab, G_ijmn = sum_v g_ivmn rho_jv
@@ -288,18 +373,17 @@ def _gamma_3rdm_terms(s: _Split, om, u) -> np.ndarray:
     gen[:, :, va] -= 0.5 * s.occ_side(u[:nc], u[nc:]).transpose(1, 0, 2, 3)
     # mean-field terms: -(fbar less its h terms)_ia rho_jb
     # + 1/2 sum_m (F_im lambda_mjab - F_am lambda_ijmb)
-    phi = s.one_body(s.h) - s.fbar
+    phi = s.one_body(p.h_cuts) - s.fbar
     gen[:, nc:] += phi[:, None, :, None] * s.t[:, None, :]
-    gen[:, nc:, va] += 0.5 * _dot(_block(gf, s.O, A), lam[:, :nao, nao:, nao:])
+    gen[:, nc:, va] += 0.5 * _dot(_block(gf, p.O, p.A), lam[:, :nao, nao:, nao:])
     gen[nc:, nc:] -= 0.5 * (lam[:nao, :nao, :, nao:].transpose(0, 1, 3, 2)
-                            @ _block(gf, A, W)).transpose(0, 1, 3, 2)
+                            @ _block(gf, p.A, p.W)).transpose(0, 1, 3, 2)
     # T5_ijab = sum_wn (sum_m g_iwmn rho_ma) lambda_jnwb
-    hh = s.g_xaaa[s.O].transpose(0, 1, 3, 2) @ s.rv           # (i, w, n, a)
+    hh = p.g_oaaa @ s.rv                                       # (i, w, n, a)
     gen[:, nc:, va] -= _dot(hh.transpose(0, 3, 1, 2), lam[:nao, :, :, nao:].transpose(2, 1, 0, 3),
                             2).transpose(0, 2, 1, 3)
     # b4_ijab = -sum_nmw rho_ni g_mnaw lambda_wjbm
-    g_acwa = _block(s.g, A, s.CA, W, A)                        # g_mnaw, n in C + A
-    v = _dot(g_acwa.transpose(1, 2, 0, 3), lam[:, :nao, nao:].transpose(3, 0, 1, 2), 2)
+    v = _dot(p.g_kwaa, lam[:, :nao, nao:].transpose(3, 0, 1, 2), 2)
     gen[:, nc:] -= s.occ_side(v[:nc], v[nc:]).transpose(0, 2, 1, 3)
     return gen
 
@@ -307,6 +391,21 @@ def _gamma_3rdm_terms(s: _Split, om, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Transformed orbital energies (denominators)
 # ---------------------------------------------------------------------------
+
+class _EnergyPlan:
+    """``transformed_energies``' blocks of one (table, reference): the bare
+    Fock diagonal and the occupied/virtual blocks of h and g, each cut as the
+    contractions read it."""
+
+    def __init__(self, table: IntegralTable, ref: ReferenceDeterminant):
+        h, g = table.h, table.g
+        self.occ, self.virt = occ, virt = _index(ref.occupied), _index(ref.virtual)
+        bare = h.diagonal() + np.einsum("pjpj->pj", g)[:, occ].sum(axis=1)
+        self.bare_occ, self.bare_virt = bare[occ], bare[virt]
+        self.h_ov, self.h_vo = h[occ][:, virt], h[virt][:, occ]
+        self.g_oovv = g[occ][:, occ][:, :, virt][:, :, :, virt]
+        self.g_vvoo = g[virt][:, virt][:, :, occ][:, :, :, occ]
+
 
 def transformed_energies(rdm: RdmPair, table: IntegralTable,
                          ref: ReferenceDeterminant):
@@ -319,18 +418,15 @@ def transformed_energies(rdm: RdmPair, table: IntegralTable,
     ``ref.occupied`` and ``ref.virtual``.
     """
     _check_pt2_input(rdm)
-    h, g = table.h, table.g
+    p = _plan(_EnergyPlan, table, ref)
+    occ, virt = p.occ, p.virt
     r1, r2 = rdm.rho1, rdm.rho2
-    occ, virt = _index(ref.occupied), _index(ref.virtual)
-    bare = h.diagonal() + np.einsum("pjpj->pj", g)[:, occ].sum(axis=1)
-    g_oovv = g[occ][:, occ][:, :, virt][:, :, :, virt]
-    g_vvoo = g[virt][:, virt][:, :, occ][:, :, :, occ]
     r2_oovv = r2[occ][:, occ][:, :, virt][:, :, :, virt]
     r2_vvoo = r2[virt][:, virt][:, :, occ][:, :, :, occ]
-    eps_occ = (bare[occ] + (h[occ][:, virt] * r1[virt][:, occ].T).sum(axis=1)
-               + 0.5 * (g_oovv * r2_vvoo.transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
-    eps_virt = (bare[virt] - (h[virt][:, occ] * r1[occ][:, virt].T).sum(axis=1)
-                - 0.5 * (g_vvoo * r2_oovv.transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
+    eps_occ = (p.bare_occ + (p.h_ov * r1[virt][:, occ].T).sum(axis=1)
+               + 0.5 * (p.g_oovv * r2_vvoo.transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
+    eps_virt = (p.bare_virt - (p.h_vo * r1[occ][:, virt].T).sum(axis=1)
+                - 0.5 * (p.g_vvoo * r2_oovv.transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
     return eps_occ, eps_virt
 
 
@@ -338,11 +434,12 @@ def transformed_energies(rdm: RdmPair, table: IntegralTable,
 # The second-order energy
 # ---------------------------------------------------------------------------
 
-def _second_order_sum(eps_occ, eps_virt, fmat, gten, occ, virt, internal=None) -> float:
+def _second_order_sum(eps_occ, eps_virt, fmat, gten, occ, virt, keeps=(None, None)) -> float:
     """fsum of fmat_ia^2 / (e_i - e_a) + 1/4 gten_ijab^2 / (e_i + e_j - e_a - e_b).
 
-    ``internal`` (the active spin orbitals, or None) drops every channel
-    whose indices all lie in it.  A kept denominator below the floor raises
+    ``keeps`` holds a mask per excitation rank (or None: every channel) of
+    the channels summed; ``occ``/``virt`` name the spin orbitals along each
+    axis.  A kept denominator below the floor raises
     DegenerateDenominatorError naming the first such channel in (i, a),
     then (i, j, a, b), order.  Zero numerators (spin-forbidden channels and
     the i = j, a = b diagonals) are left out of the sum: ``math.fsum`` is
@@ -352,13 +449,6 @@ def _second_order_sum(eps_occ, eps_virt, fmat, gten, occ, virt, internal=None) -
     d2 = eps_occ[:, None, None, None] + eps_occ[:, None, None] - eps_virt[:, None] - eps_virt
     nums = (fmat ** 2, 0.25 * gten ** 2)
     roles = ((occ, virt), (occ, occ, virt, virt))
-    keeps = (None, None)
-    if internal is not None:
-        act = np.zeros(len(occ) + len(virt), dtype=bool)
-        act[list(internal)] = True
-        act_o, act_v = act[occ], act[virt]
-        keeps = (~(act_o[:, None] & act_v),
-                 ~((act_o[:, None] & act_o)[:, :, None, None] & (act_v[:, None] & act_v)))
     terms = []
     for num, d, keep, role in zip(nums, (d1, d2), keeps, roles):
         small = np.abs(d) < DENOMINATOR_FLOOR
@@ -396,10 +486,9 @@ def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
     _check_pt2_input(rdm)
     split = _Split(rdm, table, ref, space)
     eps_occ, eps_virt = transformed_energies(rdm, table, ref)
-    return float(_second_order_sum(
-        eps_occ, eps_virt, _fbar_matrix(split), _gammabar_tensor(split),
-        list(ref.occupied), list(ref.virtual),
-        internal=space.active if space is not None else None))
+    p = split.plan
+    return float(_second_order_sum(eps_occ, eps_virt, _fbar_matrix(split),
+                                   _gammabar_tensor(split), p.occ, p.virt, p.keeps))
 
 
 def embed_active_rdm(active_rdm: RdmPair, spec: ActiveSpaceSpec) -> RdmPair:

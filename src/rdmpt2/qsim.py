@@ -14,7 +14,10 @@ matrix and ``z_parity_signs`` its eigenvalue on each outcome after its
 basis rotation.
 
 One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
-noisy gate (one superoperator) to vec(rho) and every confusion matrix.
+noisy gate (one superoperator) to vec(rho) and every confusion matrix.  It
+reads the gate's blocks through an index table cached per (qubits, register
+size), or as a strided view when the gate acts on the lowest qubits, and
+contracts them with one ``einsum``.
 
 A ``NoiseModel``'s fields are ``p1``/``p2``, the depolarizing probability
 after each one-/two-qubit gate (a real in [0, 1]); ``readout``, one flip
@@ -24,6 +27,7 @@ qubit; and ``n_qubits``, an integer >= 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -159,21 +163,47 @@ def simulate(circuit: Circuit) -> np.ndarray:
     return amplitudes[0]
 
 
+@functools.cache
+def _gate_index(qubits, n_qubits):
+    """Where a gate on the m ``qubits`` of an n-qubit register finds its
+    (2^m, 2^(n-m)) blocks of basis indices, row j setting the gate's bits to
+    j (the first-listed qubit most significant) and column k the other
+    qubits' bits to k (the highest most significant).
+
+    None when the qubits are the lowest m, listed from the highest down: a
+    block is then a strided view of the batch.  Otherwise the table of
+    indices and its inverse permutation."""
+    m = len(qubits)
+    if qubits == tuple(range(m - 1, -1, -1)):
+        return None
+    axes = [n_qubits - 1 - q for q in qubits]  # axis of qubit q in a (2,) * n view
+    idx = np.moveaxis(np.arange(1 << n_qubits).reshape((2,) * n_qubits), axes,
+                      range(m)).reshape(1 << m, -1)
+    inverse = np.argsort(idx, axis=None)
+    idx.flags.writeable = inverse.flags.writeable = False  # shared by every call
+    return idx, inverse
+
+
 def _apply_gate_batch(states, matrix, qubits, n_qubits):
     """Apply a 2^m x 2^m matrix to ``qubits`` of a (batch, 2^n) array, the
-    first-listed qubit being the most significant local bit."""
+    first-listed qubit being the most significant local bit.
+
+    The amplitudes are read as (batch, 2^m, 2^(n-m)) blocks through
+    ``_gate_index``, contracted with one ``einsum`` and put back.  ``einsum``
+    picks its inner loop, and with it the rounding of its sums, from the
+    block's memory layout.  A gathered block is C-contiguous; on the lowest
+    qubits, whose bits vary fastest, the block is a strided view instead, as
+    in the moveaxis form of the tests' ``oracles.apply_gate_batch``, which
+    this matches bit for bit."""
     batch = states.shape[0]
-    t = states.reshape((batch,) + (2,) * n_qubits)
-    # axis for qubit k in the reshaped tensor (axis 0 is the batch)
-    axes = [1 + (n_qubits - 1 - q) for q in qubits]
-    m = len(axes)
-    t = np.moveaxis(t, axes, range(1, 1 + m))
-    lead = t.shape[1 + m:]
-    t = t.reshape(batch, 1 << m, -1)
-    t = np.einsum("ij,bjk->bik", matrix, t)
-    t = t.reshape((batch,) + (2,) * m + lead)
-    t = np.moveaxis(t, range(1, 1 + m), axes)
-    return t.reshape(batch, 1 << n_qubits)
+    tables = _gate_index(tuple(qubits), n_qubits)
+    if tables is None:
+        block = states.reshape(batch, -1, matrix.shape[0]).transpose(0, 2, 1)
+        out = np.einsum("ij,bjk->bik", matrix, block)
+        return out.transpose(0, 2, 1).reshape(batch, -1)
+    idx, inverse = tables
+    out = np.einsum("ij,bjk->bik", matrix, states.take(idx, axis=1))
+    return out.reshape(batch, -1).take(inverse, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -516,7 +516,8 @@ def record_row(rec: RunRecord) -> dict:
             "e_fci_frozen": _fmt(fci_frozen), "e_fci_full": _fmt(fci_full)}
 
 
-def write_outputs(records, out_dir):
+def write_csv(records, out_dir):
+    """Write ``scan.csv`` (one row per record) into ``out_dir``; returns its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "scan.csv", "w", newline="") as fh:
@@ -524,9 +525,16 @@ def write_outputs(records, out_dir):
         writer.writeheader()
         for rec in records:
             writer.writerow(record_row(rec))
-    archive = {"records": [rec.to_json() for rec in records]}
-    (out / "records.json").write_text(json.dumps(archive, indent=2, sort_keys=True) + "\n")
     return out / "scan.csv"
+
+
+def write_outputs(records, out_dir):
+    """Write ``scan.csv`` and the ``records.json`` archive; returns the CSV's path."""
+    csv_path = write_csv(records, out_dir)
+    archive = {"records": [rec.to_json() for rec in records]}
+    (Path(out_dir) / "records.json").write_text(
+        json.dumps(archive, indent=2, sort_keys=True) + "\n")
+    return csv_path
 
 
 def read_archive(path):

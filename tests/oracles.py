@@ -26,6 +26,10 @@ through the readout confusion matrix.  Its shot distribution is the one the
 density-matrix channel must reproduce.  ``kraus_density_matrix`` is that
 channel's density matrix as an explicit sum over dense Pauli-error Kraus
 operators, one full-register matrix product per operator.
+``apply_gate_batch`` is the gate primitive as it stood before the package
+gathered through cached index tables: it reshapes the batch to one axis per
+qubit, moves the gate's axes to the front, contracts and moves them back;
+``qsim._apply_gate_batch`` must return the same bits.
 ``apply_noise`` is the package's channel for one circuit at a time, the
 reference ``qsim.measure_pauli_sets`` must match group by group: it evolves
 the whole circuit's noisy density matrix and draws every shot in one
@@ -87,6 +91,23 @@ def expand_matrix(matrix, qubits, n_qubits):
                 extra = sum(((fill >> k) & 1) << rest[k] for k in range(len(rest)))
                 full[base_out | extra, base_in | extra] = amp
     return full
+
+
+def apply_gate_batch(states, matrix, qubits, n_qubits):
+    """Apply a 2^m x 2^m matrix to ``qubits`` of a (batch, 2^n) array, the
+    first-listed qubit being the most significant local bit."""
+    batch = states.shape[0]
+    t = states.reshape((batch,) + (2,) * n_qubits)
+    # axis for qubit k in the reshaped tensor (axis 0 is the batch)
+    axes = [1 + (n_qubits - 1 - q) for q in qubits]
+    m = len(axes)
+    t = np.moveaxis(t, axes, range(1, 1 + m))
+    lead = t.shape[1 + m:]
+    t = t.reshape(batch, 1 << m, -1)
+    t = np.einsum("ij,bjk->bik", matrix, t)
+    t = t.reshape((batch,) + (2,) * m + lead)
+    t = np.moveaxis(t, range(1, 1 + m), axes)
+    return t.reshape(batch, 1 << n_qubits)
 
 
 def kraus_density_matrix(circuit, model):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_rdm_pair
+from conftest import random_pure_2e_rdm, random_rdm_pair
 from oracles import fbar, gammabar, reducible_3rdm
 from rdmpt2 import hamio, pt2, purify, qsim, rdm, vqe
 from rdmpt2.hamio import (ActiveSpaceSpec, IntegralTable, ReferenceDeterminant,
@@ -609,7 +611,7 @@ def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(fid, r
     pair = random_rdm_pair(np.random.default_rng(6), 4, 2)
     pair.meta.provenance = "exact"
     emb = embed_active_rdm(pair, space)
-    assert (pt2._Split(emb, table, ref, space).perm is not None) == reorder
+    assert (pt2._Split(emb, table, ref, space).plan.perm is not None) == reorder
     assert rdm_pt2(emb, table, ref, space) == pytest.approx(
         oracles.rdm_pt2(emb, table, ref, space), rel=1e-12)
 
@@ -620,7 +622,7 @@ def test_full_space_pt2_rejects_non_embedded_rho1(lih):
     ref = ReferenceDeterminant.aufbau(table)
     emb = embed_active_rdm(active_rdm, space)
     core, act, fv = space.frozen_occupied, space.active, space.frozen_virtual
-    rdm_pt2(emb, table, ref, space)
+    rdm_pt2(emb, table, ref, space)  # a good call first: the check is per RDM, not per plan
     for p, q, value in ((core[0], core[0], 0.99),     # not the identity on the core
                         (core[0], core[1], 1e-9),     # core off-diagonal
                         (core[1], act[0], 1e-9),      # core-active coupling
@@ -655,3 +657,94 @@ def test_full_space_correction_beats_mp2_baseline(lih):
     e_fci = entry["e_fci_full"]
     e_mp2 = entry["e_hf"] + hf_mp2(table, ref)
     assert abs(e_est - e_fci) < abs(e_mp2 - e_fci)
+
+
+# ---------------------------------------------------------------------------
+# plans: built on first use per (table, reference, partition), kept while the
+# table lives
+# ---------------------------------------------------------------------------
+
+
+def fresh_pipeline(mol):
+    r = {"h2": 0.7, "lih": 1.5949, "nah": 1.8874}[mol]
+    return vqe.PointPipeline(vqe.ScanSpec(molecule=mol, geometries=[r], shots=None), r)
+
+
+def pipeline_corrections(pipe, thetas):
+    """(frozen, full) corrections and energies per angle, as ``_energies`` calls them."""
+    out = []
+    for theta in thetas:
+        pure = purify.purify_rdm(rdm.symmetrize(rdm.rdm_from_state(
+            qsim.simulate(qsim.build_ansatz(theta)), pipe.schedule)))
+        row = [rdm_pt2(pure, pipe.table, pipe.ref),
+               *transformed_energies(pure, pipe.table, pipe.ref)]
+        if pipe.has_frozen:
+            emb = embed_active_rdm(pure, pipe.space)
+            row += [rdm_pt2(emb, pipe.table_full, pipe.ref_full, space=pipe.space),
+                    *transformed_energies(emb, pipe.table_full, pipe.ref_full)]
+        out.append(row)
+    return out
+
+
+THETAS = [(0.3, -0.2, 0.1), (1.1, 0.4, -0.7), (-2.0, 0.05, 0.3)]
+
+
+def same_bits(a, b):
+    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("mol", ["h2", "lih", "nah"])
+def test_first_and_later_calls_return_the_same_bits(mol):
+    pipe = fresh_pipeline(mol)
+    assert pipe.table not in pt2._PLANS and pipe.table_full not in pt2._PLANS
+    first = pipeline_corrections(pipe, THETAS)
+    assert pipe.table in pt2._PLANS
+    for _ in range(2):
+        assert all(same_bits(a, b) for a, b in zip(pipeline_corrections(pipe, THETAS), first))
+    # each angle alone, on tables that have no plan yet
+    for theta, want in zip(THETAS, first):
+        assert same_bits(pipeline_corrections(fresh_pipeline(mol), [theta])[0], want)
+
+
+def test_interleaved_tables_match_each_table_alone():
+    alone = {mol: pipeline_corrections(fresh_pipeline(mol), THETAS)
+             for mol in ("h2", "lih", "nah")}
+    pipes = {mol: fresh_pipeline(mol) for mol in alone}
+    for k, theta in enumerate(THETAS):
+        for mol in ("nah", "h2", "lih") if k % 2 else ("lih", "nah", "h2"):
+            assert same_bits(pipeline_corrections(pipes[mol], [theta])[0], alone[mol][k]), mol
+
+
+def test_plans_are_dropped_with_their_table():
+    pipe = fresh_pipeline("nah")
+    pipeline_corrections(pipe, THETAS[:1])
+    tables = [pipe.table, pipe.table_full]
+    plans = [weakref.ref(plan) for table in tables for plan in pt2._PLANS[table].values()]
+    assert len(plans) == 4  # numerator and energy plans, frozen and full space
+    tables = [weakref.ref(table) for table in tables]
+    del pipe
+    gc.collect()
+    assert all(ref() is None for ref in tables + plans)
+
+
+def test_bad_partition_raises_on_every_call_and_caches_nothing():
+    table, _ = hamio.load_fixture("lih_1.5949")
+    ref = ReferenceDeterminant.aufbau(table)
+    space = ActiveSpaceSpec.from_active_spatials(table.n_spatial, table.n_electrons, (1, 5))
+    core, act, fv = space.frozen_occupied, space.active, space.frozen_virtual
+    emb = embed_active_rdm(random_pure_2e_rdm(np.random.default_rng(3)), space)
+    emb.meta.provenance = "exact"
+    bad = ((ActiveSpaceSpec(core, act, fv[1:]), "partition"),
+           (ActiveSpaceSpec(core[1:], act, fv + core[:1]), "frozen-occupied"))
+    for _ in range(2):
+        for space_, match in bad:
+            with pytest.raises(ValidationError, match=match):
+                rdm_pt2(emb, table, ref, space_)
+    assert table not in pt2._PLANS
+    good = rdm_pt2(emb, table, ref, space)
+    assert len(pt2._PLANS[table]) == 2
+    for space_, match in bad:
+        with pytest.raises(ValidationError, match=match):
+            rdm_pt2(emb, table, ref, space_)
+    assert len(pt2._PLANS[table]) == 2
+    assert rdm_pt2(emb, table, ref, space) == good

@@ -13,8 +13,8 @@ from rdmpt2.qsim import (Circuit, NoiseModel, basis_rotation, build_ansatz, jw_l
                          measure_pauli_sets, mitigate_readout, noisy_density_matrix,
                          pauli_matrix, qwc_groups, simulate, z_parity_signs)
 
-from oracles import (apply_noise, expectation, kraus_density_matrix, table_expectation,
-                     trajectory_counts)
+from oracles import (apply_gate_batch, apply_noise, expectation, kraus_density_matrix,
+                     table_expectation, trajectory_counts)
 
 
 def ladder_matrix(p, n, dagger):
@@ -242,6 +242,34 @@ def test_depolarizing_closed_form_matches_pauli_sum():
         closed = qsim._apply_gate_batch(rho.reshape(1, -1), qsim._channel(gate, p),
                                         rows + qubits, 8).reshape(rho.shape)
         assert np.abs(closed - explicit).max() < 1e-12, qubits
+
+
+def gate_cases():
+    """(qubits, n_qubits) for every ordered 1- and 2-qubit tuple on 4 qubits,
+    and the same gates on the 8-qubit vec(rho) layout of ``_evolve`` (row
+    qubits q + 4 first, then the column qubits)."""
+    for m in (1, 2):
+        for qubits in itertools.permutations(range(4), m):
+            yield qubits, 4
+            yield tuple(q + 4 for q in qubits) + qubits, 8
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_gate_kernel_matches_moveaxis_oracle(batch):
+    rng = np.random.default_rng(batch)
+    for qubits, n in gate_cases():
+        shape, dim = (batch, 1 << n), 1 << len(qubits)
+        states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        strided = np.stack([states.real, states.imag], axis=-1)[..., 0]  # as _draw's diagonal
+        assert not strided.flags.c_contiguous
+        for s, mat, dtype in ((states, matrix, complex), (states.real.copy(), matrix, complex),
+                              (states.real.copy(), matrix.real.copy(), float),
+                              (strided, matrix.real.copy(), float)):
+            got = qsim._apply_gate_batch(s, mat, qubits, n)
+            want = apply_gate_batch(s, mat, qubits, n)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want), (qubits, n, dtype)
 
 
 def test_shared_prefix_matches_per_circuit_channel():

@@ -536,6 +536,27 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "lih_1.5949" in out
 
 
+def test_report_only_reads_the_archive(tmp_path, capsys):
+    # report re-serialized records.json through write_outputs, so a compact
+    # archive changed its bytes
+    runs = tmp_path / "runs"
+    assert cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "0",
+                     "--noise", "none", "--max-evals", "8", "--out", str(runs)]) == 0
+    archive = runs / "records.json"
+    archive.write_text(json.dumps(json.loads(archive.read_text()), separators=(",", ":")))
+    compact = archive.read_bytes()
+    want_csv = (runs / "scan.csv").read_bytes()
+    (runs / "scan.csv").unlink()
+    assert cli.main(["report", "--in", str(runs)]) == 0
+    assert archive.read_bytes() == compact
+    assert (runs / "scan.csv").read_bytes() == want_csv
+    other = tmp_path / "other"
+    assert cli.main(["report", "--in", str(runs), "--out", str(other)]) == 0
+    assert sorted(p.name for p in other.iterdir()) == ["scan.csv"]
+    assert (other / "scan.csv").read_bytes() == want_csv
+    assert archive.read_bytes() == compact
+
+
 def test_exact_expectations_reject_a_noise_model(tmp_path, capsys):
     # shots=None evaluates noiseless expectation values; a noise model there
     # would be recorded in records.json without ever being applied
