@@ -204,7 +204,9 @@ def load_fcidump(path) -> IntegralTable:
 
     n_sp = field_int("NORB")
     n_elec = field_int("NELEC")
-    field_int("MS2")
+    ms2 = field_int("MS2")
+    if ms2 != 0:
+        raise FcidumpError(f"MS2={ms2}: only closed-shell (MS2=0) systems are supported")
 
     h_sp = np.zeros((n_sp, n_sp))
     chem = np.zeros((n_sp, n_sp, n_sp, n_sp))
@@ -260,12 +262,8 @@ def normal_order(table: IntegralTable, ref: ReferenceDeterminant) -> NormalOrder
         raise ValidationError("reference determinant does not match the table")
     occ = list(ref.occupied)
     e0 = table.e_nuclear + float(np.trace(table.h[np.ix_(occ, occ)]))
-    if occ:
-        g_oo = table.g[np.ix_(occ, occ, occ, occ)]
-        e0 += 0.5 * float(np.einsum("ijij->", g_oo))
-        f = table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
-    else:
-        f = table.h.copy()
+    e0 += 0.5 * float(np.einsum("ijij->", table.g[np.ix_(occ, occ, occ, occ)]))
+    f = table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
     return NormalOrderedHamiltonian(e0=e0, f=f)
 
 
@@ -274,19 +272,13 @@ def freeze_core(table: IntegralTable, spec: ActiveSpaceSpec) -> IntegralTable:
     spec.validate(table.n_so)
     core = list(spec.frozen_occupied)
     act = list(spec.active)
-    if set(act) & set(core):
-        raise ValidationError("active and frozen sets overlap")
     pairs = {spatial_of(p) for p in act}
     if len(act) != 2 * len(pairs):
         raise ValidationError("active set must contain full alpha/beta pairs")
-    e_core = table.e_nuclear
-    if core:
-        e_core += float(np.trace(table.h[np.ix_(core, core)]))
-        e_core += 0.5 * float(np.einsum("cdcd->", table.g[np.ix_(core, core, core, core)]))
-        h_act = table.h[np.ix_(act, act)] + np.einsum(
-            "pcqc->pq", table.g[np.ix_(act, core, act, core)])
-    else:
-        h_act = table.h[np.ix_(act, act)]
+    e_core = table.e_nuclear + float(np.trace(table.h[np.ix_(core, core)]))
+    e_core += 0.5 * float(np.einsum("cdcd->", table.g[np.ix_(core, core, core, core)]))
+    h_act = table.h[np.ix_(act, act)] + np.einsum(
+        "pcqc->pq", table.g[np.ix_(act, core, act, core)])
     g_act = table.g[np.ix_(act, act, act, act)]
     return IntegralTable(n_spatial=len(act) // 2,
                          n_electrons=table.n_electrons - len(core),

@@ -13,27 +13,28 @@ a degenerate channel, and ``math.fsum`` adds the kept nonzero terms, so the
 sum does not depend on their order.  The scalar (per-element, loop) and
 dense einsum forms these were derived from are kept in the tests as oracles.
 
-Every numerator contraction is split by index class.  On an RDM from
+Every contraction is split by index class.  On an RDM from
 ``embed_active_rdm``, rho1 is the identity on the frozen core, a block on the
 active set and zero on the frozen virtuals, and rho2 is rho1 ^ rho1 outside
 the active set, so the pair cumulant lambda = rho2 - rho1 ^ rho1 lives on the
 active set only.  Over core indices a contraction with rho1 is a delta, which
 makes it a slice or a diagonal sum of h and g; over active indices it runs on
 the active set alone; nothing is contracted over frozen virtuals, and the
-reconstructed 3-RDM, written in rho1 and lambda, splits the same way.
+reconstructed 3-RDM, written in rho1 and lambda, splits the same way.  The
+transformed energies dress only the active levels, so nothing reads rho2
+outside A^4, nor rho1 outside A but for the O(n^2) embedded-form check.
 Without a partition the core is empty and every orbital counts as active, so
 the same code reads any RDM in full.
 
 What depends only on the integral table, the reference and the partition is
 computed once, on the first call, and kept while the table lives (the plans
-are weakly keyed by the table): ``_Plan`` holds the index classes, the
-partition and reference checks, every block of h and g the numerators read
-(with the core's mean field and h plus it) and the masks of the channels the
-second-order sum keeps; ``_EnergyPlan`` holds the bare Fock diagonal and the
-blocks of h and g behind ``transformed_energies``.  Per RDM there remain its
-active blocks (``_Split``), the O(n^2) check that rho1 has the embedded form,
-and the contractions themselves, whose inputs and summation order are those
-of cutting the blocks on every call.
+are weakly keyed by the table): one ``_Plan`` per (reference, partition)
+holds the index classes, the partition and reference checks, the bare Fock
+diagonal, every block of h and g that is read (with the core's mean field and
+h plus it) and the masks of the channels the second-order sum keeps.  Per
+RDM there remain its active blocks, the embedded-form check and the
+contractions themselves, whose inputs and summation order are those of
+cutting the blocks on every call.
 """
 
 from __future__ import annotations
@@ -106,22 +107,23 @@ def _wedge(a, b) -> np.ndarray:
 _PLANS = weakref.WeakKeyDictionary()
 
 
-def _plan(kind, table: IntegralTable, *args):
-    """``kind(table, *args)``, built on the first call for this table and
-    these arguments and reused after; a build that raises caches nothing."""
-    key = (kind,) + args
+def _plan(table: IntegralTable, ref: ReferenceDeterminant,
+          space: ActiveSpaceSpec | None) -> "_Plan":
+    """The ``_Plan`` of (table, ref, space), built on the first call and
+    reused after; a build that raises caches nothing."""
+    key = (ref, space)
     plans = _PLANS.get(table)
     if plans is not None and key in plans:
         return plans[key]
-    plan = kind(table, *args)
+    plan = _Plan(table, ref, space)
     _PLANS.setdefault(table, {})[key] = plan
     return plan
 
 
 class _Plan:
-    """What the numerators and the second-order sum read of one (table,
-    reference, partition): index classes, blocks of h and g, and the masks
-    of the channels kept.
+    """What ``rdm_pt2`` reads of one (table, reference, partition): index
+    classes, the blocks of h and g behind the numerators and the transformed
+    energies, the bare Fock diagonal, and the masks of the channels kept.
 
     Classes: the core C (frozen-occupied), the active set A, its occupied
     and virtual parts Ao and Av, and the frozen virtuals V.  On an embedded
@@ -173,6 +175,15 @@ class _Plan:
         self.A, self.O, self.W = A, O, W
 
         h, g, every = table.h, table.g, slice(None)
+        # ``transformed_energies``' bare Fock diagonal in the reference's
+        # order, the positions of Ao and Av there, and h and g on (Ao, Av)
+        o_ix = _index(occ)
+        bare = h.diagonal() + np.einsum("pjpj->pj", g)[:, o_ix].sum(axis=1)
+        self.bare_occ, self.bare_virt = bare[o_ix], bare[_index(virt)]
+        self.ao_pos, self.av_pos = _index(map(occ.index, ao)), _index(map(virt.index, av))
+        Ao, Av = _index(ao), _index(av)
+        self.h_ov, self.h_vo = _block(h, Ao, Av), _block(h, Av, Ao)
+        self.g_oovv, self.g_vvoo = _block(g, Ao, Ao, Av, Av), _block(g, Av, Av, Ao, Ao)
         # the core's mean field sum_c g_pcqc, a diagonal sum of g
         self.gf_core = (np.einsum("pcqc->pq", _block(g, every, C, every, C)) if nc else 0.0)
         # ``one_body``'s blocks of h and of h plus the core's mean field
@@ -229,13 +240,12 @@ class _Plan:
 class _Split:
     """One RDM's active blocks, read against the plan of (table, ref,
     space): r = rho1 on A, rho2 on A^4 and the blocks ro, rv, t of r.
-    Checks that rho1 has the embedded form when there is a partition."""
+    Cutting checks nothing: ``transformed_energies``, which ``rdm_pt2``
+    calls first, checks rho1's embedded form."""
 
     def __init__(self, rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
                  space: ActiveSpaceSpec | None = None):
-        self.plan = plan = _plan(_Plan, table, ref, space)
-        if plan.embedded is not None:
-            plan.check_embedded(rdm.rho1)
+        self.plan = plan = _plan(table, ref, space)
         self.n_electrons = rdm.meta.n_electrons
         A, nao = plan.A, plan.nao
         self.r = r = _block(rdm.rho1, A, A)
@@ -392,23 +402,8 @@ def _gamma_3rdm_terms(s: _Split, om, u) -> np.ndarray:
 # Transformed orbital energies (denominators)
 # ---------------------------------------------------------------------------
 
-class _EnergyPlan:
-    """``transformed_energies``' blocks of one (table, reference): the bare
-    Fock diagonal and the occupied/virtual blocks of h and g, each cut as the
-    contractions read it."""
-
-    def __init__(self, table: IntegralTable, ref: ReferenceDeterminant):
-        h, g = table.h, table.g
-        self.occ, self.virt = occ, virt = _index(ref.occupied), _index(ref.virtual)
-        bare = h.diagonal() + np.einsum("pjpj->pj", g)[:, occ].sum(axis=1)
-        self.bare_occ, self.bare_virt = bare[occ], bare[virt]
-        self.h_ov, self.h_vo = h[occ][:, virt], h[virt][:, occ]
-        self.g_oovv = g[occ][:, occ][:, :, virt][:, :, :, virt]
-        self.g_vvoo = g[virt][:, virt][:, :, occ][:, :, :, occ]
-
-
 def transformed_energies(rdm: RdmPair, table: IntegralTable,
-                         ref: ReferenceDeterminant):
+                         ref: ReferenceDeterminant, space: ActiveSpaceSpec | None = None):
     """Per-orbital energies dressed by the off-diagonal RDM blocks.
 
     Correlation pushes occupied levels down and virtual levels up, widening
@@ -416,17 +411,25 @@ def transformed_energies(rdm: RdmPair, table: IntegralTable,
     overbinding); on a determinant RDM both formulas collapse to the bare
     Fock diagonal.  Returns (eps_occ, eps_virt), arrays ordered like
     ``ref.occupied`` and ``ref.virtual``.
+
+    With ``space`` (``rdm_pt2``'s partition) rho1 must have the embedded
+    form (checked; ValidationError otherwise), whose occupied-virtual blocks
+    vanish outside the active set: only the active levels are dressed, from
+    rho1 on Ao x Av and rho2 on Ao^2 x Av^2.  Without it the RDM is read in full.
     """
     _check_pt2_input(rdm)
-    p = _plan(_EnergyPlan, table, ref)
-    occ, virt = p.occ, p.virt
-    r1, r2 = rdm.rho1, rdm.rho2
-    r2_oovv = r2[occ][:, occ][:, :, virt][:, :, :, virt]
-    r2_vvoo = r2[virt][:, virt][:, :, occ][:, :, :, occ]
-    eps_occ = (p.bare_occ + (p.h_ov * r1[virt][:, occ].T).sum(axis=1)
-               + 0.5 * (p.g_oovv * r2_vvoo.transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
-    eps_virt = (p.bare_virt - (p.h_vo * r1[occ][:, virt].T).sum(axis=1)
-                - 0.5 * (p.g_vvoo * r2_oovv.transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
+    p = _plan(table, ref, space)
+    if p.embedded is not None:
+        p.check_embedded(rdm.rho1)
+    r, r2 = _block(rdm.rho1, p.A, p.A), _block(rdm.rho2, p.A, p.A, p.A, p.A)
+    o, v = slice(p.nao), slice(p.nao, None)  # Ao and Av within A
+    eps_occ, eps_virt = p.bare_occ.copy(), p.bare_virt.copy()
+    eps_occ[p.ao_pos] = (
+        p.bare_occ[p.ao_pos] + (p.h_ov * r[v, o].T).sum(axis=1)
+        + 0.5 * (p.g_oovv * r2[v, v, o, o].transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
+    eps_virt[p.av_pos] = (
+        p.bare_virt[p.av_pos] - (p.h_vo * r[o, v].T).sum(axis=1)
+        - 0.5 * (p.g_vvoo * r2[o, o, v, v].transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
     return eps_occ, eps_virt
 
 
@@ -474,18 +477,18 @@ def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
     treats them variationally (their true transformed numerators vanish at
     its optimum, and only reconstruction error would survive here).
 
-    With ``space`` the numerators read only the active blocks of rho1 and
-    rho2 and the partition (core deltas, active cumulant, nothing over frozen
-    virtuals), so the RDM must be ``embed_active_rdm``'s: rho1 the identity on
-    ``frozen_occupied``, zero rows and columns on ``frozen_virtual`` and no
-    core-active coupling (checked; ValidationError otherwise), and rho2 the
-    embedding's (not checked).
+    With ``space`` the numerators and transformed energies read only the
+    active blocks of rho1 and rho2 and the partition (core deltas, active
+    cumulant, nothing over frozen virtuals), so the RDM must be
+    ``embed_active_rdm``'s: rho1 the identity on ``frozen_occupied``, zero
+    rows and columns on ``frozen_virtual`` and no core-active coupling
+    (checked; ValidationError otherwise), and rho2 the embedding's (not
+    checked).
 
     Raises DegenerateDenominatorError below a 1e-8 Ha denominator gap.
     """
-    _check_pt2_input(rdm)
+    eps_occ, eps_virt = transformed_energies(rdm, table, ref, space)  # checks the input
     split = _Split(rdm, table, ref, space)
-    eps_occ, eps_virt = transformed_energies(rdm, table, ref)
     p = split.plan
     return float(_second_order_sum(eps_occ, eps_virt, _fbar_matrix(split),
                                    _gammabar_tensor(split), p.occ, p.virt, p.keeps))
@@ -498,12 +501,9 @@ def embed_active_rdm(active_rdm: RdmPair, spec: ActiveSpaceSpec) -> RdmPair:
     blocks are antisymmetrized products of the core density with the active
     1-RDM, and frozen-virtual blocks stay zero.
     """
-    fo = list(spec.frozen_occupied)
-    act = list(spec.active)
-    fv = list(spec.frozen_virtual)
-    if set(fo) & set(act) or set(fo) & set(fv) or set(act) & set(fv):
-        raise ValidationError("active-space sets overlap")
-    n = len(fo) + len(act) + len(fv)
+    fo, act = list(spec.frozen_occupied), list(spec.active)
+    n = len(fo) + len(act) + len(spec.frozen_virtual)
+    spec.validate(n)
     if active_rdm.n_so != len(act):
         raise ValidationError("active RDM size does not match the active set")
     r1a = active_rdm.rho1

@@ -140,11 +140,6 @@ class Circuit:
     def givens(self, a, b, phi):
         return self.add((a, b), _givens(phi))
 
-    def extended(self, other: "Circuit") -> "Circuit":
-        if other.n_qubits != self.n_qubits:
-            raise ValidationError("register sizes differ")
-        return Circuit(self.n_qubits, list(self.gates) + list(other.gates))
-
     def unitary(self) -> np.ndarray:
         rows = np.eye(1 << self.n_qubits, dtype=complex)  # row k evolves |k>
         for gate in self.gates:
@@ -238,19 +233,17 @@ def build_ansatz(params) -> Circuit:
     return c
 
 
-HF_INDEX = 0b0011  # qubits 0 and 1 occupied
-
-
 # ---------------------------------------------------------------------------
 # Noise model and sampling
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Depolarizing-plus-readout noise description, checked on construction.
 
     ``readout[q]`` is the 2x2 confusion matrix with columns indexed by the
-    true bit: readout[q][m, t] = P(measured m | true t).
+    true bit: readout[q][m, t] = P(measured m | true t).  The array stays
+    writable; mitigation checks it again before inverting it.
     """
 
     p1: float = 0.001
@@ -265,17 +258,18 @@ class NoiseModel:
             value = getattr(self, name)
             if not (_is_finite(value) and 0 <= value <= 1):
                 raise ValidationError(f"{name} must be a real number in [0, 1], got {value!r}")
-        if self.readout is None or _is_finite(self.readout):  # a bool is neither
-            eps = 0.02 if self.readout is None else self.readout
-            self.readout = [[[1 - eps, eps], [eps, 1 - eps]]] * self.n_qubits
+        readout = self.readout
+        if readout is None or _is_finite(readout):  # a bool is neither
+            eps = 0.02 if readout is None else readout
+            readout = [[[1 - eps, eps], [eps, 1 - eps]]] * self.n_qubits
         try:
-            readout = np.asarray(self.readout, dtype=float)
+            readout = np.array(readout, dtype=float)  # a copy the caller cannot edit
         except (TypeError, ValueError):
             readout = None
         if readout is None or readout.shape != (self.n_qubits, 2, 2):
             raise ValidationError("readout must be a flip probability or one 2x2 "
                                   f"matrix per qubit, got {self.readout!r}")
-        self.readout = readout
+        object.__setattr__(self, "readout", readout)
         if not np.allclose(self.readout.sum(axis=1), 1.0, atol=1e-10):
             raise ValidationError("confusion matrix columns must sum to 1")
         if ((self.readout < 0) | (self.readout > 1)).any():

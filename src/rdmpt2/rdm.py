@@ -69,12 +69,6 @@ class RdmPair:
     def n_so(self) -> int:
         return self.rho1.shape[0]
 
-    def trace1(self) -> float:
-        return float(np.trace(self.rho1))
-
-    def trace2(self) -> float:
-        return float(np.einsum("pqpq->", self.rho2))
-
     def validate(self, tol=1e-8):
         if not np.allclose(self.rho1, self.rho1.T, rtol=0.0, atol=tol):
             raise ValidationError("rho1 is not hermitian")
@@ -86,18 +80,6 @@ class RdmPair:
         if not np.allclose(r2, r2.transpose(2, 3, 0, 1), rtol=0.0, atol=tol):
             raise ValidationError("rho2 is not hermitian")
         return self
-
-
-def determinant_rdm(occupied, n_so) -> RdmPair:
-    """Exact RDMs of a single determinant."""
-    occ = sorted(occupied)
-    rho1 = np.zeros((n_so, n_so))
-    for p in occ:
-        rho1[p, p] = 1.0
-    n = rho1.diagonal()
-    rho2 = (np.einsum("p,q,pr,qs->pqrs", n, n, np.eye(n_so), np.eye(n_so))
-            - np.einsum("p,q,ps,qr->pqrs", n, n, np.eye(n_so), np.eye(n_so)))
-    return RdmPair(rho1, rho2, RdmMeta(provenance="exact", n_electrons=len(occ)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ BOUNDS = (-np.pi, np.pi)
 # Derivative-free optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerSettings:
     """The trust region's radii and its evaluation budget, checked on
     construction: a zero radius would rebuild forever, and a budget that is
@@ -60,6 +60,11 @@ class _BudgetSpent(Exception):
     """Raised by the evaluation gate in ``optimize`` once ``maxfev`` is spent."""
 
 
+class NonFiniteObjectiveError(ArithmeticError):
+    """Raised by the evaluation gate in ``optimize`` for a NaN or infinite
+    value, which the trust region would take for its best point."""
+
+
 def optimize(objective, start, settings: OptimizerSettings | None = None) -> OptimizeTrace:
     """Minimize a total objective over the parameter cube with a linear-model
     trust region.
@@ -73,7 +78,8 @@ def optimize(objective, start, settings: OptimizerSettings | None = None) -> Opt
     point evaluated earlier reuses that value.  The run stops when ``rho``
     drops below ``rhoend``, or after exactly ``maxfev`` evaluations: every
     evaluation passes one budget gate, and a run the budget ends reports
-    ``converged=False``.
+    ``converged=False``.  A NaN or infinite value raises
+    NonFiniteObjectiveError naming the point.
     """
     settings = settings or OptimizerSettings()
     x0 = _clip(np.asarray(list(start), dtype=float))
@@ -83,6 +89,8 @@ def optimize(objective, start, settings: OptimizerSettings | None = None) -> Opt
         if len(evals) == settings.maxfev:
             raise _BudgetSpent
         v = float(objective(tuple(x)))
+        if not math.isfinite(v):
+            raise NonFiniteObjectiveError(f"objective returned {v} at {tuple(x.tolist())}")
         evals.append((x.copy(), v))
         return v
 
@@ -199,14 +207,14 @@ class RunRecord:
         return cls(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanSpec:
     """Everything needed to reproduce a run: fixture, geometries, noise,
     shots, seeds and optimizer settings.  Checked on construction, so a bad
     spec fails when it is loaded rather than at every point."""
 
     molecule: str
-    geometries: list
+    geometries: tuple
     shots: int | None = 8192
     noise: qsim.NoiseModel | None = None
     seed: int = 0
@@ -221,7 +229,7 @@ class ScanSpec:
                 and all(_is_finite(g) for g in self.geometries)):
             raise ValidationError("geometries must be a non-empty list of bond "
                                   f"lengths, got {self.geometries!r}")
-        self.geometries = [float(g) for g in self.geometries]
+        object.__setattr__(self, "geometries", tuple(float(g) for g in self.geometries))
         if self.shots is not None and not _is_count(self.shots):
             raise ValidationError(f"shots must be an integer >= 1 or None, got {self.shots!r}")
         if not _is_count(self.seed, least=0):
@@ -229,7 +237,7 @@ class ScanSpec:
         if not (isinstance(self.start, (tuple, list)) and len(self.start) == 3
                 and all(_is_finite(a) for a in self.start)):
             raise ValidationError(f"start must be three finite angles, got {self.start!r}")
-        self.start = tuple(self.start)
+        object.__setattr__(self, "start", tuple(self.start))
         if not _is_count(self.bootstrap_resamples, least=0):
             raise ValidationError("bootstrap_resamples must be an integer >= 0, "
                                   f"got {self.bootstrap_resamples!r}")

@@ -8,7 +8,8 @@ number and Sz, optionally with orbitals forced occupied or empty;
 algebra of ``_apply_ladder``; ``fci_ground_state`` returns its lowest
 eigenpair (below ``DIMENSION_CAP`` determinants) for any electron count; and
 ``rdms_from_amplitudes`` contracts the exact 1-/2-RDM of a sector
-wavefunction.
+wavefunction.  ``determinant_rdm`` gives the exact RDMs of one determinant
+and ``traces`` the electron and pair counts of an RDM; no run needs either.
 
 The PT2 oracles are the scalar and loop forms the vectorized ``rdmpt2.pt2``
 must reproduce: ``fbar``/``gammabar`` evaluate one transformed matrix element
@@ -171,6 +172,23 @@ def trajectory_counts(circuit, model, shots, seed):
 # ---------------------------------------------------------------------------
 # Determinant FCI
 # ---------------------------------------------------------------------------
+
+def determinant_rdm(occupied, n_so) -> rdm.RdmPair:
+    """Exact RDMs of a single determinant."""
+    occ = sorted(occupied)
+    rho1 = np.zeros((n_so, n_so))
+    for p in occ:
+        rho1[p, p] = 1.0
+    n = rho1.diagonal()
+    rho2 = (np.einsum("p,q,pr,qs->pqrs", n, n, np.eye(n_so), np.eye(n_so))
+            - np.einsum("p,q,ps,qr->pqrs", n, n, np.eye(n_so), np.eye(n_so)))
+    return rdm.RdmPair(rho1, rho2, rdm.RdmMeta(provenance="exact", n_electrons=len(occ)))
+
+
+def traces(pair):
+    """(Tr rho1, sum_pq rho2_pqpq): N and N(N - 1) for an N-electron RDM."""
+    return float(np.trace(pair.rho1)), float(np.einsum("pqpq->", pair.rho2))
+
 
 DIMENSION_CAP = 2000  # largest sector diagonalized (dense)
 

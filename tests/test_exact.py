@@ -42,7 +42,7 @@ def test_rdms_from_single_determinant():
     amps = np.zeros(len(basis))
     amps[basis.index[0b0011]] = 1.0
     pair = rdms_from_amplitudes(amps, basis)
-    det = rdm.determinant_rdm((0, 1), 4)
+    det = oracles.determinant_rdm((0, 1), 4)
     assert np.abs(pair.rho1 - det.rho1).max() < 1e-12
     assert np.abs(pair.rho2 - det.rho2).max() < 1e-12
 
@@ -60,8 +60,7 @@ def test_rdms_traces_for_random_vector():
     amps = rng.normal(size=len(basis))
     amps /= np.linalg.norm(amps)
     pair = rdms_from_amplitudes(amps, basis)
-    assert pair.trace1() == pytest.approx(3.0, abs=1e-12)
-    assert pair.trace2() == pytest.approx(6.0, abs=1e-12)
+    assert oracles.traces(pair) == pytest.approx((3.0, 6.0), abs=1e-12)
     pair.validate(1e-10)
 
 

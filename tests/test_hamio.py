@@ -40,6 +40,17 @@ def test_malformed_header_names_line(tmp_path):
         hamio.load_fcidump(path)
 
 
+def test_open_shell_fcidump_is_rejected(tmp_path):
+    # the tables and the aufbau reference assume a closed shell, so a triplet
+    # would load as a singlet
+    text = (hamio.FIXTURE_DIR / "h2_0.70.fcidump").read_text()
+    assert "MS2=0" in text
+    path = tmp_path / "triplet.fcidump"
+    path.write_text(text.replace("MS2=0", "MS2=2", 1))
+    with pytest.raises(FcidumpError, match="MS2=2"):
+        hamio.load_fcidump(path)
+
+
 def test_index_out_of_range(tmp_path):
     path = tmp_path / "oob.fcidump"
     path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
@@ -106,7 +117,7 @@ def test_wick_consistency_random_determinants(tmp_path):
     for _ in range(5):
         occ = tuple(sorted(rng.choice(table.n_so, size=4, replace=False)))
         ref = ReferenceDeterminant(occ, table.n_so)
-        det = rdm.determinant_rdm(occ, table.n_so)
+        det = oracles.determinant_rdm(occ, table.n_so)
         e_rdm = hamio.energy_from_rdm(table, det)
         assert abs(e_rdm - hamio.normal_order(table, ref).e0) < 1e-12
 

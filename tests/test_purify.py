@@ -72,7 +72,7 @@ def assert_matches_mcweeney(pair, table):
 # ---------------------------------------------------------------------------
 
 def test_determinant_pair_matrix_is_projector():
-    det = rdm.determinant_rdm((0, 1), 4)
+    det = oracles.determinant_rdm((0, 1), 4)
     m = to_pair_basis(det)
     e01 = np.zeros(6)
     e01[0] = 1.0  # pair (0,1) is first in lexicographic order
@@ -297,8 +297,7 @@ def test_purified_invariants_and_idempotence():
         noisy = rdm.RdmPair(pair.rho1, from_pair_basis(to_pair_basis(pair) + noise, 4),
                             rdm.RdmMeta(provenance="exact", n_electrons=2))
         pure = purify_rdm(noisy)
-        assert pure.trace1() == pytest.approx(2.0, abs=1e-10)
-        assert pure.trace2() == pytest.approx(2.0, abs=1e-10)
+        assert oracles.traces(pure) == pytest.approx((2.0, 2.0), abs=1e-10)
         svals = np.linalg.svd(to_pair_basis(pure), compute_uv=False)
         assert svals[0] == pytest.approx(1.0, abs=1e-9)
         assert svals[1:].max() < 1e-9  # rank one
@@ -350,7 +349,7 @@ def test_pipeline_records_failed_purification(theta):
 
 
 def test_purify_refuses_wrong_sector():
-    det = rdm.determinant_rdm((0, 1, 2), 6)
+    det = oracles.determinant_rdm((0, 1, 2), 6)
     det.meta.provenance = "exact"
     with pytest.raises(ValidationError, match="N-representability"):
         purify_rdm(det)

@@ -110,11 +110,12 @@ def exact_ansatz_unitary(theta0, theta1, theta2):
 
 
 SECTOR = [0b0011, 0b1100, 0b0110, 0b1001]  # N=2, Sz=0 basis indices
+HF_INDEX = 0b0011  # qubits 0 and 1 occupied
 
 
 def test_ansatz_reference_state():
     psi = simulate(build_ansatz((0.0, 0.0, 0.0)))
-    assert abs(psi[qsim.HF_INDEX] - 1.0) < 1e-12
+    assert abs(psi[HF_INDEX] - 1.0) < 1e-12
 
 
 def test_ansatz_full_double_transfer():
@@ -153,7 +154,7 @@ def test_ansatz_sector_golden_values():
     amplitudes = simulate(build_ansatz((0.6, 0.4, -0.8)))
     golden = {}
     u = exact_ansatz_unitary(0.6, 0.4, -0.8)
-    psi = u[:, qsim.HF_INDEX]
+    psi = u[:, HF_INDEX]
     for idx in SECTOR:
         golden[idx] = psi[idx]
         assert abs(amplitudes[idx] - golden[idx]) < 1e-12
@@ -203,7 +204,7 @@ def test_full_depolarizing_two_qubit_gate():
 def test_density_matrix_channel_matches_trajectories():
     # two-sample chi-square between the exact channel and the per-shot
     # trajectory sampler it replaced, over all 16 outcomes
-    circuit = build_ansatz((0.7, -0.4, 0.3)).extended(basis_rotation("XYZX"))
+    circuit = Circuit(4, build_ansatz((0.7, -0.4, 0.3)).gates + basis_rotation("XYZX").gates)
     model = NoiseModel()
     shots = 200_000
     exact_counts = apply_noise(circuit, model, seed=1)(shots)
@@ -221,7 +222,7 @@ def test_depolarizing_closed_form_matches_pauli_sum():
     rho = a @ a.conj().T / np.trace(a @ a.conj().T)
     p = 0.3
     # every qubit and qubit pair a gate of the ansatz or a basis rotation uses
-    gates = build_ansatz((0.1, 0.2, 0.3)).extended(basis_rotation("XYXY")).gates
+    gates = build_ansatz((0.1, 0.2, 0.3)).gates + basis_rotation("XYXY").gates
     qubit_sets = sorted({g.qubits for g in gates})
     assert {len(q) for q in qubit_sets} == {1, 2}
     for qubits in qubit_sets:
@@ -280,7 +281,7 @@ def test_shared_prefix_matches_per_circuit_channel():
     tables = measure_pauli_sets(circuit, bases, 4096, model=model, seed=seed)
     assert tuple(t.basis for t in tables) == bases
     for gi, table in enumerate(tables):
-        rotated = circuit.extended(basis_rotation(table.basis))
+        rotated = Circuit(4, circuit.gates + basis_rotation(table.basis).gates)
         alone = apply_noise(rotated, model, qsim._group_seed(seed, gi))(4096)
         assert np.array_equal(table.counts, alone)
 
@@ -290,7 +291,7 @@ def test_shared_prefix_matches_per_circuit_channel():
        basis=st.text(alphabet="XYZ", min_size=4, max_size=4),
        p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
 def test_noisy_density_matrix_is_a_state(angles, basis, p1, p2):
-    circuit = build_ansatz(angles).extended(basis_rotation(basis))
+    circuit = Circuit(4, build_ansatz(angles).gates + basis_rotation(basis).gates)
     rho = noisy_density_matrix(circuit, NoiseModel(p1=p1, p2=p2))
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -302,7 +303,7 @@ def test_noisy_density_matrix_is_a_state(angles, basis, p1, p2):
        basis=st.text(alphabet="XYZ", min_size=4, max_size=4),
        p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
 def test_noisy_density_matrix_matches_kraus_sum(angles, basis, p1, p2):
-    circuit = build_ansatz(angles).extended(basis_rotation(basis))
+    circuit = Circuit(4, build_ansatz(angles).gates + basis_rotation(basis).gates)
     model = NoiseModel(p1=p1, p2=p2)
     rho = noisy_density_matrix(circuit, model)
     assert np.abs(rho - kraus_density_matrix(circuit, model)).max() < 1e-13
@@ -403,7 +404,7 @@ def test_mitigation_recovers_modeled_readout():
 
 def test_statevector_norm_preserved():
     # the amplitudes stay normalized after every gate
-    gates = build_ansatz((1.1, -0.7, 0.3)).extended(basis_rotation("XYZY")).gates
+    gates = build_ansatz((1.1, -0.7, 0.3)).gates + basis_rotation("XYZY").gates
     for k in range(1, len(gates) + 1):
         assert abs(np.linalg.norm(simulate(Circuit(4, gates[:k]))) - 1.0) < 1e-12
 

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import determinant_rdm
 from rdmpt2 import hamio, qsim, rdm, vqe
 from rdmpt2.hamio import ValidationError
 from rdmpt2.qsim import NoiseModel, ShotTable, build_ansatz, measure_pauli_sets, simulate
 from rdmpt2.rdm import (CoverageError, RdmMeta, RdmPair, bootstrap, build_schedule,
-                        determinant_rdm, rdm_from_shots, rdm_from_state, symmetrize)
+                        rdm_from_shots, rdm_from_state, symmetrize)
 
 from conftest import random_pure_2e_rdm, random_rdm_pair
 
@@ -32,8 +33,7 @@ def dense_rdm_oracle(psi):
 
 def test_determinant_rdm_traces():
     det = determinant_rdm((0, 1), 4)
-    assert det.trace1() == pytest.approx(2.0)
-    assert det.trace2() == pytest.approx(2.0)
+    assert oracles.traces(det) == pytest.approx((2.0, 2.0))
     assert np.allclose(det.rho1, np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
@@ -296,8 +296,7 @@ def test_raw_rdms_are_hermitian_and_antisymmetric(angles, seed):
                              schedule)
     for pair in (exact_raw, sampled):
         pair.validate(1e-12)
-        assert pair.trace1() == pytest.approx(2.0, abs=1e-12)
-        assert pair.trace2() == pytest.approx(2.0, abs=1e-12)
+        assert oracles.traces(pair) == pytest.approx((2.0, 2.0), abs=1e-12)
     model = NoiseModel()
     tables = measure_pauli_sets(circuit, schedule.bases, 256, model=model, seed=seed)
     rdm_from_shots(tables, schedule, model=model).validate(1e-12)

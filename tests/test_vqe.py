@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -53,6 +54,35 @@ def test_optimizer_respects_budget_and_orders_evals():
         optimize(sphere, (1.0, 1.0, 1.0), OptimizerSettings(maxfev=0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_optimizer_stops_at_a_non_finite_value(bad):
+    # np.argmin takes a NaN for the best point, so one NaN would hold the
+    # trust region at the start until the budget is spent
+    calls = []
+
+    def sphere(x):
+        calls.append(tuple(x))
+        return bad if len(calls) == 2 else float(np.sum(np.asarray(x) ** 2))
+
+    with pytest.raises(vqe.NonFiniteObjectiveError) as info:
+        optimize(sphere, (1.0, 1.0, 1.0), OptimizerSettings(maxfev=50))
+    assert len(calls) == 2
+    assert str(info.value) == f"objective returned {bad} at {tuple(map(float, calls[1]))}"
+
+
+def test_non_finite_energy_fails_the_point(monkeypatch, tmp_path):
+    real = vqe.PointPipeline._energies
+
+    def nan_pure(self, raw):
+        return {**real(self, raw), "e_pure": math.nan}
+
+    monkeypatch.setattr(vqe.PointPipeline, "_energies", nan_pure)
+    assert cli.main(["run", "--fixture", "h2", "--geometry", "0.7", "--shots", "0",
+                     "--noise", "none", "--out", str(tmp_path / "run")]) == 1
+    record, = vqe.read_archive(tmp_path / "run" / "records.json")
+    assert "objective returned nan" in record.error
+
+
 @pytest.mark.parametrize("field", ["rhobeg", "rhoend"])
 @pytest.mark.parametrize("radius", [0.0, -1e-3, math.nan, math.inf])
 def test_optimizer_rejects_invalid_radius(field, radius, tmp_path):
@@ -91,6 +121,25 @@ def test_scanspec_rejects_bad_seed_and_start(tmp_path, capsys):
         with pytest.raises(hamio.ValidationError, match="start"):
             ScanSpec(molecule="h2", geometries=[0.7], start=start)
     assert ScanSpec(molecule="h2", geometries=[0.7], start=[0, 0.5, -1]).start == (0, 0.5, -1)
+
+
+def test_settings_stay_as_checked():
+    # a field set after its check would be read unchecked (a model with
+    # p2 = 3.0 samples, a spec with rhobeg 0 runs one evaluation), so none
+    # can be set, and the geometries are a tuple that cannot grow
+    spec = ScanSpec(molecule="h2", geometries=[0.7], noise=qsim.NoiseModel())
+    for settings_, name, value in ((spec, "shots", 0), (spec, "geometries", [9.9]),
+                                   (spec.optimizer, "rhobeg", 0.0),
+                                   (spec.noise, "p1", -1.0), (spec.noise, "p2", 3.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(settings_, name, value)
+    assert (spec.shots, spec.geometries, spec.optimizer.rhobeg) == (8192, (0.7,), 0.5)
+    assert (spec.noise.p1, spec.noise.p2) == (0.001, 0.01)
+    # the model holds its own copy of a confusion array it was given
+    confusion = np.array([np.eye(2)] * 4)
+    model = qsim.NoiseModel(readout=confusion)
+    confusion[0] = [[0.5, 0.9], [0.1, 0.3]]
+    assert np.array_equal(model.readout, [np.eye(2)] * 4)
 
 
 BAD_SPECS = [
