@@ -207,6 +207,11 @@ def load_fcidump(path) -> IntegralTable:
     ms2 = field_int("MS2")
     if ms2 != 0:
         raise FcidumpError(f"MS2={ms2}: only closed-shell (MS2=0) systems are supported")
+    if n_sp < 1:
+        raise FcidumpError(f"NORB={n_sp}: at least one orbital is needed")
+    if not (0 <= n_elec <= 2 * n_sp and n_elec % 2 == 0):
+        raise FcidumpError(f"NELEC={n_elec}: a closed shell needs an even count "
+                           f"from 0 to 2*NORB = {2 * n_sp}")
 
     h_sp = np.zeros((n_sp, n_sp))
     chem = np.zeros((n_sp, n_sp, n_sp, n_sp))

@@ -132,10 +132,11 @@ class _Plan:
     they touch are read.  Without a partition C and V are empty and every
     orbital counts as active.
 
-    The numerators are built with the occupied axis O ordered C then Ao and
-    the virtual axis W as in the reference when Av and V each form one run
-    there (Av at the slice ``va``), else Av then V; ``to_ref`` restores the
-    reference's order when it differs.  A is ordered Ao then Av.
+    The numerators, the masks ``keeps`` and the second-order sum share the
+    plan's axes ``occ`` (O: C then Ao) and ``virt`` (W: as in the reference
+    when Av and V each form one run there, Av at the slice ``va``, else Av
+    then V); ``o_pos``/``w_pos`` gather the transformed energies onto them.
+    A is ordered Ao then Av.
 
     A block is kept in the layout its first use reads: as cut (a view where
     every index is one run) for products and matmuls, C-contiguous where
@@ -144,7 +145,7 @@ class _Plan:
 
     def __init__(self, table: IntegralTable, ref: ReferenceDeterminant,
                  space: ActiveSpaceSpec | None):
-        self.occ, self.virt = occ, virt = tuple(ref.occupied), tuple(ref.virtual)
+        occ, virt = tuple(ref.occupied), tuple(ref.virtual)
         core = fv = ()
         ao, av = occ, virt
         self.embedded = None
@@ -161,17 +162,14 @@ class _Plan:
             template[list(core), list(core)] = 1.0
             self.embedded = template, np.ix_(space.active, space.active)
         self.nc, self.nao, self.nav = nc, nao, nav = len(core), len(ao), len(av)
-        self.nv = len(virt)
-        virt_order = virt if virt == fv + av else av + fv
-        start = virt_order.index(av[0]) if av else 0
+        self.occ = core + ao
+        self.virt = virt if virt == fv + av else av + fv
+        start = self.virt.index(av[0]) if av else 0
         self.va = slice(start, start + nav)
-        self.perm = None
-        if core + ao != occ or virt_order != virt:
-            po = [(core + ao).index(p) for p in occ]
-            pv = [virt_order.index(p) for p in virt]
-            self.perm = np.ix_(po, pv), np.ix_(po, po, pv, pv)
+        self.o_pos = _index(map(occ.index, self.occ))
+        self.w_pos = _index(map(virt.index, self.virt))
         C, A, O, W, CA, AW = (_index(x) for x in (
-            core, ao + av, core + ao, virt_order, core + ao + av, ao + av + virt_order))
+            core, ao + av, self.occ, self.virt, core + ao + av, ao + av + self.virt))
         self.A, self.O, self.W = A, O, W
 
         h, g, every = table.h, table.g, slice(None)
@@ -214,7 +212,7 @@ class _Plan:
         if space is not None:
             act = np.zeros(len(occ) + len(virt), dtype=bool)
             act[list(space.active)] = True
-            act_o, act_v = act[list(occ)], act[list(virt)]
+            act_o, act_v = act[list(self.occ)], act[list(self.virt)]
             self.keeps = (~(act_o[:, None] & act_v),
                           ~((act_o[:, None] & act_o)[:, :, None, None]
                             & (act_v[:, None] & act_v)))
@@ -230,11 +228,6 @@ class _Plan:
                 "with an active-space partition, rho1 must have the embedded form: the "
                 "identity on the frozen-occupied orbitals, zero on the frozen-virtual ones "
                 "and no frozen-active coupling")
-
-    def to_ref(self, x):
-        if self.perm is None:
-            return x
-        return x[self.perm[0] if x.ndim == 2 else self.perm[1]]
 
 
 class _Split:
@@ -268,7 +261,15 @@ class _Split:
 
     @functools.cached_property
     def fbar(self):
-        """fbar in the numerators' order (see ``_fbar_matrix``)."""
+        """All Re <[a+_i a_a, H]> at once, shape (occ, virt) in the plan's order.
+
+        fbar_ia = sum_m (h_am rho_mi - h_im rho_ma)
+                  + 1/2 sum_mvw (g_amvw rho2_vwim - g_imvw rho2_vwam).
+        rho_mi is a delta for a core i and rho_ma vanishes unless a is active;
+        the core parts of rho2 reduce to mean fields (the core's, sum_c g_pcqc,
+        everywhere, and the active one for a core i), so g contracts rho2 over A
+        only.
+        """
         p = self.plan
         nc, nao = p.nc, p.nao
         out = self.one_body(p.hf_cuts)
@@ -287,21 +288,9 @@ class _Split:
 # Transformed matrix elements (numerators)
 # ---------------------------------------------------------------------------
 
-def _fbar_matrix(s: _Split) -> np.ndarray:
-    """All Re <[a+_i a_a, H]> at once, shape (occ, virt).
-
-    fbar_ia = sum_m (h_am rho_mi - h_im rho_ma)
-              + 1/2 sum_mvw (g_amvw rho2_vwim - g_imvw rho2_vwam).
-    rho_mi is a delta for a core i and rho_ma vanishes unless a is active;
-    the core parts of rho2 reduce to mean fields (the core's, sum_c g_pcqc,
-    everywhere, and the active one for a core i), so g contracts rho2 over A
-    only.
-    """
-    return s.plan.to_ref(s.fbar)
-
-
 def _gammabar_tensor(s: _Split) -> np.ndarray:
-    """All Re <[a+_i a+_j a_b a_a, H]> at once, shape (occ, occ, virt, virt).
+    """All Re <[a+_i a+_j a_b a_a, H]> at once, shape (occ, occ, virt, virt)
+    in the plan's order.
 
     gammabar = X - U - A_ij A_ab S (A_ij S = S - S with i, j swapped):
     X_ijab = 1/2 sum_mn rho2_ijmn g_mnab is g_ijab on core i, j;
@@ -331,11 +320,11 @@ def _gammabar_tensor(s: _Split) -> np.ndarray:
     gen[nc:, nc:] -= 0.5 * (r2[:nao, :nao, :, nao:].transpose(0, 1, 3, 2)
                             @ h_aw).transpose(0, 1, 3, 2)
     gen -= gen.transpose(1, 0, 2, 3)
-    out = om[..., -p.nv:]                                  # X
+    out = om[..., -len(p.virt):]                           # X
     out[:, :, va, va] -= u[:, :nc + nao]                   # U
     out[..., va] -= gen
     out[:, :, va] += gen.transpose(0, 1, 3, 2)
-    return p.to_ref(out)
+    return out
 
 
 def _pair_transform(s: _Split, g_aawx, g_ccwx, g_acwx) -> np.ndarray:
@@ -443,10 +432,11 @@ def _second_order_sum(eps_occ, eps_virt, fmat, gten, occ, virt, keeps=(None, Non
     ``keeps`` holds a mask per excitation rank (or None: every channel) of
     the channels summed; ``occ``/``virt`` name the spin orbitals along each
     axis.  A kept denominator below the floor raises
-    DegenerateDenominatorError naming the first such channel in (i, a),
-    then (i, j, a, b), order.  Zero numerators (spin-forbidden channels and
-    the i = j, a = b diagonals) are left out of the sum: ``math.fsum`` is
-    correctly rounded, so that does not change the result.
+    DegenerateDenominatorError naming the first such channel, singles before
+    doubles, first in the order of the axes it is given.  Zero numerators
+    (spin-forbidden channels and the i = j, a = b diagonals) are left out of
+    the sum: ``math.fsum`` is correctly rounded, so neither that nor the
+    order of the axes changes the result.
     """
     d1 = eps_occ[:, None] - eps_virt
     d2 = eps_occ[:, None, None, None] + eps_occ[:, None, None] - eps_virt[:, None] - eps_virt
@@ -490,7 +480,7 @@ def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
     eps_occ, eps_virt = transformed_energies(rdm, table, ref, space)  # checks the input
     split = _Split(rdm, table, ref, space)
     p = split.plan
-    return float(_second_order_sum(eps_occ, eps_virt, _fbar_matrix(split),
+    return float(_second_order_sum(eps_occ[p.o_pos], eps_virt[p.w_pos], split.fbar,
                                    _gammabar_tensor(split), p.occ, p.virt, p.keeps))
 
 

@@ -237,13 +237,15 @@ def build_ansatz(params) -> Circuit:
 # Noise model and sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Depolarizing-plus-readout noise description, checked on construction.
 
     ``readout[q]`` is the 2x2 confusion matrix with columns indexed by the
-    true bit: readout[q][m, t] = P(measured m | true t).  The array stays
-    writable; mitigation checks it again before inverting it.
+    true bit: readout[q][m, t] = P(measured m | true t).  It is read-only,
+    and so is ``readout_inverse``, the Kronecker product of the inverses
+    (qubit 0 least significant) that the singular check builds and
+    ``mitigate_readout`` applies.  Models compare and hash by identity.
     """
 
     p1: float = 0.001
@@ -269,16 +271,20 @@ class NoiseModel:
         if readout is None or readout.shape != (self.n_qubits, 2, 2):
             raise ValidationError("readout must be a flip probability or one 2x2 "
                                   f"matrix per qubit, got {self.readout!r}")
+        readout.flags.writeable = False
         object.__setattr__(self, "readout", readout)
-        if not np.allclose(self.readout.sum(axis=1), 1.0, atol=1e-10):
+        if not np.allclose(readout.sum(axis=1), 1.0, atol=1e-10):
             raise ValidationError("confusion matrix columns must sum to 1")
-        if ((self.readout < 0) | (self.readout > 1)).any():
+        if ((readout < 0) | (readout > 1)).any():
             raise ValidationError("confusion matrix entries must be in [0, 1]")
-        for q, confusion in enumerate(self.readout):  # mitigation inverts each
+        inverse = np.ones((1, 1))
+        for q, confusion in enumerate(readout):  # qubit 0 is the least significant bit
             try:
-                np.linalg.inv(confusion)
+                inverse = np.kron(np.linalg.inv(confusion), inverse)
             except np.linalg.LinAlgError as exc:
                 raise ValidationError(f"singular confusion matrix on qubit {q}") from exc
+        inverse.flags.writeable = False
+        object.__setattr__(self, "readout_inverse", inverse)  # outside fields()
 
     @classmethod
     def ideal(cls, n_qubits=ANSATZ_QUBITS):
@@ -441,22 +447,16 @@ def _group_seed(seed, group_index):
 def mitigate_readout(counts, model: NoiseModel):
     """Invert the per-qubit confusion matrices on a (..., 2^n) stack of counts.
 
-    One matmul with the Kronecker product of the inverses gives every row's
-    quasi-counts; negative ones are clipped to zero and each row is
-    renormalized to probabilities.  Returns those and, per row, the clipped
-    negative mass as a fraction of the row's total.
+    One matmul with ``model.readout_inverse``, the Kronecker product of the
+    inverses, gives every row's quasi-counts; negative ones are clipped to
+    zero and each row is renormalized to probabilities.  Returns those and,
+    per row, the clipped negative mass as a fraction of the row's total.
     """
     counts = np.asarray(counts, dtype=float)
     total = counts.sum(axis=-1)
     if (total <= 0).any():
         raise ValidationError("empty shot table")
-    inv = np.ones((1, 1))
-    for q in range(model.n_qubits):  # qubit 0 is the least significant bit
-        try:
-            inv = np.kron(np.linalg.inv(model.readout[q]), inv)
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError(f"singular confusion matrix on qubit {q}") from exc
-    quasi = counts @ inv.T
+    quasi = counts @ model.readout_inverse.T
     kept = np.clip(quasi, 0.0, None)
     norm = kept.sum(axis=-1, keepdims=True)
     if (norm <= 0).any():

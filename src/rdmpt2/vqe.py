@@ -83,22 +83,25 @@ def optimize(objective, start, settings: OptimizerSettings | None = None) -> Opt
     """
     settings = settings or OptimizerSettings()
     x0 = _clip(np.asarray(list(start), dtype=float))
-    evals = []
+    seen = {}  # point -> value, in evaluation order
 
-    def f(x):
-        if len(evals) == settings.maxfev:
-            raise _BudgetSpent
-        v = float(objective(tuple(x)))
-        if not math.isfinite(v):
-            raise NonFiniteObjectiveError(f"objective returned {v} at {tuple(x.tolist())}")
-        evals.append((x.copy(), v))
-        return v
+    def f(x):  # a clipped step can return to a point no longer held
+        key = tuple(x.tolist())
+        if key not in seen:
+            if len(seen) == settings.maxfev:
+                raise _BudgetSpent
+            v = float(objective(tuple(x)))
+            if not math.isfinite(v):
+                raise NonFiniteObjectiveError(f"objective returned {v} at {key}")
+            seen[key] = v
+        return seen[key]
 
     try:
         _trust_region(f, x0, settings)
         converged = True
     except _BudgetSpent:
         converged = False
+    evals = [(np.array(x), v) for x, v in seen.items()]
     best_x, _ = min(evals, key=lambda e: e[1])
     return OptimizeTrace(evals=evals, best_params=best_x, n_evals=len(evals),
                          converged=converged)
@@ -106,16 +109,10 @@ def optimize(objective, start, settings: OptimizerSettings | None = None) -> Opt
 
 def _trust_region(f, x0, settings):
     """Run the trust region of ``optimize`` until its radius drops below
-    ``rhoend``, calling ``f`` at most once per point."""
+    ``rhoend``; ``f`` returns a point evaluated before from its record."""
     n = x0.size
     rho = settings.rhobeg
-    points, values, seen = [], [], {}
-
-    def value(x):  # a clipped step can return to a point no longer held
-        key = tuple(x.tolist())
-        if key not in seen:
-            seen[key] = f(x)
-        return seen[key]
+    points, values = [], []
 
     def rebuild(center, center_value, radius):
         points[:], values[:] = [center], [center_value]
@@ -123,9 +120,9 @@ def _trust_region(f, x0, settings):
             step = np.zeros(n)
             step[k] = radius if center[k] + radius <= BOUNDS[1] else -radius
             points.append(_clip(center + step))
-            values.append(value(points[-1]))
+            values.append(f(points[-1]))
 
-    rebuild(x0, value(x0), rho)
+    rebuild(x0, f(x0), rho)
     while True:
         b = int(np.argmin(values))
         xb, fb = points[b], values[b]
@@ -144,7 +141,7 @@ def _trust_region(f, x0, settings):
             rebuild(xb, fb, rho)
             continue
         x_new = _clip(xb - rho * grad / gnorm)
-        f_new = value(x_new)
+        f_new = f(x_new)
         predicted = rho * gnorm
         if fb - f_new > 0.1 * predicted:
             w = int(np.argmax(values))

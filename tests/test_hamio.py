@@ -51,6 +51,22 @@ def test_open_shell_fcidump_is_rejected(tmp_path):
         hamio.load_fcidump(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("NELEC", 3),    # odd: its aufbau reference would be an Sz = 1/2 determinant
+    ("NELEC", -2),   # no electrons at all
+    ("NELEC", 5),    # more than 2*NORB = 4 spin orbitals hold
+    ("NORB", -1),
+    ("NORB", 0),
+])
+def test_inconsistent_header_counts_are_rejected(tmp_path, field, value):
+    text = (hamio.FIXTURE_DIR / "h2_0.70.fcidump").read_text()
+    assert "NORB=2" in text and "NELEC=2" in text
+    path = tmp_path / "bad_counts.fcidump"
+    path.write_text(text.replace(f"{field}=2", f"{field}={value}", 1))
+    with pytest.raises(FcidumpError, match=f"{field}={value}"):
+        hamio.load_fcidump(path)
+
+
 def test_index_out_of_range(tmp_path):
     path = tmp_path / "oob.fcidump"
     path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"

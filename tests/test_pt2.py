@@ -167,7 +167,7 @@ def test_scalar_and_batch_numerators_agree(lih):
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
     split = pt2._Split(emb, table, ref, space)
-    fmat = pt2._fbar_matrix(split)
+    fmat = split.fbar
     gten = pt2._gammabar_tensor(split)
     rng = np.random.default_rng(2)
     for _ in range(8):
@@ -189,7 +189,7 @@ def test_numerators_match_einsum_oracle_on_unphysical_rdm(fid):
     occ, virt = list(ref.occupied), list(ref.virtual)
     pair = random_rdm_pair(np.random.default_rng(4), table.n_so, table.n_electrons)
     split = pt2._Split(pair, table, ref)
-    for got, want in ((pt2._fbar_matrix(split), oracles.fbar_matrix(pair, table, occ, virt)),
+    for got, want in ((split.fbar, oracles.fbar_matrix(pair, table, occ, virt)),
                       (pt2._gammabar_tensor(split),
                        oracles.gammabar_tensor(pair, table, occ, virt))):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -287,7 +287,7 @@ def test_stationarity_at_fci(h2, h2_fci):
     _, amps, basis = h2_fci
     pair = oracles.rdms_from_amplitudes(amps, basis)
     split = pt2._Split(pair, table, ref)
-    assert np.abs(pt2._fbar_matrix(split)).max() < 1e-6
+    assert np.abs(split.fbar).max() < 1e-6
     assert np.abs(pt2._gammabar_tensor(split)).max() < 1e-6
     assert abs(rdm_pt2(pair, table, ref)) < 1e-8
 
@@ -498,7 +498,7 @@ def test_second_order_sum_without_zero_terms_is_bit_identical(pipelines):
         gten = pt2._gammabar_tensor(split)
         assert (gten == 0).any()
         want = fsum_of_every_term(*transformed_energies(rdm_, table, ref),
-                                  pt2._fbar_matrix(split), gten, ref.occupied, ref.virtual,
+                                  split.fbar, gten, ref.occupied, ref.virtual,
                                   space.active if space is not None else ())
         assert rdm_pt2(rdm_, table, ref, space) == want, mol
 
@@ -611,9 +611,37 @@ def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(fid, r
     pair = random_rdm_pair(np.random.default_rng(6), 4, 2)
     pair.meta.provenance = "exact"
     emb = embed_active_rdm(pair, space)
-    assert (pt2._Split(emb, table, ref, space).plan.perm is not None) == reorder
+    assert (pt2._Split(emb, table, ref, space).plan.occ != ref.occupied) == reorder
     assert rdm_pt2(emb, table, ref, space) == pytest.approx(
         oracles.rdm_pt2(emb, table, ref, space), rel=1e-12)
+
+
+@pytest.mark.parametrize("fid", ["lih_1.5949", "nah_1.8874"])
+def test_pt2_in_plan_order_equals_sum_in_reference_order(fid):
+    # the reordered partition (active spatials 0 and 2) puts the plan's
+    # occupied axis, core first, out of the reference's order; permuting its
+    # numerators and masks into the reference's order must not change a bit
+    table, _ = hamio.load_fixture(fid)
+    ref = ReferenceDeterminant.aufbau(table)
+    space = ActiveSpaceSpec.from_active_spatials(table.n_spatial, table.n_electrons, (0, 2))
+    for seed in range(3):
+        pair = random_rdm_pair(np.random.default_rng(seed), 4, 2)
+        pair.meta.provenance = "exact"
+        emb = embed_active_rdm(pair, space)
+        split = pt2._Split(emb, table, ref, space)
+        p = split.plan
+        assert p.occ != ref.occupied
+        po = [p.occ.index(i) for i in ref.occupied]
+        pv = [p.virt.index(a) for a in ref.virtual]
+        act = np.isin(np.r_[ref.occupied, ref.virtual], space.active)
+        act_o, act_v = act[:len(ref.occupied)], act[len(ref.occupied):]
+        keeps = (~(act_o[:, None] & act_v),
+                 ~((act_o[:, None] & act_o)[:, :, None, None] & (act_v[:, None] & act_v)))
+        want = pt2._second_order_sum(
+            *transformed_energies(emb, table, ref, space),
+            split.fbar[np.ix_(po, pv)], pt2._gammabar_tensor(split)[np.ix_(po, po, pv, pv)],
+            ref.occupied, ref.virtual, keeps)
+        assert rdm_pt2(emb, table, ref, space) == want, (fid, seed)
 
 
 def test_full_space_pt2_rejects_non_embedded_rho1(lih):

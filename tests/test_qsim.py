@@ -377,11 +377,25 @@ def test_mitigation_singular_confusion_raises():
         NoiseModel(readout=[np.eye(2), np.eye(2), half[0], np.eye(2)])
     with pytest.raises(ValidationError, match="singular"):
         NoiseModel.from_dict({"readout": 0.5})
-    # ... and mitigation keeps its own check for one changed afterwards
+    # ... and cannot be made singular afterwards: its arrays are read-only
     model = NoiseModel(p1=0, p2=0, readout=np.array([np.eye(2)]), n_qubits=1)
-    model.readout[0] = half[0]
-    with pytest.raises(ValidationError, match="singular"):
-        mitigate_readout(np.array([10, 0]), model)
+    for array in (model.readout, model.readout_inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = half[0][0]
+    assert np.array_equal(model.readout, [np.eye(2)])
+
+
+def test_mitigation_applies_kronecker_inverse_qubit_0_least_significant():
+    flips = [[[0.9, 0.2], [0.1, 0.8]], [[0.7, 0.05], [0.3, 0.95]]]
+    model = NoiseModel(p1=0, p2=0, readout=flips, n_qubits=2)
+    inverse = np.kron(np.linalg.inv(flips[1]), np.linalg.inv(flips[0]))
+    assert np.array_equal(model.readout_inverse, inverse)
+    counts = np.array([[40.0, 30.0, 20.0, 10.0], [5.0, 0.0, 0.0, 95.0]])
+    probs, _ = mitigate_readout(counts, model)
+    quasi = np.clip(counts @ inverse.T, 0.0, None)
+    assert np.array_equal(probs, quasi / quasi.sum(axis=-1, keepdims=True))
+    assert "readout_inverse" not in repr(model)
+    assert set(model.to_dict()) == {"p1", "p2", "n_qubits", "readout"}
 
 
 def test_mitigation_recovers_modeled_readout():

@@ -142,6 +142,19 @@ def test_settings_stay_as_checked():
     assert np.array_equal(model.readout, [np.eye(2)] * 4)
 
 
+def test_noise_models_compare_and_hash_by_identity():
+    # a model holds arrays, so it compares by identity, as IntegralTable does;
+    # elementwise array equality made == raise and left no hash
+    a, b = qsim.NoiseModel(), qsim.NoiseModel()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    spec = ScanSpec(molecule="h2", geometries=[0.7], noise=a)
+    same = ScanSpec(molecule="h2", geometries=[0.7], noise=a)
+    other = ScanSpec(molecule="h2", geometries=[0.7], noise=b)
+    assert spec == same and spec != other
+    assert {spec, same, other} == {spec, other}
+
+
 BAD_SPECS = [
     ({"optimizer": {"maxfev": 5.5}}, "maxfev"),
     ({"optimizer": {"maxfev": True}}, "maxfev"),
