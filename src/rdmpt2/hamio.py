@@ -4,6 +4,13 @@ Spin orbitals are indexed ``2 * spatial + spin`` with spin 0 = alpha,
 1 = beta.  Two-electron integrals are stored dense in the antisymmetrized
 physicists' convention g_pqrs = <pq||rs>; FCIDUMP files (chemists' (ij|kl)
 over spatial orbitals) are converted once at load time.
+
+An FCIDUMP body line is ``value i j k l`` with 1-based orbital indices in
+[0, NORB]: ``0 0 0 0`` is the core energy (the last one wins); ``i j 0 0``
+is a one-body integral; ``i 0 0 0`` (or ``0 j 0 0``) is an orbital-energy
+record, which is skipped; a two-body integral has all four indices >= 1.
+A later line for the same integral, up to its permutation symmetry, wins.
+Anything else raises an error that names the line.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +40,11 @@ def _is_finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def spatial_of(p: int) -> int:
-    return p >> 1
+def _reject_unknown(cfg, cls, what):
+    """Reject, by name, the keys of ``cfg`` that are no field of dataclass ``cls``."""
+    unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,23 +79,6 @@ class IntegralTable:
     @property
     def n_so(self) -> int:
         return 2 * self.n_spatial
-
-    def validate(self, tol=1e-10):
-        if not np.allclose(self.h, self.h.T, atol=tol):
-            raise ValidationError("h is not hermitian")
-        g = self.g
-        if not np.allclose(g, -g.transpose(1, 0, 2, 3), atol=tol):
-            raise ValidationError("g violates antisymmetry in the bra pair")
-        if not np.allclose(g, -g.transpose(0, 1, 3, 2), atol=tol):
-            raise ValidationError("g violates antisymmetry in the ket pair")
-        spin = np.arange(self.n_so) & 1
-        direct = (spin[:, None, None, None] == spin[None, None, :, None]) & (
-            spin[None, :, None, None] == spin[None, None, None, :])
-        exch = (spin[:, None, None, None] == spin[None, None, None, :]) & (
-            spin[None, :, None, None] == spin[None, None, :, None])
-        if np.any(np.abs(g[~(direct | exch)]) > tol):
-            raise ValidationError("g has spin-forbidden entries")
-        return self
 
 
 @dataclass(frozen=True)
@@ -161,16 +154,13 @@ def _spin_expand(h_sp, chem, n_sp):
     """Spatial chemists' integrals -> spin-orbital <pq||rs>."""
     n_so = 2 * n_sp
     h = np.zeros((n_so, n_so))
-    h[0::2, 0::2] = h_sp
-    h[1::2, 1::2] = h_sp
+    direct = np.zeros((n_so,) * 4)
     # <pq|rs> = (PR|QS) on matching spins; chem (ij|kl) = <ik|jl>
     phys_sp = chem.transpose(0, 2, 1, 3)
-    P = np.arange(n_so) >> 1
-    spin = np.arange(n_so) & 1
-    big = phys_sp[np.ix_(P, P, P, P)]
-    direct_mask = (spin[:, None, None, None] == spin[None, None, :, None]) & (
-        spin[None, :, None, None] == spin[None, None, None, :])
-    direct = big * direct_mask
+    for s in (0, 1):
+        h[s::2, s::2] = h_sp
+        for t in (0, 1):
+            direct[s::2, t::2, s::2, t::2] = phys_sp
     g = direct - direct.transpose(0, 1, 3, 2)
     return h, g
 
@@ -238,7 +228,7 @@ def load_fcidump(path) -> IntegralTable:
                 continue  # orbital-energy records from some writers
             h_sp[i - 1, j - 1] = h_sp[j - 1, i - 1] = val
         else:
-            if 0 in (i, j, k):
+            if 0 in (i, j, k, l):
                 raise ValidationError(f"line {ln + 1}: malformed index quartet")
             a, b, c, d = i - 1, j - 1, k - 1, l - 1
             for (p, q, r, s) in {(a, b, c, d), (b, a, c, d), (a, b, d, c),
@@ -277,7 +267,7 @@ def freeze_core(table: IntegralTable, spec: ActiveSpaceSpec) -> IntegralTable:
     spec.validate(table.n_so)
     core = list(spec.frozen_occupied)
     act = list(spec.active)
-    pairs = {spatial_of(p) for p in act}
+    pairs = {p >> 1 for p in act}
     if len(act) != 2 * len(pairs):
         raise ValidationError("active set must contain full alpha/beta pairs")
     e_core = table.e_nuclear + float(np.trace(table.h[np.ix_(core, core)]))

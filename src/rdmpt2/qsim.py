@@ -28,11 +28,11 @@ qubit; and ``n_qubits``, an integer >= 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamio import ValidationError, _is_count, _is_finite
+from .hamio import ValidationError, _is_count, _is_finite, _reject_unknown
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -294,9 +294,7 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, cfg):
         """The inverse of ``to_dict``; a missing field takes its default."""
-        unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValidationError(f"unknown noise-model keys: {', '.join(unknown)}")
+        _reject_unknown(cfg, cls, "noise-model")
         return cls(**cfg)
 
     def to_dict(self) -> dict:
@@ -367,8 +365,6 @@ def noisy_density_matrix(circuit: Circuit, model: NoiseModel | None) -> np.ndarr
 def _draw(rho, model: NoiseModel, shots: int, seed) -> np.ndarray:
     """One multinomial draw from the readout-confused Born distribution: the
     diagonal of ``rho`` passes each qubit's confusion matrix in turn."""
-    if shots <= 0:
-        raise ValidationError("shots must be positive")
     probs = rho.diagonal().real[None, :]
     for q, confusion in enumerate(model.readout):
         probs = _apply_gate_batch(probs, confusion, (q,), model.n_qubits)
@@ -451,6 +447,11 @@ def mitigate_readout(counts, model: NoiseModel):
     inverses, gives every row's quasi-counts; negative ones are clipped to
     zero and each row is renormalized to probabilities.  Returns those and,
     per row, the clipped negative mass as a fraction of the row's total.
+
+    No row can lose all its mass to clipping: the model makes each confusion
+    matrix column-stochastic, so the columns of the inverse sum to 1 as well,
+    a row's quasi-counts sum to its total, which is checked to be positive,
+    and at least one of them is positive and survives the clip.
     """
     counts = np.asarray(counts, dtype=float)
     total = counts.sum(axis=-1)
@@ -458,7 +459,4 @@ def mitigate_readout(counts, model: NoiseModel):
         raise ValidationError("empty shot table")
     quasi = counts @ model.readout_inverse.T
     kept = np.clip(quasi, 0.0, None)
-    norm = kept.sum(axis=-1, keepdims=True)
-    if (norm <= 0).any():
-        raise ValidationError("mitigation annihilated all counts")
-    return kept / norm, (kept - quasi).sum(axis=-1) / total
+    return kept / kept.sum(axis=-1, keepdims=True), (kept - quasi).sum(axis=-1) / total

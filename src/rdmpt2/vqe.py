@@ -8,13 +8,13 @@ import csv
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import exact, hamio, pt2, purify, qsim, rdm
-from .hamio import ValidationError, _is_count, _is_finite
+from .hamio import ValidationError, _is_count, _is_finite, _reject_unknown
 
 log = logging.getLogger(__name__)
 
@@ -196,13 +196,6 @@ class RunRecord:
                                         else math.sqrt(stats["std"] ** 2 + bs ** 2))
         return self
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, d) -> "RunRecord":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ScanSpec:
@@ -320,12 +313,6 @@ def _noise_model(noise) -> qsim.NoiseModel | None:
     return qsim.NoiseModel.from_dict(noise)
 
 
-def _reject_unknown(cfg, cls, what):
-    unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValidationError(f"unknown {what} keys: {', '.join(unknown)}")
-
-
 def resolve_fixture(molecule: str, geometry: float) -> str:
     manifest = hamio.load_manifest()
     for fid, entry in manifest["fixtures"].items():
@@ -352,13 +339,12 @@ class PointPipeline:
         n_elec = self.table_full.n_electrons
         self.space = hamio.ActiveSpaceSpec.from_active_spatials(
             n_sp, n_elec, self.entry["active_spatial_orbitals"])
-        self.table = (hamio.freeze_core(self.table_full, self.space)
-                      if self.space.frozen_occupied or self.space.frozen_virtual
+        self.has_frozen = bool(self.space.frozen_occupied or self.space.frozen_virtual)
+        self.table = (hamio.freeze_core(self.table_full, self.space) if self.has_frozen
                       else self.table_full)
         self.ref = hamio.ReferenceDeterminant.aufbau(self.table)
         self.ref_full = hamio.ReferenceDeterminant.aufbau(self.table_full)
         self.schedule = rdm.build_schedule(self.table.n_so)
-        self.has_frozen = bool(self.space.frozen_occupied or self.space.frozen_virtual)
 
     # -- references -----------------------------------------------------
     def references(self) -> dict:
@@ -536,7 +522,7 @@ def write_csv(records, out_dir):
 def write_outputs(records, out_dir):
     """Write ``scan.csv`` and the ``records.json`` archive; returns the CSV's path."""
     csv_path = write_csv(records, out_dir)
-    archive = {"records": [rec.to_json() for rec in records]}
+    archive = {"records": [asdict(rec) for rec in records]}
     (Path(out_dir) / "records.json").write_text(
         json.dumps(archive, indent=2, sort_keys=True) + "\n")
     return csv_path
@@ -548,7 +534,7 @@ def read_archive(path):
     ValidationError."""
     try:
         data = json.loads(Path(path).read_text())
-        records = [RunRecord.from_json(d) for d in data["records"]]
+        records = [RunRecord(**d) for d in data["records"]]
         for rec in records:
             record_row(rec)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:

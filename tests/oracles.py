@@ -56,6 +56,13 @@ held values: every rebuild evaluates its centre again, and a step that lands
 on a held point evaluates it again.  On a deterministic objective the
 package's ``optimize`` must evaluate the same points in the same order with
 those repeats removed.
+
+``validate_table`` and ``validate_pair`` check the symmetries an integral
+table and an RDM pair must carry (hermiticity, antisymmetry, spin-forbidden
+entries of g); no run calls them.  ``spin_expand`` is the spin-orbital
+expansion of FCIDUMP integrals as a gather of every spatial index quadruple
+times a spin mask, which ``hamio._spin_expand``'s strided blocks must
+reproduce.
 """
 
 import math
@@ -72,6 +79,59 @@ from rdmpt2.purify import PurificationError
 _PAULIS_1Q = [qsim._PAULI_MATS[c] for c in "XYZ"]
 _PAULIS_2Q = [np.kron(qsim._PAULI_MATS[a], qsim._PAULI_MATS[b])
               for a in "IXYZ" for b in "IXYZ"][1:]  # drop II
+
+
+def validate_table(table: IntegralTable, tol=1e-10):
+    """Raise ValidationError unless h is hermitian and g antisymmetric in its
+    bra and ket pairs with no spin-forbidden entries."""
+    if not np.allclose(table.h, table.h.T, atol=tol):
+        raise ValidationError("h is not hermitian")
+    g = table.g
+    if not np.allclose(g, -g.transpose(1, 0, 2, 3), atol=tol):
+        raise ValidationError("g violates antisymmetry in the bra pair")
+    if not np.allclose(g, -g.transpose(0, 1, 3, 2), atol=tol):
+        raise ValidationError("g violates antisymmetry in the ket pair")
+    spin = np.arange(table.n_so) & 1
+    direct = (spin[:, None, None, None] == spin[None, None, :, None]) & (
+        spin[None, :, None, None] == spin[None, None, None, :])
+    exch = (spin[:, None, None, None] == spin[None, None, None, :]) & (
+        spin[None, :, None, None] == spin[None, None, :, None])
+    if np.any(np.abs(g[~(direct | exch)]) > tol):
+        raise ValidationError("g has spin-forbidden entries")
+
+
+def validate_pair(pair, tol=1e-8):
+    """Raise ValidationError unless rho1 is hermitian and rho2 antisymmetric
+    in its bra and ket pairs and hermitian, each to the absolute ``tol``."""
+    if not np.allclose(pair.rho1, pair.rho1.T, rtol=0.0, atol=tol):
+        raise ValidationError("rho1 is not hermitian")
+    r2 = pair.rho2
+    if not np.allclose(r2, -r2.transpose(1, 0, 2, 3), rtol=0.0, atol=tol):
+        raise ValidationError("rho2 violates bra antisymmetry")
+    if not np.allclose(r2, -r2.transpose(0, 1, 3, 2), rtol=0.0, atol=tol):
+        raise ValidationError("rho2 violates ket antisymmetry")
+    if not np.allclose(r2, r2.transpose(2, 3, 0, 1), rtol=0.0, atol=tol):
+        raise ValidationError("rho2 is not hermitian")
+
+
+def spin_expand(h_sp, chem, n_sp):
+    """Spatial chemists' integrals -> spin-orbital (h, <pq||rs>): every
+    spatial quadruple gathered to n_so^4 entries, then masked to the spins
+    that pair up directly."""
+    n_so = 2 * n_sp
+    h = np.zeros((n_so, n_so))
+    h[0::2, 0::2] = h_sp
+    h[1::2, 1::2] = h_sp
+    # <pq|rs> = (PR|QS) on matching spins; chem (ij|kl) = <ik|jl>
+    phys_sp = chem.transpose(0, 2, 1, 3)
+    P = np.arange(n_so) >> 1
+    spin = np.arange(n_so) & 1
+    big = phys_sp[np.ix_(P, P, P, P)]
+    direct_mask = (spin[:, None, None, None] == spin[None, None, :, None]) & (
+        spin[None, :, None, None] == spin[None, None, None, :])
+    direct = big * direct_mask
+    g = direct - direct.transpose(0, 1, 3, 2)
+    return h, g
 
 
 def expand_matrix(matrix, qubits, n_qubits):

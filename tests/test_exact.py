@@ -61,7 +61,7 @@ def test_rdms_traces_for_random_vector():
     amps /= np.linalg.norm(amps)
     pair = rdms_from_amplitudes(amps, basis)
     assert oracles.traces(pair) == pytest.approx((3.0, 6.0), abs=1e-12)
-    pair.validate(1e-10)
+    oracles.validate_pair(pair, 1e-10)
 
 
 def test_variational_bound_of_ansatz_states(h2, h2_fci):

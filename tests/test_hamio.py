@@ -27,7 +27,7 @@ def test_fixture_hf_energy_matches_generator():
 
 def test_loaded_tables_validate():
     table, _ = hamio.load_fixture("lih_1.5949")
-    table.validate(1e-10)
+    oracles.validate_table(table, 1e-10)
 
 
 def test_malformed_header_names_line(tmp_path):
@@ -73,6 +73,42 @@ def test_index_out_of_range(tmp_path):
                     "0.5 3 1 0 0\n1.0 0 0 0 0\n")
     with pytest.raises(ValidationError, match="out of range"):
         hamio.load_fcidump(path)
+
+
+def test_two_body_line_with_zero_l_is_rejected(tmp_path):
+    # l - 1 = -1 would wrap to the last orbital
+    path = tmp_path / "zero_l.fcidump"
+    path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 1 1 1 0\n1.0 0 0 0 0\n")
+    with pytest.raises(ValidationError, match="line 3: malformed index quartet"):
+        hamio.load_fcidump(path)
+
+
+@pytest.mark.parametrize("n_sp", [1, 2, 3, 4])
+def test_spin_blocks_match_gather_and_mask_on_random_integrals(n_sp):
+    rng = np.random.default_rng(n_sp)
+    h_sp = rng.normal(size=(n_sp, n_sp))
+    chem = rng.normal(size=(n_sp,) * 4)  # no symmetry: both forms are gathers
+    h, g = hamio._spin_expand(h_sp, chem, n_sp)
+    h_o, g_o = oracles.spin_expand(h_sp, chem, n_sp)
+    assert np.array_equal(h, h_o) and np.array_equal(g, g_o)
+
+
+def test_spin_blocks_match_gather_and_mask_on_every_fixture(monkeypatch):
+    blocks = hamio._spin_expand
+    loaded = []
+
+    def both(h_sp, chem, n_sp):
+        h, g = blocks(h_sp, chem, n_sp)
+        h_o, g_o = oracles.spin_expand(h_sp, chem, n_sp)
+        assert np.array_equal(h, h_o) and np.array_equal(g, g_o)
+        loaded.append(n_sp)
+        return h, g
+
+    monkeypatch.setattr(hamio, "_spin_expand", both)
+    fixtures = hamio.load_manifest()["fixtures"]
+    for fid in fixtures:
+        hamio.load_fixture(fid)
+    assert len(loaded) == len(fixtures)
 
 
 def test_missing_core_entry(tmp_path):

@@ -566,7 +566,7 @@ def test_embed_energy_consistency(lih):
     e_emb = hamio.energy_from_rdm(table, emb)
     assert abs(e_emb - e_act) < 1e-10
     assert abs(e_act - e_active) < 1e-10
-    emb.validate(1e-10)
+    oracles.validate_pair(emb, 1e-10)
     assert oracles.traces(emb) == pytest.approx((4.0, 12.0), abs=1e-10)
 
 

@@ -332,6 +332,38 @@ def test_qwc_grouping():
     assert len(bases) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_qwc_groups_basis_carries_every_letter(data, n):
+    words = data.draw(st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n),
+                               min_size=1, max_size=20))
+    bases, assign = qwc_groups(words)
+    assert len(assign) == len(words)
+    for word, g in zip(words, assign):
+        assert all(c in ("I", bases[g][k]) for k, c in enumerate(word)), (word, bases[g])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_mitigation_keeps_row_totals_and_returns_distributions(data, n):
+    # flips below 1/2 keep every confusion matrix invertible
+    flip = st.floats(0.0, 0.45)
+    readout = [[[1 - a, b], [a, 1 - b]]
+               for a, b in data.draw(st.lists(st.tuples(flip, flip), min_size=n, max_size=n))]
+    model = NoiseModel(p1=0.0, p2=0.0, readout=readout, n_qubits=n)
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1000), min_size=1 << n,
+                                       max_size=1 << n).filter(any),
+                              min_size=1, max_size=4))
+    counts = np.array(rows, dtype=float)
+    total = counts.sum(axis=-1)
+    quasi = counts @ model.readout_inverse.T
+    assert np.allclose(quasi.sum(axis=-1), total, rtol=1e-9, atol=0.0)
+    probs, clipped = mitigate_readout(counts, model)
+    assert (probs >= 0).all()
+    assert np.allclose(probs.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    assert (clipped >= 0).all()
+
+
 def test_measure_pauli_sets_validates_shots():
     with pytest.raises(ValidationError):
         measure_pauli_sets(Circuit(2), ["ZZ"], 0)

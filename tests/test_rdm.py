@@ -48,7 +48,7 @@ def test_assembled_rdm_matches_dense_oracle():
         rho1_o, rho2_o = dense_rdm_oracle(psi)
         assert np.abs(pair.rho1 - rho1_o).max() < 1e-12
         assert np.abs(pair.rho2 - rho2_o).max() < 1e-12
-        pair.validate(1e-10)
+        oracles.validate_pair(pair, 1e-10)
 
 
 def test_pauli_coefficients_rebuild_every_measured_element():
@@ -295,19 +295,19 @@ def test_raw_rdms_are_hermitian_and_antisymmetric(angles, seed):
     sampled = rdm_from_shots(measure_pauli_sets(circuit, schedule.bases, 256, seed=seed),
                              schedule)
     for pair in (exact_raw, sampled):
-        pair.validate(1e-12)
+        oracles.validate_pair(pair, 1e-12)
         assert oracles.traces(pair) == pytest.approx((2.0, 2.0), abs=1e-12)
     model = NoiseModel()
     tables = measure_pauli_sets(circuit, schedule.bases, 256, model=model, seed=seed)
-    rdm_from_shots(tables, schedule, model=model).validate(1e-12)
+    oracles.validate_pair(rdm_from_shots(tables, schedule, model=model), 1e-12)
 
 
 def test_validate_tolerance_is_absolute():
     pair = random_pure_2e_rdm(np.random.default_rng(3))
     pair.rho1[0, 1] += 1e-9
-    pair.validate(1e-8)
+    oracles.validate_pair(pair, 1e-8)
     with pytest.raises(ValidationError, match="rho1 is not hermitian"):
-        pair.validate(1e-10)
+        oracles.validate_pair(pair, 1e-10)
 
 
 def test_coverage_error_names_missing_group_and_wrong_basis():
