@@ -7,8 +7,8 @@ over spatial orbitals) are converted once at load time.
 
 An FCIDUMP body line is ``value i j k l`` with 1-based orbital indices in
 [0, NORB]: ``0 0 0 0`` is the core energy (the last one wins); ``i j 0 0``
-is a one-body integral; ``i 0 0 0`` (or ``0 j 0 0``) is an orbital-energy
-record, which is skipped; a two-body integral has all four indices >= 1.
+is a one-body integral; ``i 0 0 0`` is an orbital-energy record, which is
+skipped; a two-body integral has all four indices >= 1.
 A later line for the same integral, up to its permutation symmetry, wins.
 Anything else raises an error that names the line.
 """
@@ -38,6 +38,12 @@ def _is_count(x, least=1) -> bool:
 
 def _is_finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _read_only(array):
+    """``array`` marked read-only, for an array that callers share."""
+    array.flags.writeable = False
+    return array
 
 
 def _reject_unknown(cfg, cls, what):
@@ -224,7 +230,10 @@ def load_fcidump(path) -> IntegralTable:
         if i == j == k == l == 0:
             e_nuc = val
         elif k == 0 and l == 0:
-            if i == 0 or j == 0:
+            if i == 0:
+                raise ValidationError(f"line {ln + 1}: malformed index quartet {line!r}; "
+                                      "an orbital-energy record is written 'i 0 0 0'")
+            if j == 0:
                 continue  # orbital-energy records from some writers
             h_sp[i - 1, j - 1] = h_sp[j - 1, i - 1] = val
         else:
@@ -280,14 +289,26 @@ def freeze_core(table: IntegralTable, spec: ActiveSpaceSpec) -> IntegralTable:
                          e_nuclear=e_core, h=h_act, g=g_act)
 
 
-def energy_from_rdm(table: IntegralTable, rdm) -> float:
-    """E = e_nuclear + sum h_pq rho_pq + 1/4 sum g_pqrs rho_pqrs."""
+def energy_from_rdm(table: IntegralTable, rdm):
+    """E = e_nuclear + sum h_pq rho_pq + 1/4 sum g_pqrs rho_pqrs.
+
+    A float for one pair; for a stack (rho1 and rho2 with one leading
+    resample axis) an array of one energy per resample, each summed as one
+    pair's is: ``np.sum`` per resample, since one reduction over the stack's
+    trailing axes can add in another order."""
     rho1 = np.asarray(rdm.rho1)
     rho2 = np.asarray(rdm.rho2)
     n = table.n_so
-    if rho1.shape != (n, n) or rho2.shape != (n, n, n, n):
+    if (rho1.shape[-2:] != (n, n) or rho2.shape[-4:] != (n, n, n, n)
+            or rho1.shape[:-2] != rho2.shape[:-4] or rho1.ndim > 3):
         raise ValidationError(
             f"RDM dimensions {rho1.shape}/{rho2.shape} do not match table ({n} spin orbitals)")
+    if rho1.ndim == 3:
+        return np.array([_energy(table, r1, r2) for r1, r2 in zip(rho1, rho2)])
+    return _energy(table, rho1, rho2)
+
+
+def _energy(table: IntegralTable, rho1, rho2) -> float:
     return (table.e_nuclear + float(np.sum(table.h * rho1))
             + 0.25 * float(np.sum(table.g * rho2)))
 

@@ -24,7 +24,16 @@ reconstructed 3-RDM, written in rho1 and lambda, splits the same way.  The
 transformed energies dress only the active levels, so nothing reads rho2
 outside A^4, nor rho1 outside A but for the O(n^2) embedded-form check.
 Without a partition the core is empty and every orbital counts as active, so
-the same code reads any RDM in full.
+the same code reads any RDM in full.  With a partition the RDM may also be
+the active pair itself, rho over ``space.active``, which is all the
+embedded one is read for; the embedding adds the core's electrons.
+
+Every RDM block carries a leading resample axis (of length 1 for one pair),
+so a stack of pairs (a bootstrap block) runs through the same contractions:
+``_dot`` is a broadcasting matmul, and each resample's product is the one
+matmul of its pair alone.  The second-order sum stays per resample; a
+degenerate denominator is NaN for that resample of a stack, and raises for
+one pair.
 
 What depends only on the integral table, the reference and the partition is
 computed once, on the first call, and kept while the table lives (the plans
@@ -90,16 +99,22 @@ def _block(x, *idx):
 
 
 def _dot(a, b, k=1) -> np.ndarray:
-    """``np.tensordot(a, b, k)`` as one matmul: the last k axes of ``a``
-    against the first k of ``b`` (tensordot's axis handling costs more than
-    the product itself on blocks this small)."""
-    m, n, kk = a.shape[:a.ndim - k], b.shape[k:], math.prod(b.shape[:k])
-    return (a.reshape(math.prod(m), kk) @ b.reshape(kk, math.prod(n))).reshape(m + n)
+    """``np.tensordot(a, b, k)`` per resample as one broadcasting matmul.
+
+    ``a`` and ``b`` each lead with a resample axis (length 1 for a plan
+    block, which broadcasts); the last k axes of ``a`` contract with the k
+    after ``b``'s first.  Each resample's product is the one matmul of a
+    single pair (tensordot's axis handling costs more than the product
+    itself on blocks this small)."""
+    kk = math.prod(b.shape[1:1 + k])
+    out = a.reshape(a.shape[0], -1, kk) @ b.reshape(b.shape[0], kk, -1)
+    return out.reshape(out.shape[:1] + a.shape[1:-k] + b.shape[1 + k:])
 
 
 def _wedge(a, b) -> np.ndarray:
-    """(a ^ b)_pqrs = a_pr b_qs - a_ps b_qr."""
-    return a[:, None, :, None] * b[None, :, None, :] - a[:, None, None, :] * b[None, :, :, None]
+    """(a ^ b)_pqrs = a_pr b_qs - a_ps b_qr, per resample."""
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]
+            - a[:, :, None, None, :] * b[:, None, :, :, None])
 
 
 # Plans, weakly keyed by the table: each is built on first use and dropped
@@ -161,6 +176,8 @@ class _Plan:
             template = np.zeros((table.n_so,) * 2)
             template[list(core), list(core)] = 1.0
             self.embedded = template, np.ix_(space.active, space.active)
+            self.n_active = len(space.active)
+            self.A_pos = _index(map(space.active.index, ao + av))  # A within the active pair
         self.nc, self.nao, self.nav = nc, nao, nav = len(core), len(ao), len(av)
         self.occ = core + ao
         self.virt = virt if virt == fv + av else av + fv
@@ -218,45 +235,72 @@ class _Plan:
                             & (act_v[:, None] & act_v)))
 
     def check_embedded(self, rho1):
-        """The O(n^2) check that rho1 has ``embed_active_rdm``'s form."""
+        """The O(n^2) check that rho1 (one, or each of a stack) has
+        ``embed_active_rdm``'s form."""
         template, act = self.embedded
-        embedded = template.copy()
-        if rho1.shape == embedded.shape:
-            embedded[act] = rho1[act]
-        if not np.array_equal(rho1, embedded):
+        same = rho1.shape[-2:] == template.shape
+        if same:
+            embedded = np.empty(rho1.shape)
+            embedded[...] = template
+            embedded[(...,) + act] = rho1[(...,) + act]
+            same = np.array_equal(rho1, embedded)
+        if not same:
             raise ValidationError(
                 "with an active-space partition, rho1 must have the embedded form: the "
                 "identity on the frozen-occupied orbitals, zero on the frozen-virtual ones "
                 "and no frozen-active coupling")
 
 
+def _cut(rdm: RdmPair, p: _Plan, check=False):
+    """A stack of the RDM's active blocks: (r, r2, n_electrons, stacked), r =
+    rho1 on A and r2 = rho2 on A^4 with one leading resample axis (of length
+    1 for a single pair).  With a partition ``rdm`` is the embedded pair, or
+    the active pair (rho over ``space.active``, ``embed_active_rdm``'s
+    input), whose electron count lacks the core's.  ``check`` checks an
+    embedded rho1's form: ``transformed_energies`` asks for it, and
+    ``rdm_pt2`` calls that first."""
+    stacked = rdm.rho1.ndim == 3
+    rho1, rho2 = (rdm.rho1, rdm.rho2) if stacked else (rdm.rho1[None], rdm.rho2[None])
+    A, n_electrons = p.A, rdm.meta.n_electrons
+    if p.embedded is not None:
+        if rho1.shape[-1] == p.n_active:
+            A, n_electrons = p.A_pos, n_electrons + p.nc
+        elif check:
+            p.check_embedded(rho1)
+    every = slice(None)
+    return _block(rho1, every, A, A), _block(rho2, every, A, A, A, A), n_electrons, stacked
+
+
 class _Split:
-    """One RDM's active blocks, read against the plan of (table, ref,
-    space): r = rho1 on A, rho2 on A^4 and the blocks ro, rv, t of r.
-    Cutting checks nothing: ``transformed_energies``, which ``rdm_pt2``
-    calls first, checks rho1's embedded form."""
+    """One stack of RDMs' active blocks, read against the plan of (table,
+    ref, space): r = rho1 on A, rho2 on A^4 and the blocks ro, rv, t of r,
+    each with a leading resample axis (``_cut``)."""
 
     def __init__(self, rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
                  space: ActiveSpaceSpec | None = None):
         self.plan = plan = _plan(table, ref, space)
-        self.n_electrons = rdm.meta.n_electrons
-        A, nao = plan.A, plan.nao
-        self.r = r = _block(rdm.rho1, A, A)
-        self.r2 = _block(rdm.rho2, A, A, A, A)
-        self.ro, self.rv, self.t = r[:, :nao], r[:, nao:], r[:nao, nao:]
+        self.r, self.r2, self.n_electrons, self.stacked = _cut(rdm, plan)
+        nao, r = plan.nao, self.r
+        self.ro, self.rv, self.t = r[:, :, :nao], r[:, :, nao:], r[:, :nao, nao:]
 
     def occ_side(self, x_core, x_act):
-        """sum_m rho_mi x_m... along a leading axis split over C and A, for i
-        in C + Ao: a slice for core i, a contraction with r for active i."""
-        act = _dot(self.ro.T, x_act)
-        return np.concatenate([x_core, act]) if self.plan.nc else act
+        """sum_m rho_mi x_m... along the axis after the resample axis, split
+        over C and A, for i in C + Ao: a slice for core i, a contraction with
+        r for active i.  Both parts lead with a resample axis."""
+        act = _dot(self.ro.transpose(0, 2, 1), x_act)
+        nc = self.plan.nc
+        if not nc:
+            return act
+        out = np.empty((len(act), nc + act.shape[1]) + act.shape[2:])
+        out[:, :nc], out[:, nc:] = x_core, act
+        return out
 
     def one_body(self, cuts):
         """sum_m (f_am rho_mi - f_im rho_ma), shape (occ, virt), from the
         blocks (f_CW, f_AW, f_OA); rho_ma vanishes unless a is active."""
         f_cw, f_aw, f_oa = cuts
-        out = self.occ_side(f_cw, f_aw)
-        out[:, self.plan.va] -= f_oa @ self.rv
+        out = self.occ_side(f_cw[None], f_aw[None])
+        out[:, :, self.plan.va] -= f_oa @ self.rv
         return out
 
     @functools.cached_property
@@ -276,11 +320,11 @@ class _Split:
         # 1/2 sum_mvw (g_amvw rho2_vwim - g_imvw rho2_vwam) over A is
         # 1/2 (y_ia - y_ai), y_pq = sum_wmn g_pwmn rho2_mnwq, by the
         # symmetries of g and rho2
-        y = _dot(p.g_xaaa, self.r2.transpose(2, 0, 1, 3), 3)
-        out[nc:] -= 0.5 * y[p.W][:, :nao].T
-        out[:, p.va] += 0.5 * y[p.O][:, nao:]
+        y = _dot(p.g_xaaa[None], self.r2.transpose(0, 3, 1, 2, 4), 3)
+        out[:, nc:] -= 0.5 * y[:, p.W][:, :, :nao].transpose(0, 2, 1)
+        out[:, :, p.va] += 0.5 * y[:, p.O][:, :, nao:]
         if nc:  # the active mean field on a core i
-            out[:nc] += _dot(p.g_cwaa, self.r.T, 2)
+            out[:, :nc] += _dot(p.g_cwaa[None], self.r.transpose(0, 2, 1), 2)
         return out
 
 
@@ -290,7 +334,7 @@ class _Split:
 
 def _gammabar_tensor(s: _Split) -> np.ndarray:
     """All Re <[a+_i a+_j a_b a_a, H]> at once, shape (occ, occ, virt, virt)
-    in the plan's order.
+    in the plan's order, after the resample axis.
 
     gammabar = X - U - A_ij A_ab S (A_ij S = S - S with i, j swapped):
     X_ijab = 1/2 sum_mn rho2_ijmn g_mnab is g_ijab on core i, j;
@@ -309,21 +353,21 @@ def _gammabar_tensor(s: _Split) -> np.ndarray:
     three_body = s.n_electrons > 2
     g_aawx, g_ccwx, g_acwx, g_ojaa = p.pair[three_body]
     om = _pair_transform(s, g_aawx, g_ccwx, g_acwx)
-    u = 0.5 * _dot(g_ojaa, r2[:, :, nao:, nao:], 2)
+    u = 0.5 * _dot(g_ojaa[None], r2[:, :, :, nao:, nao:], 2)
     if three_body:
         gen = _gamma_3rdm_terms(s, om, u)
     else:
-        gen = np.zeros(om.shape[:3] + (nav,))
-    gen[:, nc:, va] += 0.5 * _dot(h_oa, r2[:, :nao, nao:, nao:])
+        gen = np.zeros(om.shape[:4] + (nav,))
+    gen[:, :, nc:, va] += 0.5 * _dot(h_oa[None], r2[:, :, :nao, nao:, nao:])
     if nc:
-        gen[:nc, nc:] -= h_cw[:, None, :, None] * s.t[:, None, :]
-    gen[nc:, nc:] -= 0.5 * (r2[:nao, :nao, :, nao:].transpose(0, 1, 3, 2)
-                            @ h_aw).transpose(0, 1, 3, 2)
-    gen -= gen.transpose(1, 0, 2, 3)
+        gen[:, :nc, nc:] -= h_cw[:, None, :, None] * s.t[:, None, :, None, :]
+    gen[:, nc:, nc:] -= 0.5 * (r2[:, :nao, :nao, :, nao:].transpose(0, 1, 2, 4, 3)
+                               @ h_aw).transpose(0, 1, 2, 4, 3)
+    gen -= gen.transpose(0, 2, 1, 3, 4)
     out = om[..., -len(p.virt):]                           # X
-    out[:, :, va, va] -= u[:, :nc + nao]                   # U
+    out[:, :, :, va, va] -= u[:, :, :nc + nao]             # U
     out[..., va] -= gen
-    out[:, :, va] += gen.transpose(0, 1, 3, 2)
+    out[:, :, :, va] += gen.transpose(0, 1, 2, 4, 3)
     return out
 
 
@@ -335,15 +379,15 @@ def _pair_transform(s: _Split, g_aawx, g_ccwx, g_acwx) -> np.ndarray:
     sum_n g_inwx rho_nj; only active i, j contract rho2, over A x A.
     """
     nc, nao = s.plan.nc, s.plan.nao
-    aa = 0.5 * _dot(s.r2[:nao, :nao], g_aawx, 2)
+    aa = 0.5 * _dot(s.r2[:, :nao, :nao], g_aawx[None], 2)
     if not nc:
         return aa
-    out = np.empty((nc + nao, nc + nao) + aa.shape[2:])
-    out[:nc, :nc] = g_ccwx
-    ca = _dot(s.ro.T, g_acwx).transpose(1, 0, 2, 3)
-    out[:nc, nc:] = ca
-    out[nc:, :nc] = -ca.transpose(1, 0, 2, 3)
-    out[nc:, nc:] = aa
+    out = np.empty((len(aa), nc + nao, nc + nao) + aa.shape[3:])
+    out[:, :nc, :nc] = g_ccwx
+    ca = _dot(s.ro.transpose(0, 2, 1), g_acwx[None]).transpose(0, 2, 1, 3, 4)
+    out[:, :nc, nc:] = ca
+    out[:, nc:, :nc] = -ca.transpose(0, 2, 1, 3, 4)
+    out[:, nc:, nc:] = aa
     return out
 
 
@@ -362,28 +406,30 @@ def _gamma_3rdm_terms(s: _Split, om, u) -> np.ndarray:
     what remains contracts lambda with g over active indices only.
     """
     p, r = s.plan, s.r
-    nc, nao, va = p.nc, p.nao, p.va
+    nc, nao, va, every = p.nc, p.nao, p.va, slice(None)
     lam = s.r2 - _wedge(r, r)
-    gf = p.gf_core + _dot(p.g_xxaa, r.T, 2)
+    gf = p.gf_core + _dot(p.g_xxaa[None], r.transpose(0, 2, 1), 2)
     # 1/2 sum_mn rho2_ijmn K_mnab, K_mnab = sum_w g_mnaw rho_wb
-    gen = 0.5 * (om[..., :len(r)] @ s.rv)
+    gen = 0.5 * (om[..., :r.shape[-1]] @ s.rv[:, None, None])
     # -1/4 sum_mn G_ijmn rho2_mnab, G_ijmn = sum_v g_ivmn rho_jv
-    u = u.transpose(1, 0, 2, 3)
-    gen[:, :, va] -= 0.5 * s.occ_side(u[:nc], u[nc:]).transpose(1, 0, 2, 3)
+    u = u.transpose(0, 2, 1, 3, 4)
+    gen[:, :, :, va] -= 0.5 * s.occ_side(u[:, :nc], u[:, nc:]).transpose(0, 2, 1, 3, 4)
     # mean-field terms: -(fbar less its h terms)_ia rho_jb
     # + 1/2 sum_m (F_im lambda_mjab - F_am lambda_ijmb)
     phi = s.one_body(p.h_cuts) - s.fbar
-    gen[:, nc:] += phi[:, None, :, None] * s.t[:, None, :]
-    gen[:, nc:, va] += 0.5 * _dot(_block(gf, p.O, p.A), lam[:, :nao, nao:, nao:])
-    gen[nc:, nc:] -= 0.5 * (lam[:nao, :nao, :, nao:].transpose(0, 1, 3, 2)
-                            @ _block(gf, p.A, p.W)).transpose(0, 1, 3, 2)
+    gen[:, :, nc:] += phi[:, :, None, :, None] * s.t[:, None, :, None, :]
+    gen[:, :, nc:, va] += 0.5 * _dot(_block(gf, every, p.O, p.A), lam[:, :, :nao, nao:, nao:])
+    gen[:, nc:, nc:] -= 0.5 * (lam[:, :nao, :nao, :, nao:].transpose(0, 1, 2, 4, 3)
+                               @ _block(gf, every, p.A, p.W)[:, None, None]
+                               ).transpose(0, 1, 2, 4, 3)
     # T5_ijab = sum_wn (sum_m g_iwmn rho_ma) lambda_jnwb
-    hh = p.g_oaaa @ s.rv                                       # (i, w, n, a)
-    gen[:, nc:, va] -= _dot(hh.transpose(0, 3, 1, 2), lam[:nao, :, :, nao:].transpose(2, 1, 0, 3),
-                            2).transpose(0, 2, 1, 3)
+    hh = p.g_oaaa @ s.rv[:, None, None]                        # (i, w, n, a)
+    gen[:, :, nc:, va] -= _dot(hh.transpose(0, 1, 4, 2, 3),
+                               lam[:, :nao, :, :, nao:].transpose(0, 3, 2, 1, 4),
+                               2).transpose(0, 1, 3, 2, 4)
     # b4_ijab = -sum_nmw rho_ni g_mnaw lambda_wjbm
-    v = _dot(p.g_kwaa, lam[:, :nao, nao:].transpose(3, 0, 1, 2), 2)
-    gen[:, nc:] -= s.occ_side(v[:nc], v[nc:]).transpose(0, 2, 1, 3)
+    v = _dot(p.g_kwaa[None], lam[:, :, :nao, nao:].transpose(0, 4, 1, 2, 3), 2)
+    gen[:, :, nc:] -= s.occ_side(v[:, :nc], v[:, nc:]).transpose(0, 1, 3, 2, 4)
     return gen
 
 
@@ -399,27 +445,27 @@ def transformed_energies(rdm: RdmPair, table: IntegralTable,
     the denominators (this is what keeps stretched-bond corrections from
     overbinding); on a determinant RDM both formulas collapse to the bare
     Fock diagonal.  Returns (eps_occ, eps_virt), arrays ordered like
-    ``ref.occupied`` and ``ref.virtual``.
+    ``ref.occupied`` and ``ref.virtual``, with a leading resample axis for a
+    stack of pairs.
 
-    With ``space`` (``rdm_pt2``'s partition) rho1 must have the embedded
-    form (checked; ValidationError otherwise), whose occupied-virtual blocks
-    vanish outside the active set: only the active levels are dressed, from
-    rho1 on Ao x Av and rho2 on Ao^2 x Av^2.  Without it the RDM is read in full.
+    With ``space`` (``rdm_pt2``'s partition) the RDM is the active pair, or
+    the embedded one, whose rho1 must have the embedded form (checked;
+    ValidationError otherwise): its occupied-virtual blocks vanish outside
+    the active set, so only the active levels are dressed, from rho1 on
+    Ao x Av and rho2 on Ao^2 x Av^2.  Without it the RDM is read in full.
     """
     _check_pt2_input(rdm)
     p = _plan(table, ref, space)
-    if p.embedded is not None:
-        p.check_embedded(rdm.rho1)
-    r, r2 = _block(rdm.rho1, p.A, p.A), _block(rdm.rho2, p.A, p.A, p.A, p.A)
+    r, r2, _, stacked = _cut(rdm, p, check=True)
     o, v = slice(p.nao), slice(p.nao, None)  # Ao and Av within A
-    eps_occ, eps_virt = p.bare_occ.copy(), p.bare_virt.copy()
-    eps_occ[p.ao_pos] = (
-        p.bare_occ[p.ao_pos] + (p.h_ov * r[v, o].T).sum(axis=1)
-        + 0.5 * (p.g_oovv * r2[v, v, o, o].transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
-    eps_virt[p.av_pos] = (
-        p.bare_virt[p.av_pos] - (p.h_vo * r[o, v].T).sum(axis=1)
-        - 0.5 * (p.g_vvoo * r2[o, o, v, v].transpose(2, 3, 0, 1)).sum(axis=(1, 2, 3)))
-    return eps_occ, eps_virt
+    eps_occ, eps_virt = p.bare_occ[None].repeat(len(r), 0), p.bare_virt[None].repeat(len(r), 0)
+    eps_occ[:, p.ao_pos] = (
+        p.bare_occ[p.ao_pos] + (p.h_ov * r[:, v, o].transpose(0, 2, 1)).sum(axis=2)
+        + 0.5 * (p.g_oovv * r2[:, v, v, o, o].transpose(0, 3, 4, 1, 2)).sum(axis=(2, 3, 4)))
+    eps_virt[:, p.av_pos] = (
+        p.bare_virt[p.av_pos] - (p.h_vo * r[:, o, v].transpose(0, 2, 1)).sum(axis=2)
+        - 0.5 * (p.g_vvoo * r2[:, o, o, v, v].transpose(0, 3, 4, 1, 2)).sum(axis=(2, 3, 4)))
+    return (eps_occ, eps_virt) if stacked else (eps_occ[0], eps_virt[0])
 
 
 # ---------------------------------------------------------------------------
@@ -457,31 +503,44 @@ def _second_order_sum(eps_occ, eps_virt, fmat, gten, occ, virt, keeps=(None, Non
 
 
 def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
-            space: ActiveSpaceSpec | None = None) -> float:
+            space: ActiveSpaceSpec | None = None):
     """Second-order correction from the measured RDMs.
 
     Sums over the occupied/virtual split of ``ref`` within ``table``'s
-    orbital space.  For a full-space correction on an embedded RDM, pass the
-    active-space partition as ``space``: excitation channels lying entirely
-    inside the active set are then skipped, since the active solver already
-    treats them variationally (their true transformed numerators vanish at
-    its optimum, and only reconstruction error would survive here).
+    orbital space.  For a full-space correction, pass the active-space
+    partition as ``space``: excitation channels lying entirely inside the
+    active set are then skipped, since the active solver already treats
+    them variationally (their true transformed numerators vanish at its
+    optimum, and only reconstruction error would survive here).
 
     With ``space`` the numerators and transformed energies read only the
     active blocks of rho1 and rho2 and the partition (core deltas, active
-    cumulant, nothing over frozen virtuals), so the RDM must be
-    ``embed_active_rdm``'s: rho1 the identity on ``frozen_occupied``, zero
-    rows and columns on ``frozen_virtual`` and no core-active coupling
-    (checked; ValidationError otherwise), and rho2 the embedding's (not
-    checked).
+    cumulant, nothing over frozen virtuals).  The RDM is then the active
+    pair (rho over ``space.active``), or ``embed_active_rdm``'s embedding of
+    it: rho1 the identity on ``frozen_occupied``, zero rows and columns on
+    ``frozen_virtual`` and no core-active coupling (checked; ValidationError
+    otherwise), and rho2 the embedding's (not checked).
 
-    Raises DegenerateDenominatorError below a 1e-8 Ha denominator gap.
+    One pair gives a float and raises DegenerateDenominatorError below a
+    1e-8 Ha denominator gap.  A stack of pairs gives one value per resample,
+    the same as each pair's alone, and NaN where that resample's
+    denominator is degenerate.
     """
     eps_occ, eps_virt = transformed_energies(rdm, table, ref, space)  # checks the input
     split = _Split(rdm, table, ref, space)
     p = split.plan
-    return float(_second_order_sum(eps_occ[p.o_pos], eps_virt[p.w_pos], split.fbar,
-                                   _gammabar_tensor(split), p.occ, p.virt, p.keeps))
+    if not split.stacked:
+        eps_occ, eps_virt = eps_occ[None], eps_virt[None]
+    sums = []
+    for args in zip(eps_occ[:, p.o_pos], eps_virt[:, p.w_pos], split.fbar,
+                    _gammabar_tensor(split)):
+        try:
+            sums.append(_second_order_sum(*args, p.occ, p.virt, p.keeps))
+        except DegenerateDenominatorError:
+            if not split.stacked:
+                raise
+            sums.append(np.nan)
+    return np.array(sums) if split.stacked else sums[0]
 
 
 def embed_active_rdm(active_rdm: RdmPair, spec: ActiveSpaceSpec) -> RdmPair:

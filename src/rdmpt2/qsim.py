@@ -17,7 +17,10 @@ One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
 noisy gate (one superoperator) to vec(rho) and every confusion matrix.  It
 reads the gate's blocks through an index table cached per (qubits, register
 size), or as a strided view when the gate acts on the lowest qubits, and
-contracts them with one ``einsum``.
+contracts them with one ``einsum``.  A noisy gate's superoperator is built
+per call by one broadcast product, kron(U, conj U) without ``np.kron``'s
+shape handling, and each measurement basis's rotation tail is built once and
+kept; the gate constants the tails share are read-only.
 
 A ``NoiseModel``'s fields are ``p1``/``p2``, the depolarizing probability
 after each one-/two-qubit gate (a real in [0, 1]); ``readout``, one flip
@@ -32,13 +35,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamio import ValidationError, _is_count, _is_finite, _reject_unknown
+from .hamio import ValidationError, _is_count, _is_finite, _read_only, _reject_unknown
 
+# The gate constants are read-only: every ``Gate`` built from one holds the
+# constant itself (``Circuit.add`` does not copy it), and so do the tails that
+# ``measure_pauli_sets`` keeps per basis.
 _PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": _read_only(np.eye(2, dtype=complex)),
+    "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": _read_only(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
 
@@ -75,14 +81,14 @@ def jw_ladder(p: int, n_qubits: int) -> np.ndarray:
 # Gates and circuits
 # ---------------------------------------------------------------------------
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_H = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 _X = _PAULI_MATS["X"]
-_SDG = np.diag([1, -1j]).astype(complex)
-_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                 dtype=complex)
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-_FSWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
-                  dtype=complex)
+_SDG = _read_only(np.diag([1, -1j]).astype(complex))
+_CNOT = _read_only(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                            dtype=complex))
+_CZ = _read_only(np.diag([1, 1, 1, -1]).astype(complex))
+_FSWAP = _read_only(np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
+                             dtype=complex))
 
 
 def _givens(phi):
@@ -319,14 +325,23 @@ def _rng_for(seed, *key):
         np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))))
 
 
+@functools.cache
+def _vec_identity(d):
+    """vec(I_d), read-only: it is shared by every channel on d levels."""
+    return _read_only(np.eye(d).reshape(-1))
+
+
 def _channel(gate: Gate, p: float) -> np.ndarray:
     """``gate`` then depolarizing noise p as one matrix on vec(local rho):
     U rho U^dagger is S = kron(U, conj U), and as the d^2 - 1 non-identity
     Paulis sum to d (I x Tr_gate rho) - rho, with Tr_gate = <e| for
-    e = vec(I_d), (1 - p) rho + p/(d^2 - 1) sum_P P rho P is S plus rank one."""
-    d = gate.matrix.shape[0]
-    s = np.kron(gate.matrix, gate.matrix.conj())
-    e = np.eye(d).reshape(-1)
+    e = vec(I_d), (1 - p) rho + p/(d^2 - 1) sum_P P rho P is S plus rank one.
+    S is formed as ``np.kron`` forms it, one broadcast product
+    S[(i, k), (j, l)] = U_ij conj(U_kl), without its shape handling."""
+    u = gate.matrix
+    d = u.shape[0]
+    s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
+    e = _vec_identity(d)
     w = p / (d * d - 1)
     return (1 - p - w) * s + w * d * np.outer(e, e @ s)
 
@@ -415,6 +430,13 @@ def basis_rotation(basis: str) -> Circuit:
     return c
 
 
+@functools.cache
+def _tail(basis: str) -> tuple:
+    """The gates of ``basis_rotation(basis)``, built once per basis (their
+    matrices are the read-only gate constants)."""
+    return tuple(basis_rotation(basis).gates)
+
+
 def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
     """Sample one circuit per measurement basis (the group bases of
     ``qwc_groups``, as ``MeasurementSchedule.bases`` holds them).
@@ -429,7 +451,7 @@ def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
     prefix = noisy_density_matrix(circuit, model)
     tables = []
     for gi, basis in enumerate(bases):
-        rho = _evolve(prefix, basis_rotation(basis).gates, model)
+        rho = _evolve(prefix, _tail(basis), model)
         tables.append(ShotTable(basis=basis, counts=_draw(rho, model, shots,
                                                           _group_seed(seed, gi)),
                                 shots=shots))

@@ -407,9 +407,26 @@ class PointPipeline:
         return out
 
     def bootstrap_pipeline(self, raw: rdm.RdmPair) -> dict:
-        """Every energy of ``ENERGY_KEYS``, None where the chain failed."""
-        energies = self._energies(raw)
-        return {k: energies.get(k) for k in ENERGY_KEYS}
+        """Every energy of ``ENERGY_KEYS`` for a stack of raw pairs, one
+        array each, NaN where the chain failed for that resample: the chain
+        of ``_energies`` run as one stack, each resample's energies equal to
+        its own pair's.  PT2 runs on the resamples that purified, the
+        full-space one on their active pair."""
+        out = {"e_raw": hamio.energy_from_rdm(self.table, raw)}
+        pure = purify.purify_rdm(rdm.symmetrize(raw))
+        ok = np.array([f is None for f in pure.meta.purification["failed"]])
+        for key in ENERGY_KEYS[1:]:
+            out[key] = np.full(len(ok), np.nan)
+        if ok.any():
+            pure = rdm.RdmPair(pure.rho1[ok], pure.rho2[ok], pure.meta)
+            e_pure = out["e_pure"][ok] = hamio.energy_from_rdm(self.table, pure)
+            out["e_pt2_frozen"][ok] = e_pure + pt2.rdm_pt2(pure, self.table, self.ref)
+            if self.has_frozen:
+                out["e_pt2_full"][ok] = e_pure + pt2.rdm_pt2(
+                    pure, self.table_full, self.ref_full, space=self.space)
+        if not self.has_frozen:
+            out["e_pt2_full"] = out["e_pt2_frozen"]
+        return out
 
 
 def _eval_seed(seed, tag):

@@ -51,3 +51,10 @@ def random_pure_2e_rdm(rng, n_so=4):
     amps = rng.normal(size=len(basis))
     amps /= np.linalg.norm(amps)
     return oracles.rdms_from_amplitudes(amps, basis)
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: sign bits of zeros included, which
+    ``np.array_equal`` does not compare."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())

@@ -34,7 +34,11 @@ qubit, moves the gate's axes to the front, contracts and moves them back;
 ``apply_noise`` is the package's channel for one circuit at a time, the
 reference ``qsim.measure_pauli_sets`` must match group by group: it evolves
 the whole circuit's noisy density matrix and draws every shot in one
-multinomial.
+multinomial.  ``channel`` is one noisy gate's superoperator as the package
+formed it before its broadcast product, through ``np.kron`` with vec(I_d)
+rebuilt on every call, and ``rotation_gates`` a basis-rotation tail built
+afresh on every call, as ``measure_pauli_sets`` built it before it kept one
+per basis; ``qsim._channel`` and ``qsim._tail`` must return the same bits.
 
 The measurement oracles are the element-by-element assembly the compiled
 map replaced: ``element_terms`` expands every measured element in Pauli
@@ -196,6 +200,20 @@ def apply_noise(circuit, model, seed):
     model = qsim._model_for(circuit, model)
     rho = qsim.noisy_density_matrix(circuit, model)
     return lambda shots: qsim._draw(rho, model, shots, seed)
+
+
+def channel(gate, p):
+    """kron(U, conj U) plus the depolarizing rank-one term, as ``qsim._channel``."""
+    d = gate.matrix.shape[0]
+    s = np.kron(gate.matrix, gate.matrix.conj())
+    e = np.eye(d).reshape(-1)
+    w = p / (d * d - 1)
+    return (1 - p - w) * s + w * d * np.outer(e, e @ s)
+
+
+def rotation_gates(basis):
+    """The gates of ``basis``'s rotation tail, from a new circuit."""
+    return qsim.basis_rotation(basis).gates
 
 
 def trajectory_counts(circuit, model, shots, seed):

@@ -83,6 +83,18 @@ def test_two_body_line_with_zero_l_is_rejected(tmp_path):
         hamio.load_fcidump(path)
 
 
+def test_one_body_line_with_zero_i_is_rejected(tmp_path):
+    # '0 j 0 0' used to be skipped like the orbital-energy record 'i 0 0 0',
+    # so the integral it was meant to carry loaded as nothing
+    path = tmp_path / "zero_i.fcidump"
+    path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 0 2 0 0\n1.0 0 0 0 0\n")
+    with pytest.raises(ValidationError, match="line 3: malformed index quartet '0.5 0 2 0 0'"):
+        hamio.load_fcidump(path)
+    path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 2 0 0 0\n1.0 0 0 0 0\n")
+    table = hamio.load_fcidump(path)  # the orbital-energy record is skipped
+    assert not table.h.any() and not table.g.any() and table.e_nuclear == 1.0
+
+
 @pytest.mark.parametrize("n_sp", [1, 2, 3, 4])
 def test_spin_blocks_match_gather_and_mask_on_random_integrals(n_sp):
     rng = np.random.default_rng(n_sp)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_pure_2e_rdm, random_rdm_pair
+from conftest import random_pure_2e_rdm, random_rdm_pair, same_bits
 from oracles import fbar, gammabar, reducible_3rdm
 from rdmpt2 import hamio, pt2, purify, qsim, rdm, vqe
 from rdmpt2.hamio import (ActiveSpaceSpec, IntegralTable, ReferenceDeterminant,
@@ -167,8 +167,8 @@ def test_scalar_and_batch_numerators_agree(lih):
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
     split = pt2._Split(emb, table, ref, space)
-    fmat = split.fbar
-    gten = pt2._gammabar_tensor(split)
+    fmat = split.fbar[0]
+    gten = pt2._gammabar_tensor(split)[0]
     rng = np.random.default_rng(2)
     for _ in range(8):
         i, j = rng.choice(len(occ), 2, replace=False)
@@ -189,8 +189,8 @@ def test_numerators_match_einsum_oracle_on_unphysical_rdm(fid):
     occ, virt = list(ref.occupied), list(ref.virtual)
     pair = random_rdm_pair(np.random.default_rng(4), table.n_so, table.n_electrons)
     split = pt2._Split(pair, table, ref)
-    for got, want in ((split.fbar, oracles.fbar_matrix(pair, table, occ, virt)),
-                      (pt2._gammabar_tensor(split),
+    for got, want in ((split.fbar[0], oracles.fbar_matrix(pair, table, occ, virt)),
+                      (pt2._gammabar_tensor(split)[0],
                        oracles.gammabar_tensor(pair, table, occ, virt))):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -233,7 +233,7 @@ def test_numerators_match_commutator_oracle_on_embedded_state(lih):
                 out[ti] += sign * vec[ci]
         return out
 
-    gten = pt2._gammabar_tensor(pt2._Split(emb, table, ref, space))
+    gten = pt2._gammabar_tensor(pt2._Split(emb, table, ref, space))[0]
     rng = np.random.default_rng(3)
     active_set = set(space.active)
     checked = 0
@@ -402,19 +402,110 @@ def test_hf_mp2_two_level_hand_value(tmp_path):
     assert hf_mp2(table, ref) == pytest.approx(expected, abs=1e-12)
 
 
-def test_degenerate_denominator_raises(tmp_path):
-    # h_p chosen so the exchange dressing makes the Fock gap exactly zero
-    path = tmp_path / "degenerate.fcidump"
-    path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
-                    "0.1 1 2 1 2\n"
-                    "-0.5 1 1 0 0\n"
-                    "-0.4 2 2 0 0\n"
-                    "0.0 0 0 0 0\n")
-    table = hamio.load_fcidump(path)
-    ref = ReferenceDeterminant.aufbau(table)
+# h_p chosen so the exchange dressing makes the Fock gap exactly zero
+DEGENERATE_FCIDUMP = ("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
+                      "0.1 1 2 1 2\n"
+                      "-0.5 1 1 0 0\n"
+                      "-0.4 2 2 0 0\n"
+                      "0.0 0 0 0 0\n")
+
+
+@pytest.fixture(scope="module")
+def degenerate_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fcidump") / "degenerate.fcidump"
+    path.write_text(DEGENERATE_FCIDUMP)
+    return hamio.load_fcidump(path)
+
+
+def test_degenerate_denominator_raises(degenerate_table):
+    ref = ReferenceDeterminant.aufbau(degenerate_table)
     with pytest.raises(DegenerateDenominatorError) as err:
-        hf_mp2(table, ref)
+        hf_mp2(degenerate_table, ref)
     assert err.value.orbitals  # names the tuple
+
+
+def chain_case(kind, rng):
+    """A raw pair for the chain on the degenerate table: a perturbed random
+    state (``random``, which may fail purification), one that fails it
+    (``zero``: the trace; ``midpoint``: an open-shell determinant, whose
+    spin-reflection average has two eigenvalues at 1/2; ``unantisymmetric``),
+    or the reference determinant, which purifies and then has a zero PT2
+    denominator."""
+    if kind == "random":
+        pair, noise = random_pure_2e_rdm(rng), random_rdm_pair(rng)
+        return pair.rho1 + 0.05 * noise.rho1, pair.rho2 + 0.05 * noise.rho2
+    if kind == "zero":
+        return np.zeros((4, 4)), np.zeros((4,) * 4)
+    if kind == "unantisymmetric":
+        return np.eye(4), rng.normal(size=(4,) * 4)
+    det = oracles.determinant_rdm((0, 3) if kind == "midpoint" else (0, 1), 4)
+    return det.rho1, det.rho2
+
+
+CHAIN_CASES = ["random", "zero", "midpoint", "unantisymmetric", "determinant"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_chain_matches_per_pair_calls(degenerate_table, data, seed):
+    # each resample of a stack goes through energy, symmetrize, purify and
+    # PT2 as its own pair does, bit for bit; a resample that fails fails
+    # alone, with its pair's error message (purification) or as NaN (a
+    # degenerate PT2 denominator), and never raises for the stack.  Every
+    # stack holds each kind of case at least once, in a drawn order.
+    extra = data.draw(st.lists(st.sampled_from(CHAIN_CASES), max_size=6))
+    kinds = data.draw(st.permutations(CHAIN_CASES + ["random"] + extra))
+    table, rng = degenerate_table, np.random.default_rng(seed)
+    ref = ReferenceDeterminant.aufbau(table)
+    pairs = [RdmPair(*chain_case(kind, rng)) for kind in kinds]
+    stack = RdmPair(np.array([p.rho1 for p in pairs]), np.array([p.rho2 for p in pairs]))
+    e_raw = hamio.energy_from_rdm(table, stack)
+    pure = purify.purify_rdm(rdm.symmetrize(stack))
+    failed = pure.meta.purification["failed"]
+    ok = np.array([f is None for f in failed])
+    kept = RdmPair(pure.rho1[ok], pure.rho2[ok], pure.meta)
+    e_pure, e_pt2 = hamio.energy_from_rdm(table, kept), rdm_pt2(kept, table, ref)
+    assert len(failed) == len(pairs)
+    j = 0
+    for i, pair in enumerate(pairs):
+        assert hamio.energy_from_rdm(table, pair) == e_raw[i]
+        try:
+            one = purify.purify_rdm(rdm.symmetrize(pair))
+        except (purify.PurificationError, ValidationError) as exc:
+            assert failed[i] == str(exc), (i, kinds[i])
+            assert np.isnan(pure.rho1[i]).all() and np.isnan(pure.rho2[i]).all()
+            continue
+        assert failed[i] is None, (i, kinds[i], failed[i])
+        assert same_bits(one.rho1, pure.rho1[i]) and same_bits(one.rho2, pure.rho2[i])
+        assert hamio.energy_from_rdm(table, one) == e_pure[j]
+        try:
+            assert rdm_pt2(one, table, ref) == e_pt2[j], (i, kinds[i])
+        except DegenerateDenominatorError:
+            assert math.isnan(e_pt2[j]), (i, kinds[i])
+        j += 1
+    assert j == ok.sum()
+    expected_failures = {"zero", "midpoint", "unantisymmetric"}
+    assert all(failed[i] is not None for i, k in enumerate(kinds) if k in expected_failures)
+    assert all(failed[i] is None for i, k in enumerate(kinds) if k == "determinant")
+    assert np.isnan(e_pt2).sum() >= kinds.count("determinant")
+
+
+@pytest.mark.parametrize("mol", ["lih", "nah"])
+@settings(max_examples=10, deadline=None)
+@given(theta=ANGLES)
+def test_full_space_pt2_reads_the_active_pair_as_its_embedding(pipelines, mol, theta):
+    # with a partition, the active pair and its embedding give the same bits,
+    # one pair at a time and as a stack
+    pipe = pipelines[mol]
+    pure = purified_rdm(pipe, theta)
+    emb = embed_active_rdm(pure, pipe.space)
+    args = (pipe.table_full, pipe.ref_full, pipe.space)
+    for a, b in zip(transformed_energies(pure, *args), transformed_energies(emb, *args)):
+        assert np.array_equal(a, b)
+    want = rdm_pt2(emb, *args)
+    assert rdm_pt2(pure, *args) == want
+    stack = RdmPair(np.array([pure.rho1] * 2), np.array([pure.rho2] * 2), pure.meta)
+    assert np.array_equal(rdm_pt2(stack, *args), [want, want])
 
 
 @pytest.mark.parametrize("mol", ["h2", "lih", "nah"])
@@ -495,10 +586,10 @@ def test_second_order_sum_without_zero_terms_is_bit_identical(pipelines):
     for mol in ("h2", "lih", "nah"):
         rdm_, table, ref, space = pipeline_pt2_case(pipelines[mol], (0.3, -0.2, 0.1))
         split = pt2._Split(rdm_, table, ref, space)
-        gten = pt2._gammabar_tensor(split)
+        gten = pt2._gammabar_tensor(split)[0]
         assert (gten == 0).any()
         want = fsum_of_every_term(*transformed_energies(rdm_, table, ref),
-                                  split.fbar, gten, ref.occupied, ref.virtual,
+                                  split.fbar[0], gten, ref.occupied, ref.virtual,
                                   space.active if space is not None else ())
         assert rdm_pt2(rdm_, table, ref, space) == want, mol
 
@@ -639,7 +730,7 @@ def test_pt2_in_plan_order_equals_sum_in_reference_order(fid):
                  ~((act_o[:, None] & act_o)[:, :, None, None] & (act_v[:, None] & act_v)))
         want = pt2._second_order_sum(
             *transformed_energies(emb, table, ref, space),
-            split.fbar[np.ix_(po, pv)], pt2._gammabar_tensor(split)[np.ix_(po, po, pv, pv)],
+            split.fbar[0][np.ix_(po, pv)], pt2._gammabar_tensor(split)[0][np.ix_(po, po, pv, pv)],
             ref.occupied, ref.virtual, keeps)
         assert rdm_pt2(emb, table, ref, space) == want, (fid, seed)
 

@@ -13,6 +13,8 @@ from rdmpt2.qsim import (Circuit, NoiseModel, basis_rotation, build_ansatz, jw_l
                          measure_pauli_sets, mitigate_readout, noisy_density_matrix,
                          pauli_matrix, qwc_groups, simulate, z_parity_signs)
 
+import oracles
+from conftest import same_bits
 from oracles import (apply_gate_batch, apply_noise, expectation, kraus_density_matrix,
                      table_expectation, trajectory_counts)
 
@@ -243,6 +245,43 @@ def test_depolarizing_closed_form_matches_pauli_sum():
         closed = qsim._apply_gate_batch(rho.reshape(1, -1), qsim._channel(gate, p),
                                         rows + qubits, 8).reshape(rho.shape)
         assert np.abs(closed - explicit).max() < 1e-12, qubits
+
+
+@pytest.mark.parametrize("p_kind", ["zero", "default", "random"])
+def test_channel_matches_kron_oracle_bit_for_bit(p_kind):
+    rng = np.random.default_rng(19)
+    gates = [g for _ in range(4) for g in build_ansatz(rng.uniform(-np.pi, np.pi, 3)).gates]
+    gates += [g for basis in rdm.build_schedule(4).bases for g in oracles.rotation_gates(basis)]
+    assert {g.arity for g in gates} == {1, 2}
+    default = NoiseModel()
+    for gate in gates:
+        p = {"zero": 0.0, "default": default.p1 if gate.arity == 1 else default.p2,
+             "random": rng.random()}[p_kind]
+        assert same_bits(qsim._channel(gate, p), oracles.channel(gate, p)), (gate, p)
+
+
+def test_tail_is_built_once_per_basis_with_the_rotation_gates():
+    for basis in rdm.build_schedule(4).bases:
+        tail = qsim._tail(basis)
+        assert qsim._tail(basis) is tail
+        want = oracles.rotation_gates(basis)
+        assert [g.qubits for g in tail] == [g.qubits for g in want]
+        assert all(same_bits(g.matrix, w.matrix) for g, w in zip(tail, want))
+
+
+def test_shared_gate_matrices_are_read_only():
+    # Circuit.add keeps a gate constant itself, not a copy, so one write into
+    # a built gate's matrix would reach every later circuit and cached tail
+    constants = [qsim._H, qsim._X, qsim._SDG, qsim._CNOT, qsim._CZ, qsim._FSWAP,
+                 *qsim._PAULI_MATS.values()]
+    assert not any(m.flags.writeable for m in constants)
+    gate = build_ansatz((0.1, 0.2, 0.3)).gates[0]
+    assert gate.matrix is qsim._X
+    gates = [gate] + [g for basis in ("XYZX", "YYXZ") for g in qsim._tail(basis)]
+    for g in gates:
+        with pytest.raises(ValueError, match="read-only"):
+            g.matrix[0, 0] = 2.0
+    assert qsim._X[0, 0] == 0 and qsim._H[0, 0] == 1 / np.sqrt(2)
 
 
 def gate_cases():

@@ -163,9 +163,11 @@ def test_bootstrap_single_resample_and_deterministic_pipeline():
     schedule = build_schedule(4)
     tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.bases,
                                 100, seed=0)
-    ens = bootstrap(tables, schedule, 1, lambda raw: {"value": 1.23}, seed=0)
+    ens = bootstrap(tables, schedule, 1, lambda raw: {"value": np.full(len(raw.rho1), 1.23)},
+                    seed=0)
     assert ens.mean["value"] == 1.23 and ens.std["value"] == 0.0
-    ens = bootstrap(tables, schedule, 50, lambda raw: {"value": 7.0}, seed=0)
+    ens = bootstrap(tables, schedule, 50, lambda raw: {"value": np.full(len(raw.rho1), 7.0)},
+                    seed=0)
     assert ens.std["value"] == 0.0
 
 
@@ -176,7 +178,7 @@ def test_bootstrap_matches_binomial_closed_form():
     table = ShotTable(basis="Z", counts=np.array([shots // 2, shots // 2]), shots=shots)
 
     def mean_z(raw):
-        return {"value": 1.0 - 2.0 * raw.rho1[0, 0]}
+        return {"value": 1.0 - 2.0 * raw.rho1[:, 0, 0]}
 
     ens = bootstrap([table], schedule, 10_000, mean_z, seed=3)
     closed_form = 1.0 / np.sqrt(shots)  # std of <Z> for p = 1/2
@@ -191,13 +193,16 @@ def test_bootstrap_counts_failed_resamples(failing):
     schedule = build_schedule(4)
     tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.bases,
                                 100, seed=0)
-    index = iter(range(4))
+    blocks = []
 
     def pipeline(raw):
-        i = next(index)
-        return {"steady": 1.0, "flaky": None if i in failing else float(i)}
+        i = np.arange(len(raw.rho1)) + sum(blocks)
+        blocks.append(len(i))
+        return {"steady": np.ones(len(i)),
+                "flaky": np.where(np.isin(i, list(failing)), np.nan, i.astype(float))}
 
     ens = bootstrap(tables, schedule, 4, pipeline, seed=0)
+    assert blocks == [4]
     kept = np.array([float(i) for i in range(4) if i not in failing])
     assert ens.failed == {"steady": 0, "flaky": len(failing)}
     assert np.array_equal(np.isnan(ens.samples["flaky"]), [i in failing for i in range(4)])
@@ -208,6 +213,26 @@ def test_bootstrap_counts_failed_resamples(failing):
         assert "flaky" not in ens.mean and "flaky" not in ens.std
 
 
+def test_bootstrap_fails_a_name_a_block_leaves_out():
+    schedule = build_schedule(4)
+    tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.bases,
+                                100, seed=0)
+    blocks = []
+
+    def pipeline(raw):
+        blocks.append(len(raw.rho1))
+        out = {"steady": np.ones(len(raw.rho1))}
+        if len(blocks) == 2:
+            out["late"] = np.full(len(raw.rho1), 2.0)
+        return out
+
+    n = rdm._BOOTSTRAP_BLOCK + 3
+    ens = bootstrap(tables, schedule, n, pipeline, seed=0)
+    assert blocks == [rdm._BOOTSTRAP_BLOCK, 3]
+    assert ens.failed == {"steady": 0, "late": rdm._BOOTSTRAP_BLOCK}
+    assert ens.mean["late"] == 2.0
+
+
 def test_bootstrap_rejects_empty():
     table = ShotTable(basis="Z", counts=np.zeros(2, dtype=int), shots=0)
     with pytest.raises(ValidationError):
@@ -215,29 +240,43 @@ def test_bootstrap_rejects_empty():
 
 
 def test_batched_bootstrap_matches_per_resample_loop():
-    # LiH at one seed, over more than one block of resamples: every
-    # resample's energies equal the loop that resamples, mitigates and
-    # assembles one table and one resample at a time
-    spec = vqe.ScanSpec(molecule="lih", geometries=[1.5949], shots=1024,
-                        noise=NoiseModel(), seed=3)
-    pipe = vqe.PointPipeline(spec, 1.5949)
-    _, tables = pipe.evaluate((0.4, -0.2, 0.1), 0)
-    n = rdm._BOOTSTRAP_BLOCK + 5
-    ens = bootstrap(tables, pipe.schedule, n, pipe.bootstrap_pipeline,
-                    model=spec.noise, seed=3)
+    # H2 and LiH at one seed, over more than one block of resamples: each
+    # block's draws, mitigation and assembly match the loop that resamples,
+    # mitigates and assembles one table and one resample at a time (to
+    # rounding: the assembly is one matmul per block), and every resample's
+    # energies from the stacked chain equal, bit for bit, those of the
+    # per-pair chain that an objective evaluation runs (for LiH through the
+    # embedded pair)
+    for mol, r in (("h2", 2.0), ("lih", 1.5949)):
+        spec = vqe.ScanSpec(molecule=mol, geometries=[r], shots=1024, noise=NoiseModel(),
+                            seed=3)
+        pipe = vqe.PointPipeline(spec, r)
+        _, tables = pipe.evaluate((0.4, -0.2, 0.1), 0)
+        n = rdm._BOOTSTRAP_BLOCK + 5
+        raws = []
 
-    def loop_pipeline(resampled):
-        mitigated = [oracles.mitigate_readout(t, spec.noise) for t in resampled]
-        rho1, rho2 = oracles.rdm_from_shots(mitigated, pipe.schedule)
-        return pipe.bootstrap_pipeline(RdmPair(rho1, rho2, RdmMeta()))
+        def pipeline(raw):
+            raws.extend(RdmPair(r1, r2, RdmMeta()) for r1, r2 in zip(raw.rho1, raw.rho2))
+            return pipe.bootstrap_pipeline(raw)
 
-    loop = oracles.bootstrap(tables, n, loop_pipeline, seed=3)
-    assert len(loop) == n
-    assert set(ens.samples) == set(vqe.ENERGY_KEYS)
-    for i, expected in enumerate(loop):
-        for key, value in expected.items():
-            assert abs(ens.samples[key][i] - value) < 1e-12, (i, key)
-    assert ens.std["e_pure"] > 0.0
+        ens = bootstrap(tables, pipe.schedule, n, pipeline, model=spec.noise, seed=3)
+
+        def loop_pipeline(resampled):
+            mitigated = [oracles.mitigate_readout(t, spec.noise) for t in resampled]
+            return oracles.rdm_from_shots(mitigated, pipe.schedule)
+
+        loop = oracles.bootstrap(tables, n, loop_pipeline, seed=3)
+        assert len(loop) == len(raws) == n
+        for raw, (rho1, rho2) in zip(raws, loop):
+            assert np.abs(raw.rho1 - rho1).max() < 1e-12
+            assert np.abs(raw.rho2 - rho2).max() < 1e-12
+        assert set(ens.samples) == set(vqe.ENERGY_KEYS)
+        for i, raw in enumerate(raws):
+            expected = pipe._energies(raw)
+            for key in vqe.ENERGY_KEYS:
+                want, got = expected.get(key), ens.samples[key][i]
+                assert (math.isnan(got) if want is None else got == want), (mol, i, key)
+        assert ens.std["e_pure"] > 0.0
 
 
 # ---------------------------------------------------------------------------
