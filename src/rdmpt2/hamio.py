@@ -11,6 +11,11 @@ is a one-body integral; ``i 0 0 0`` is an orbital-energy record, which is
 skipped; a two-body integral has all four indices >= 1.
 A later line for the same integral, up to its permutation symmetry, wins.
 Anything else raises an error that names the line.
+The body is read in one pass that splits and converts (``float``, ``int``)
+every line; the rules then run on arrays, and the first bad line in file
+order raises.  With 0 as an index, the core energy, h and (ij|kl) are blocks
+of one (NORB + 1)^4 array, and one scatter writes the last line of each
+permutation class: NumPy leaves open which of two writes to one entry wins.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -70,12 +76,9 @@ class IntegralTable:
     g: np.ndarray
 
     def __post_init__(self):
-        h = np.ascontiguousarray(self.h, dtype=float)
-        g = np.ascontiguousarray(self.g, dtype=float)
-        h.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
+        for name in ("h", "g"):
+            object.__setattr__(self, name, _read_only(
+                np.ascontiguousarray(getattr(self, name), dtype=float)))
         n = 2 * self.n_spatial
         if self.h.shape != (n, n) or self.g.shape != (n, n, n, n):
             raise ValidationError(
@@ -143,9 +146,7 @@ class ActiveSpaceSpec:
     @classmethod
     def from_active_spatials(cls, n_spatial, n_electrons, active_spatials):
         """Active space from spatial orbital indices; the rest is frozen by aufbau."""
-        act = []
-        for sp in sorted(active_spatials):
-            act += [2 * sp, 2 * sp + 1]
+        act = [p for sp in sorted(active_spatials) for p in (2 * sp, 2 * sp + 1)]
         occ = set(range(n_electrons))
         rest = [p for p in range(2 * n_spatial) if p not in set(act)]
         return cls(tuple(p for p in rest if p in occ), tuple(act),
@@ -157,50 +158,60 @@ class ActiveSpaceSpec:
 # ---------------------------------------------------------------------------
 
 def _spin_expand(h_sp, chem, n_sp):
-    """Spatial chemists' integrals -> spin-orbital <pq||rs>."""
-    n_so = 2 * n_sp
-    h = np.zeros((n_so, n_so))
-    direct = np.zeros((n_so,) * 4)
+    """Spatial chemists' integrals -> spin-orbital <pq||rs>, spin block by block."""
+    h = np.zeros((2 * n_sp,) * 2)
+    g = np.zeros((2 * n_sp,) * 4)
     # <pq|rs> = (PR|QS) on matching spins; chem (ij|kl) = <ik|jl>
-    phys_sp = chem.transpose(0, 2, 1, 3)
-    for s in (0, 1):
+    direct = chem.transpose(0, 2, 1, 3)
+    exchange = direct.transpose(0, 1, 3, 2)
+    same_spin, exchange_only = direct - exchange, 0.0 - exchange  # -exchange has -0.0s
+    for s, t in ((0, 1), (1, 0)):
         h[s::2, s::2] = h_sp
-        for t in (0, 1):
-            direct[s::2, t::2, s::2, t::2] = phys_sp
-    g = direct - direct.transpose(0, 1, 3, 2)
+        g[s::2, s::2, s::2, s::2] = same_spin
+        g[s::2, t::2, s::2, t::2] = direct
+        g[s::2, t::2, t::2, s::2] = exchange_only
     return h, g
+
+
+def _convert(tokens):
+    """The values of whole 5-token lines, and their indices i, then j, k, l."""
+    return (np.array(list(map(float, tokens[0::5]))),
+            list(map(int, tokens[1::5] + tokens[2::5] + tokens[3::5] + tokens[4::5])))
+
+
+# The axes i, j, k, l go to in (ij|kl), (ji|kl), ... (kl|ji), (lk|ji)
+_AXES = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2],
+                  [2, 3, 0, 1], [2, 3, 1, 0], [3, 2, 0, 1], [3, 2, 1, 0]])
+# Zero bits of i, j, k, l; well-formed: 0, 12 'i j 0 0', 14 'i 0 0 0', 15 core
+# (13, '0 j 0 0', gets a hint of its own)
+_ZERO_BITS = np.array([1, 2, 4, 8])
+_MALFORMED = np.array([bits not in (0, 12, 14, 15) for bits in range(16)])
 
 
 def load_fcidump(path) -> IntegralTable:
     """Parse an FCIDUMP file into a spin-orbital IntegralTable.
 
     The file holds chemists' (ij|kl) integrals over spatial orbitals with
-    1-based indices; all 8-fold permutation symmetries are expanded.
+    1-based indices; all 8-fold permutation symmetries are expanded.  The
+    body is read in one pass and checked as arrays; the first bad line
+    raises, and the last line of each integral is kept before one scatter.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    header_lines = []
-    body_start = None
-    for ln, line in enumerate(lines):
-        header_lines.append(line)
-        if "&END" in line.upper() or line.strip() == "/" or line.strip().endswith("/"):
-            body_start = ln + 1
-            break
+    lines = Path(path).read_text().splitlines()
+    body_start = next((ln + 1 for ln, line in enumerate(lines)
+                       if "&END" in line.upper() or line.strip().endswith("/")), None)
     if body_start is None:
         raise FcidumpError("no &END (or '/') terminating the header")
-    header = " ".join(header_lines)
+    header = " ".join(lines[:body_start])
     if "&FCI" not in header.upper():
-        raise FcidumpError(f"header does not start a &FCI namelist: {header_lines[0]!r}")
+        raise FcidumpError(f"header does not start a &FCI namelist: {lines[0]!r}")
 
     def field_int(name):
         m = re.search(rf"{name}\s*=\s*(-?\d+)", header, re.IGNORECASE)
         if not m:
-            raise FcidumpError(f"header is missing {name}: {header_lines[0]!r}")
+            raise FcidumpError(f"header is missing {name}: {lines[0]!r}")
         return int(m.group(1))
 
-    n_sp = field_int("NORB")
-    n_elec = field_int("NELEC")
-    ms2 = field_int("MS2")
+    n_sp, n_elec, ms2 = map(field_int, ("NORB", "NELEC", "MS2"))
     if ms2 != 0:
         raise FcidumpError(f"MS2={ms2}: only closed-shell (MS2=0) systems are supported")
     if n_sp < 1:
@@ -209,47 +220,51 @@ def load_fcidump(path) -> IntegralTable:
         raise FcidumpError(f"NELEC={n_elec}: a closed shell needs an even count "
                            f"from 0 to 2*NORB = {2 * n_sp}")
 
-    h_sp = np.zeros((n_sp, n_sp))
-    chem = np.zeros((n_sp, n_sp, n_sp, n_sp))
-    e_nuc = None
-    for ln in range(body_start, len(lines)):
-        line = lines[ln].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise FcidumpError(f"line {ln + 1}: expected 'value i j k l', got {line!r}")
-        try:
-            val = float(parts[0])
-            i, j, k, l = (int(x) for x in parts[1:])
-        except ValueError as exc:
-            raise FcidumpError(f"line {ln + 1}: {exc}") from exc
-        for idx in (i, j, k, l):
-            if idx < 0 or idx > n_sp:
-                raise ValidationError(f"line {ln + 1}: orbital index {idx} out of range")
-        if i == j == k == l == 0:
-            e_nuc = val
-        elif k == 0 and l == 0:
-            if i == 0:
-                raise ValidationError(f"line {ln + 1}: malformed index quartet {line!r}; "
-                                      "an orbital-energy record is written 'i 0 0 0'")
-            if j == 0:
-                continue  # orbital-energy records from some writers
-            h_sp[i - 1, j - 1] = h_sp[j - 1, i - 1] = val
-        else:
-            if 0 in (i, j, k, l):
-                raise ValidationError(f"line {ln + 1}: malformed index quartet")
-            a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            for (p, q, r, s) in {(a, b, c, d), (b, a, c, d), (a, b, d, c),
-                                 (b, a, d, c), (c, d, a, b), (d, c, a, b),
-                                 (c, d, b, a), (d, c, b, a)}:
-                chem[p, q, r, s] = val
-    if e_nuc is None:
+    split = list(map(str.split, lines[body_start:]))
+    rows = [parts for parts in split if parts]
+    line_no = [ln for ln, parts in enumerate(split, body_start + 1) if parts]
+    widths = list(map(len, rows))
+    n = len(rows) if widths.count(5) == len(rows) else int(np.argmax(np.array(widths) != 5))
+    late = None if n == len(rows) else FcidumpError(  # raised unless an earlier line fails
+        f"line {line_no[n]}: expected 'value i j k l', got {lines[line_no[n] - 1].strip()!r}")
+    tokens = list(chain.from_iterable(rows[:n]))
+    try:
+        values, ints = _convert(tokens)
+    except ValueError:  # stop before the first line that does not convert
+        for r in range(n):
+            try:
+                _convert(tokens[5 * r:5 * r + 5])
+            except ValueError as exc:
+                late, n = FcidumpError(f"line {line_no[r]}: {exc}"), r
+                break
+        values, ints = _convert(tokens[:5 * n])
+    try:
+        idx = np.array(ints, dtype=np.int64).reshape(4, n)
+    except OverflowError:  # beyond int64 is out of range all the same
+        idx = np.array([min(max(x, -1), n_sp + 1) for x in ints]).reshape(4, n)
+    outside = idx.view(np.uint64) > n_sp  # a negative index wraps above NORB
+    pattern = _ZERO_BITS @ (idx == 0)
+    bad = outside.any(axis=0) | _MALFORMED[pattern]
+    if bad.any():
+        r = int(np.argmax(bad))
+        if outside[:, r].any():
+            raise ValidationError(f"line {line_no[r]}: orbital index "
+                                  f"{ints[np.argmax(outside[:, r]) * n + r]} out of range")
+        hint = (f" {lines[line_no[r] - 1].strip()!r}; an orbital-energy record is "
+                "written 'i 0 0 0'") if pattern[r] == 13 else ""
+        raise ValidationError(f"line {line_no[r]}: malformed index quartet{hint}")
+    if late is not None:
+        raise late
+    if not (pattern == 15).any():
         raise ValidationError("missing core entry (0 0 0 0 nuclear repulsion)")
-
-    h, g = _spin_expand(h_sp, chem, n_sp)
+    sites = (n_sp + 1) ** (3 - _AXES) @ idx  # flat positions, (8, lines)
+    _, first = np.unique(sites.min(axis=0)[::-1], return_index=True)
+    last = n - 1 - first  # the last line of each permutation class
+    out = np.zeros((n_sp + 1,) * 4)
+    out.reshape(-1)[sites[:, last]] = values[last]
+    h, g = _spin_expand(out[1:, 1:, 0, 0], out[1:, 1:, 1:, 1:], n_sp)
     return IntegralTable(n_spatial=n_sp, n_electrons=n_elec,
-                         e_nuclear=e_nuc, h=h, g=g)
+                         e_nuclear=float(out[0, 0, 0, 0]), h=h, g=g)
 
 
 # ---------------------------------------------------------------------------
@@ -331,5 +346,4 @@ def load_fixture(fixture_id: str):
         raise KeyError(f"fixture not found: {fixture_id!r} "
                        f"(available: {sorted(manifest['fixtures'])})")
     entry = manifest["fixtures"][fixture_id]
-    table = load_fcidump(FIXTURE_DIR / entry["file"])
-    return table, entry
+    return load_fcidump(FIXTURE_DIR / entry["file"]), entry

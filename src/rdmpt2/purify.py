@@ -50,24 +50,11 @@ def _violation(r2) -> np.ndarray:
     return np.abs(defects).reshape(len(r2), -1).max(axis=1)
 
 
-def _antisymmetry_error(viol) -> ValidationError:
-    return ValidationError(
-        f"rho2 antisymmetry violated by {viol:.2e}; upstream assembly is broken")
-
-
 def _pair_matrix(r2) -> np.ndarray:
     """The symmetrized pair matrix of each 2-RDM of a stack."""
     p, q = _pairs(r2.shape[-1])
     m = r2[..., p[:, None], q[:, None], p, q]
     return 0.5 * (m + m.swapaxes(-2, -1))
-
-
-def to_pair_basis(rdm: RdmPair) -> np.ndarray:
-    """rho2 as a symmetric matrix over ordered pairs, checking antisymmetry."""
-    viol = _violation(rdm.rho2[None])[0]
-    if viol > 1e-6:
-        raise _antisymmetry_error(viol)
-    return _pair_matrix(rdm.rho2)
 
 
 def from_pair_basis(m, n_so) -> np.ndarray:
@@ -88,7 +75,8 @@ def _failure(viol, tr, evals, rank):
     zero projector); ``evals`` are those of the matrix divided by ``tr``,
     ``rank`` of them above 1/2."""
     if viol > 1e-6:
-        return _antisymmetry_error(viol)
+        return ValidationError(
+            f"rho2 antisymmetry violated by {viol:.2e}; upstream assembly is broken")
     if tr <= 0:
         return PurificationError(f"nonpositive pair trace {tr:.3e}")
     mid = evals[np.abs(evals - 0.5) < MIDPOINT_TOL]

@@ -277,8 +277,7 @@ class NoiseModel:
         if readout is None or readout.shape != (self.n_qubits, 2, 2):
             raise ValidationError("readout must be a flip probability or one 2x2 "
                                   f"matrix per qubit, got {self.readout!r}")
-        readout.flags.writeable = False
-        object.__setattr__(self, "readout", readout)
+        object.__setattr__(self, "readout", _read_only(readout))
         if not np.allclose(readout.sum(axis=1), 1.0, atol=1e-10):
             raise ValidationError("confusion matrix columns must sum to 1")
         if ((readout < 0) | (readout > 1)).any():
@@ -289,8 +288,7 @@ class NoiseModel:
                 inverse = np.kron(np.linalg.inv(confusion), inverse)
             except np.linalg.LinAlgError as exc:
                 raise ValidationError(f"singular confusion matrix on qubit {q}") from exc
-        inverse.flags.writeable = False
-        object.__setattr__(self, "readout_inverse", inverse)  # outside fields()
+        object.__setattr__(self, "readout_inverse", _read_only(inverse))  # outside fields()
 
     @classmethod
     def ideal(cls, n_qubits=ANSATZ_QUBITS):

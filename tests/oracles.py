@@ -66,17 +66,24 @@ table and an RDM pair must carry (hermiticity, antisymmetry, spin-forbidden
 entries of g); no run calls them.  ``spin_expand`` is the spin-orbital
 expansion of FCIDUMP integrals as a gather of every spatial index quadruple
 times a spin mask, which ``hamio._spin_expand``'s strided blocks must
-reproduce.
+reproduce.  ``load_fcidump`` is the FCIDUMP reader as it stood before the
+package read the body as arrays: it checks and writes one body line at a
+time, each two-body line to its 8 permuted entries one by one, raises on the
+first bad line, and expands spins with the full-tensor difference
+<pq|rs> - <pq|sr>; ``hamio.load_fcidump`` must return the same bits and raise
+the same errors.
 """
 
 import math
+import re
 from dataclasses import dataclass, replace
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
 from rdmpt2 import pt2, qsim, rdm, vqe
-from rdmpt2.hamio import IntegralTable, ValidationError
+from rdmpt2.hamio import FcidumpError, IntegralTable, ValidationError
 from rdmpt2.pt2 import DENOMINATOR_FLOOR, DegenerateDenominatorError
 from rdmpt2.purify import PurificationError
 
@@ -136,6 +143,90 @@ def spin_expand(h_sp, chem, n_sp):
     direct = big * direct_mask
     g = direct - direct.transpose(0, 1, 3, 2)
     return h, g
+
+
+def load_fcidump(path) -> IntegralTable:
+    """Parse an FCIDUMP file line by line (module docstring)."""
+    lines = Path(path).read_text().splitlines()
+    header_lines = []
+    body_start = None
+    for ln, line in enumerate(lines):
+        header_lines.append(line)
+        if "&END" in line.upper() or line.strip() == "/" or line.strip().endswith("/"):
+            body_start = ln + 1
+            break
+    if body_start is None:
+        raise FcidumpError("no &END (or '/') terminating the header")
+    header = " ".join(header_lines)
+    if "&FCI" not in header.upper():
+        raise FcidumpError(f"header does not start a &FCI namelist: {header_lines[0]!r}")
+
+    def field_int(name):
+        m = re.search(rf"{name}\s*=\s*(-?\d+)", header, re.IGNORECASE)
+        if not m:
+            raise FcidumpError(f"header is missing {name}: {header_lines[0]!r}")
+        return int(m.group(1))
+
+    n_sp = field_int("NORB")
+    n_elec = field_int("NELEC")
+    ms2 = field_int("MS2")
+    if ms2 != 0:
+        raise FcidumpError(f"MS2={ms2}: only closed-shell (MS2=0) systems are supported")
+    if n_sp < 1:
+        raise FcidumpError(f"NORB={n_sp}: at least one orbital is needed")
+    if not (0 <= n_elec <= 2 * n_sp and n_elec % 2 == 0):
+        raise FcidumpError(f"NELEC={n_elec}: a closed shell needs an even count "
+                           f"from 0 to 2*NORB = {2 * n_sp}")
+
+    h_sp = np.zeros((n_sp, n_sp))
+    chem = np.zeros((n_sp, n_sp, n_sp, n_sp))
+    e_nuc = None
+    for ln in range(body_start, len(lines)):
+        line = lines[ln].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise FcidumpError(f"line {ln + 1}: expected 'value i j k l', got {line!r}")
+        try:
+            val = float(parts[0])
+            i, j, k, l = (int(x) for x in parts[1:])
+        except ValueError as exc:
+            raise FcidumpError(f"line {ln + 1}: {exc}") from exc
+        for idx in (i, j, k, l):
+            if idx < 0 or idx > n_sp:
+                raise ValidationError(f"line {ln + 1}: orbital index {idx} out of range")
+        if i == j == k == l == 0:
+            e_nuc = val
+        elif k == 0 and l == 0:
+            if i == 0:
+                raise ValidationError(f"line {ln + 1}: malformed index quartet {line!r}; "
+                                      "an orbital-energy record is written 'i 0 0 0'")
+            if j == 0:
+                continue  # orbital-energy records from some writers
+            h_sp[i - 1, j - 1] = h_sp[j - 1, i - 1] = val
+        else:
+            if 0 in (i, j, k, l):
+                raise ValidationError(f"line {ln + 1}: malformed index quartet")
+            a, b, c, d = i - 1, j - 1, k - 1, l - 1
+            for (p, q, r, s) in {(a, b, c, d), (b, a, c, d), (a, b, d, c),
+                                 (b, a, d, c), (c, d, a, b), (d, c, a, b),
+                                 (c, d, b, a), (d, c, b, a)}:
+                chem[p, q, r, s] = val
+    if e_nuc is None:
+        raise ValidationError("missing core entry (0 0 0 0 nuclear repulsion)")
+
+    n_so = 2 * n_sp
+    h = np.zeros((n_so, n_so))
+    direct = np.zeros((n_so,) * 4)
+    # <pq|rs> = (PR|QS) on matching spins; chem (ij|kl) = <ik|jl>
+    phys_sp = chem.transpose(0, 2, 1, 3)
+    for s in (0, 1):
+        h[s::2, s::2] = h_sp
+        for t in (0, 1):
+            direct[s::2, t::2, s::2, t::2] = phys_sp
+    g = direct - direct.transpose(0, 1, 3, 2)
+    return IntegralTable(n_spatial=n_sp, n_electrons=n_elec, e_nuclear=e_nuc, h=h, g=g)
 
 
 def expand_matrix(matrix, qubits, n_qubits):

@@ -1,10 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import same_bits
 from rdmpt2 import hamio, rdm
 from rdmpt2.hamio import (ActiveSpaceSpec, FcidumpError, IntegralTable,
                           ReferenceDeterminant, ValidationError)
+
+LOADERS = [hamio.load_fcidump, oracles.load_fcidump]
+
+
+def loaded(load, path):
+    """The table ``load`` reads from ``path``, or the class and message of
+    the FCIDUMP error it raises."""
+    try:
+        return load(path)
+    except (FcidumpError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(path):
+    """The package reader and the line-by-line oracle read ``path`` to the
+    same bits of h, g and e_nuclear, or raise the same class and message."""
+    new, old = (loaded(load, path) for load in LOADERS)
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert isinstance(new, IntegralTable), new
+        assert (new.n_spatial, new.n_electrons) == (old.n_spatial, old.n_electrons)
+        assert same_bits(new.h, old.h) and same_bits(new.g, old.g)
+        assert same_bits(np.float64(new.e_nuclear), np.float64(old.e_nuclear))
 
 
 def test_degenerate_fcidump(tmp_path):
@@ -93,6 +120,121 @@ def test_one_body_line_with_zero_i_is_rejected(tmp_path):
     path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 2 0 0 0\n1.0 0 0 0 0\n")
     table = hamio.load_fcidump(path)  # the orbital-energy record is skipped
     assert not table.h.any() and not table.g.any() and table.e_nuclear == 1.0
+
+
+@pytest.mark.parametrize("load", LOADERS)
+def test_later_line_for_the_same_integral_wins(tmp_path, load):
+    path = tmp_path / "repeats.fcidump"
+    path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
+                    "0.1 1 2 0 0\n0.2 2 1 0 0\n"     # one body: (j i) after (i j)
+                    "0.3 1 2 1 1\n0.5 1 1 2 2\n"     # two body: (12|11), then an
+                    "0.4 1 1 2 1\n"                   # unrelated (11|22), then (11|21)
+                    "1.0 0 0 0 0\n2.0 0 0 0 0\n")    # a second core line
+    table = load(path)
+    path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
+                    "0.2 1 2 0 0\n0.4 1 2 1 1\n0.5 1 1 2 2\n2.0 0 0 0 0\n")
+    last = load(path)
+    assert table.e_nuclear == 2.0
+    assert table.h[0, 2] == table.h[2, 0] == table.h[1, 3] == table.h[3, 1] == 0.2
+    # g_pqrs = (PR|QS) - (PS|QR) on spin orbitals 2P + spin: (12|11) gives
+    # g_0121 alone, the exchange of g_0020 cancels it, (11|22) gives g_0202
+    assert table.g[0, 1, 2, 1] == 0.4 and table.g[0, 0, 2, 0] == 0.0
+    assert table.g[0, 2, 0, 2] == 0.5
+    assert same_bits(table.h, last.h) and same_bits(table.g, last.g)
+
+
+# Index quartets (i, j, k, l) -> the same integral with its indices permuted
+QUARTET_PERMS = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+                 (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+VALUES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e-300, -2.5e-17]))
+FORMATS = ["{!r}", "{:.16e}", "{:.6f}", "{:E}"]
+FAULTS = ["4 tokens", "6 tokens", "index not a number", "index 1.5", "value not a number",
+          "index above NORB", "index below 0", "index beyond int64", "0 j 0 0", "i j k 0",
+          "no core line"]
+
+
+@st.composite
+def fcidump_bodies(draw):
+    """NORB and a well-formed body: one- and two-body lines, integrals
+    repeated with their indices permuted, orbital-energy records, blank
+    lines and at least one core line."""
+    n_sp = draw(st.integers(1, 4))
+    orbital = st.integers(1, n_sp)
+    lines, integrals, core = [], [], False
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["core", "one", "two", "orbital energy", "blank", "repeat"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        if kind == "repeat" and integrals:
+            quartet = draw(st.sampled_from(integrals))
+            perms = QUARTET_PERMS if quartet[2] else QUARTET_PERMS[:2]
+            quartet = tuple(quartet[x] for x in draw(st.sampled_from(perms)))
+        elif kind == "core":
+            quartet = (0, 0, 0, 0)
+        elif kind == "one":
+            quartet = (draw(orbital), draw(orbital), 0, 0)
+        elif kind == "orbital energy":
+            quartet = (draw(orbital), 0, 0, 0)
+        else:
+            quartet = tuple(draw(orbital) for _ in range(4))
+        core |= quartet == (0, 0, 0, 0)
+        if quartet[1]:
+            integrals.append(quartet)
+        value = draw(st.sampled_from(FORMATS)).format(draw(VALUES))
+        lines.append(draw(st.sampled_from([" ", "  ", "\t"])).join(
+            [value] + [str(x) for x in quartet]))
+    if not core:
+        lines.insert(draw(st.integers(0, len(lines))), "0.75 0 0 0 0")
+    return n_sp, lines
+
+
+def faulty_line(draw, fault, n_sp):
+    orbital = st.integers(1, n_sp)
+    i, j, k = draw(orbital), draw(orbital), draw(orbital)
+    quartet = [str(i), str(j), str(k), str(draw(orbital))]
+    at = draw(st.integers(0, 3))
+    if fault == "4 tokens":
+        return "0.5 " + " ".join(quartet[:3])
+    if fault == "6 tokens":
+        return "0.5 " + " ".join(quartet) + " 1"
+    if fault == "value not a number":
+        return "x0.5 " + " ".join(quartet)
+    quartet[at] = {"index not a number": "one", "index 1.5": "1.5",
+                   "index above NORB": str(n_sp + draw(st.integers(1, 3))),
+                   "index below 0": str(-draw(st.integers(1, 3))),
+                   "index beyond int64": str(2 ** 64 + 1)}.get(fault, quartet[at])
+    if fault == "0 j 0 0":
+        quartet = ["0", str(j), "0", "0"]
+    elif fault == "i j k 0":
+        quartet = [str(i), str(j), str(k), "0"]
+    return "0.5 " + " ".join(quartet)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=fcidump_bodies(), data=st.data())
+def test_array_reader_matches_line_by_line_oracle(tmp_path, body, data):
+    n_sp, lines = body
+    path = tmp_path / "random.fcidump"
+    header = f"&FCI NORB={n_sp},NELEC=2,MS2=0,\n&END\n"
+    path.write_text(header + "\n".join(lines) + "\n")
+    assert isinstance(loaded(hamio.load_fcidump, path), IntegralTable)
+    assert_same_outcome(path)
+    for fault in data.draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2)):
+        if fault == "no core line":
+            lines = [line for line in lines if line.split()[1:] != ["0"] * 4]
+        else:
+            lines.insert(data.draw(st.integers(0, len(lines))),
+                         faulty_line(data.draw, fault, n_sp))
+    path.write_text(header + "\n".join(lines) + "\n")
+    assert isinstance(loaded(hamio.load_fcidump, path), tuple)
+    assert_same_outcome(path)
+
+
+def test_every_fixture_loads_to_the_oracle_bits():
+    for entry in hamio.load_manifest()["fixtures"].values():
+        assert_same_outcome(hamio.FIXTURE_DIR / entry["file"])
 
 
 @pytest.mark.parametrize("n_sp", [1, 2, 3, 4])

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import oracles
 from rdmpt2 import hamio, qsim, rdm, vqe
 from rdmpt2.hamio import ValidationError
-from rdmpt2.purify import (MIDPOINT_TOL, PurificationError, from_pair_basis,
-                           purify_rdm, to_pair_basis)
+from rdmpt2.purify import (MIDPOINT_TOL, PurificationError, _pair_matrix,
+                           from_pair_basis, purify_rdm)
 
 from conftest import random_pure_2e_rdm
 
@@ -73,7 +73,7 @@ def assert_matches_mcweeney(pair, table):
 
 def test_determinant_pair_matrix_is_projector():
     det = oracles.determinant_rdm((0, 1), 4)
-    m = to_pair_basis(det)
+    m = oracles.to_pair_basis(det)
     e01 = np.zeros(6)
     e01[0] = 1.0  # pair (0,1) is first in lexicographic order
     assert np.allclose(m, np.outer(e01, e01))
@@ -82,7 +82,7 @@ def test_determinant_pair_matrix_is_projector():
 
 def test_pair_basis_round_trip():
     pair = random_pure_2e_rdm(np.random.default_rng(1))
-    back = from_pair_basis(to_pair_basis(pair), 4)
+    back = from_pair_basis(oracles.to_pair_basis(pair), 4)
     assert np.abs(back - pair.rho2).max() < 1e-14
 
 
@@ -92,16 +92,16 @@ def test_pair_basis_hermitian_from_random_antisymmetric():
     t = t - t.transpose(1, 0, 2, 3)
     t = t - t.transpose(0, 1, 3, 2)
     t = 0.5 * (t + t.transpose(2, 3, 0, 1))
-    m = to_pair_basis(rdm.RdmPair(np.zeros((4, 4)), t))
+    m = oracles.to_pair_basis(rdm.RdmPair(np.zeros((4, 4)), t))
     assert np.abs(m - m.T).max() < 1e-14
 
 
 def test_pair_basis_rejects_broken_antisymmetry():
     t = np.zeros((4, 4, 4, 4))
     t[0, 1, 0, 1] = 1.0  # missing the sign partners
-    pair = rdm.RdmPair(np.zeros((4, 4)), t)
+    pair = rdm.RdmPair(np.zeros((4, 4)), t, rdm.RdmMeta(provenance="exact", n_electrons=2))
     with pytest.raises(ValidationError, match="antisymmetry"):
-        to_pair_basis(pair)
+        purify_rdm(pair)
     with pytest.raises(ValidationError, match="antisymmetry"):
         oracles.to_pair_basis(pair)
 
@@ -114,7 +114,7 @@ def test_index_reshape_equals_loop_oracle_exactly(seed, n_so):
     t = t - t.transpose(1, 0, 2, 3)
     t = t - t.transpose(0, 1, 3, 2)
     pair = rdm.RdmPair(np.zeros((n_so, n_so)), t)
-    m = to_pair_basis(pair)
+    m = _pair_matrix(pair.rho2)
     assert np.array_equal(m, oracles.to_pair_basis(pair))
     unsymmetric = rng.normal(size=m.shape)
     assert np.array_equal(from_pair_basis(unsymmetric, n_so),
@@ -137,7 +137,7 @@ def test_projector_fixed_point():
     m = np.zeros((6, 6))
     m[2, 2] = 1.0
     pure = purify_rdm(pair_rdm(m))
-    assert np.array_equal(to_pair_basis(pure), m)
+    assert np.array_equal(oracles.to_pair_basis(pure), m)
     assert pure.meta.purification == {"iterations": 0, "residual": 0.0,
                                       "basin_warning": False}
 
@@ -161,7 +161,7 @@ def test_projector_keeps_eigenvalues_above_half():
     m = q @ np.diag([0.9, 0.1, 0.05, -0.05, 0, 0]) @ q.T
     pure = purify_rdm(pair_rdm(m))
     expected = np.outer(q[:, 0], q[:, 0])
-    assert np.abs(to_pair_basis(pure) - expected).max() < 1e-14
+    assert np.abs(oracles.to_pair_basis(pure) - expected).max() < 1e-14
     assert pure.meta.purification["residual"] < 1e-14
     out, _ = oracles.mcweeney(m)
     assert np.abs(out - expected).max() < 1e-10
@@ -185,7 +185,7 @@ def test_midpoint_tolerance_splits_like_mcweeney(eps, purifies):
     m = np.diag([0.5 + eps, 0.5 - eps, 0, 0, 0, 0])
     if purifies:
         pure = purify_rdm(pair_rdm(m))
-        assert np.abs(to_pair_basis(pure) - np.diag([1.0, 0, 0, 0, 0, 0])).max() < 1e-15
+        assert np.abs(oracles.to_pair_basis(pure) - np.diag([1.0, 0, 0, 0, 0, 0])).max() < 1e-15
         oracles.mcweeney(m)
     else:
         with pytest.raises(PurificationError, match="eigenvalue 0.499999999 "):
@@ -200,9 +200,9 @@ def test_projector_splits_the_trace_normalised_matrix():
     m = np.diag([1.8, 1.2, 0, 0, 0, 0])
     pure = purify_rdm(pair_rdm(m))
     assert pure.meta.purification["basin_warning"] is False
-    assert np.abs(to_pair_basis(pure) - np.diag([1.0, 0, 0, 0, 0, 0])).max() < 1e-15
+    assert np.abs(oracles.to_pair_basis(pure) - np.diag([1.0, 0, 0, 0, 0, 0])).max() < 1e-15
     out = oracles.purify_rdm(pair_rdm(m))
-    assert np.abs(to_pair_basis(out) - to_pair_basis(pure)).max() < 1e-10
+    assert np.abs(oracles.to_pair_basis(out) - oracles.to_pair_basis(pure)).max() < 1e-10
 
 
 def test_zero_projector_raises_like_mcweeney():
@@ -224,7 +224,7 @@ def test_mcweeney_basin_warning():
 def test_projector_basin_warning():
     pure = purify_rdm(pair_rdm(np.diag([1.4, -0.4, 0, 0, 0, 0])))
     assert pure.meta.purification["basin_warning"] is True
-    assert np.abs(to_pair_basis(pure) - np.diag([1.0, 0, 0, 0, 0, 0])).max() < 1e-15
+    assert np.abs(oracles.to_pair_basis(pure) - np.diag([1.0, 0, 0, 0, 0, 0])).max() < 1e-15
 
 
 def test_projector_purifies_where_mcweeney_diverges():
@@ -239,10 +239,10 @@ def test_projector_purifies_where_mcweeney_diverges():
                 oracles.purify_rdm(pair_rdm(m))
         else:
             out = oracles.purify_rdm(pair_rdm(m))
-            assert np.abs(to_pair_basis(out) - np.diag(oracle_diag)).max() < 1e-10
+            assert np.abs(oracles.to_pair_basis(out) - np.diag(oracle_diag)).max() < 1e-10
         pure = purify_rdm(pair_rdm(m))
         assert pure.meta.purification["basin_warning"] is True
-        assert np.abs(to_pair_basis(pure) - np.diag([1.0, 0, 0, 0, 0, 0])).max() < 1e-15
+        assert np.abs(oracles.to_pair_basis(pure) - np.diag([1.0, 0, 0, 0, 0, 0])).max() < 1e-15
 
 
 @settings(max_examples=25, deadline=None)
@@ -278,7 +278,7 @@ def test_purify_improves_mixed_rdm(h2, h2_fci):
     table, _ = h2
     e_fci, amps, basis = h2_fci
     pair = oracles.rdms_from_amplitudes(amps, basis)
-    mixed_m = 0.95 * to_pair_basis(pair) + 0.05 * np.eye(6) / 6.0
+    mixed_m = 0.95 * oracles.to_pair_basis(pair) + 0.05 * np.eye(6) / 6.0
     mixed = rdm.RdmPair(pair.rho1.copy(), from_pair_basis(mixed_m, 4),
                         rdm.RdmMeta(provenance="exact", n_electrons=2))
     e_mixed = hamio.energy_from_rdm(table, mixed)
@@ -294,11 +294,11 @@ def test_purified_invariants_and_idempotence():
         pair = random_pure_2e_rdm(rng)
         noise = rng.normal(size=(6, 6))
         noise = 0.15 * (noise + noise.T) / np.linalg.norm(noise)
-        noisy = rdm.RdmPair(pair.rho1, from_pair_basis(to_pair_basis(pair) + noise, 4),
+        noisy = rdm.RdmPair(pair.rho1, from_pair_basis(oracles.to_pair_basis(pair) + noise, 4),
                             rdm.RdmMeta(provenance="exact", n_electrons=2))
         pure = purify_rdm(noisy)
         assert oracles.traces(pure) == pytest.approx((2.0, 2.0), abs=1e-10)
-        svals = np.linalg.svd(to_pair_basis(pure), compute_uv=False)
+        svals = np.linalg.svd(oracles.to_pair_basis(pure), compute_uv=False)
         assert svals[0] == pytest.approx(1.0, abs=1e-9)
         assert svals[1:].max() < 1e-9  # rank one
         again = purify_rdm(pure)
@@ -331,7 +331,7 @@ def test_open_shell_determinant_raises_named_midpoint(theta):
     # one open-shell determinant (rho1 diagonal 1, 0, 0, 1); spin-reflection
     # averaging makes it an even mixture of two pair states, both at 1/2
     sym = exact_symmetrized_rdm(theta)
-    assert np.abs(np.linalg.eigvalsh(to_pair_basis(sym))[-2:] - 0.5).max() < 1e-12
+    assert np.abs(np.linalg.eigvalsh(oracles.to_pair_basis(sym))[-2:] - 0.5).max() < 1e-12
     with pytest.raises(PurificationError, match=r"eigenvalue 0\.5 lies within"):
         purify_rdm(sym)
     with pytest.raises(PurificationError):
