@@ -116,15 +116,6 @@ class ReferenceDeterminant:
 
 
 @dataclass(frozen=True)
-class NormalOrderedHamiltonian:
-    """E0 and Fock matrix f relative to a determinant (the two-body part
-    is the table's g unchanged)."""
-
-    e0: float
-    f: np.ndarray
-
-
-@dataclass(frozen=True)
 class ActiveSpaceSpec:
     """Partition of the spin orbitals into frozen/active sets."""
 
@@ -271,31 +262,28 @@ def load_fcidump(path) -> IntegralTable:
 # Normal ordering and derived energies
 # ---------------------------------------------------------------------------
 
-def normal_order(table: IntegralTable, ref: ReferenceDeterminant) -> NormalOrderedHamiltonian:
-    """Rewrite the Hamiltonian relative to ``ref`` (Wick's theorem).
-
-    e0 = e_nuclear + sum_i h_ii + 1/2 sum_ij g_ijij over occupied indices,
-    f_pq = h_pq + sum_i g_piqi, and the two-body part is unchanged.
+def normal_order(table: IntegralTable, ref: ReferenceDeterminant) -> float:
+    """The energy of ``ref``: the constant e0 of the Hamiltonian normal-ordered
+    relative to it (Wick's theorem),
+    e0 = e_nuclear + sum_i h_ii + 1/2 sum_ij g_ijij over occupied indices.
     """
     if ref.n_so != table.n_so:
         raise ValidationError("reference determinant does not match the table")
     occ = list(ref.occupied)
     e0 = table.e_nuclear + float(np.trace(table.h[np.ix_(occ, occ)]))
-    e0 += 0.5 * float(np.einsum("ijij->", table.g[np.ix_(occ, occ, occ, occ)]))
-    f = table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
-    return NormalOrderedHamiltonian(e0=e0, f=f)
+    return e0 + 0.5 * float(np.einsum("ijij->", table.g[np.ix_(occ, occ, occ, occ)]))
 
 
 def freeze_core(table: IntegralTable, spec: ActiveSpaceSpec) -> IntegralTable:
-    """Fold frozen-occupied orbitals into an active-space effective table."""
+    """Fold frozen-occupied orbitals into an active-space effective table:
+    its e_nuclear is the core determinant's energy (``normal_order``)."""
     spec.validate(table.n_so)
     core = list(spec.frozen_occupied)
     act = list(spec.active)
     pairs = {p >> 1 for p in act}
     if len(act) != 2 * len(pairs):
         raise ValidationError("active set must contain full alpha/beta pairs")
-    e_core = table.e_nuclear + float(np.trace(table.h[np.ix_(core, core)]))
-    e_core += 0.5 * float(np.einsum("cdcd->", table.g[np.ix_(core, core, core, core)]))
+    e_core = normal_order(table, ReferenceDeterminant(spec.frozen_occupied, table.n_so))
     h_act = table.h[np.ix_(act, act)] + np.einsum(
         "pcqc->pq", table.g[np.ix_(act, core, act, core)])
     g_act = table.g[np.ix_(act, act, act, act)]
@@ -339,11 +327,13 @@ def load_manifest() -> dict:
     return json.loads((FIXTURE_DIR / "manifest.json").read_text())
 
 
-def load_fixture(fixture_id: str):
-    """Load a committed fixture; returns (IntegralTable, manifest entry)."""
-    manifest = load_manifest()
-    if fixture_id not in manifest["fixtures"]:
-        raise KeyError(f"fixture not found: {fixture_id!r} "
-                       f"(available: {sorted(manifest['fixtures'])})")
-    entry = manifest["fixtures"][fixture_id]
-    return load_fcidump(FIXTURE_DIR / entry["file"]), entry
+def load_fixture(molecule: str, bond_length: float):
+    """Load the committed fixture of ``molecule`` (any case) at ``bond_length``
+    Angstrom (to 1e-9); returns (fixture id, IntegralTable, manifest entry)."""
+    fixtures = load_manifest()["fixtures"]
+    for fid, entry in fixtures.items():
+        if (entry["molecule"].lower() == molecule.lower()
+                and abs(entry["bond_length_angstrom"] - bond_length) < 1e-9):
+            return fid, load_fcidump(FIXTURE_DIR / entry["file"]), entry
+    raise KeyError(f"no fixture for {molecule} at {bond_length} A "
+                   f"(available: {sorted(fixtures)})")

@@ -313,16 +313,6 @@ def _noise_model(noise) -> qsim.NoiseModel | None:
     return qsim.NoiseModel.from_dict(noise)
 
 
-def resolve_fixture(molecule: str, geometry: float) -> str:
-    manifest = hamio.load_manifest()
-    for fid, entry in manifest["fixtures"].items():
-        if (entry["molecule"].lower() == molecule.lower()
-                and abs(entry["bond_length_angstrom"] - geometry) < 1e-9):
-            return fid
-    raise KeyError(f"no fixture for {molecule} at {geometry} A "
-                   f"(available: {sorted(manifest['fixtures'])})")
-
-
 # ---------------------------------------------------------------------------
 # The measured-energy pipeline
 # ---------------------------------------------------------------------------
@@ -333,8 +323,8 @@ class PointPipeline:
 
     def __init__(self, spec: ScanSpec, geometry: float):
         self.spec = spec
-        self.fixture_id = resolve_fixture(spec.molecule, geometry)
-        self.table_full, self.entry = hamio.load_fixture(self.fixture_id)
+        self.fixture_id, self.table_full, self.entry = hamio.load_fixture(
+            spec.molecule, geometry)
         n_sp = self.table_full.n_spatial
         n_elec = self.table_full.n_electrons
         self.space = hamio.ActiveSpaceSpec.from_active_spatials(
@@ -349,8 +339,8 @@ class PointPipeline:
     # -- references -----------------------------------------------------
     def references(self) -> dict:
         e_frozen = exact.fci_ground_state(self.table)
-        refs = {"e_fci_frozen": e_frozen, "e_hf": hamio.normal_order(
-            self.table_full, self.ref_full).e0}
+        refs = {"e_fci_frozen": e_frozen,
+                "e_hf": hamio.normal_order(self.table_full, self.ref_full)}
         if "e_fci_full" in self.entry:
             refs["e_fci_full"] = self.entry["e_fci_full"]
         elif not self.has_frozen:

@@ -13,10 +13,14 @@ logging.getLogger("rdmpt2").setLevel(logging.ERROR)
 # failure prints the blob that replays it (@reproduce_failure).
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
+# Every committed fixture as ``hamio.load_fixture`` takes it: (molecule, bond length)
+FIXTURES = (("h2", 0.7), ("h2", 2.0), ("h2", 3.0), ("h2", 4.0),
+            ("lih", 1.5949), ("nah", 1.8874))
+
 
 @pytest.fixture(scope="session")
 def h2():
-    table, entry = hamio.load_fixture("h2_0.70")
+    _, table, entry = hamio.load_fixture("h2", 0.7)
     return table, entry
 
 
@@ -30,7 +34,7 @@ def h2_fci(h2):
 
 @pytest.fixture(scope="session")
 def lih():
-    table, entry = hamio.load_fixture("lih_1.5949")
+    _, table, entry = hamio.load_fixture("lih", 1.5949)
     return table, entry
 
 

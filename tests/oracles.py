@@ -10,6 +10,11 @@ eigenpair (below ``DIMENSION_CAP`` determinants) for any electron count; and
 ``rdms_from_amplitudes`` contracts the exact 1-/2-RDM of a sector
 wavefunction.  ``determinant_rdm`` gives the exact RDMs of one determinant
 and ``traces`` the electron and pair counts of an RDM; no run needs either.
+``determinant_energy`` is a determinant's energy as ``hamio.normal_order``
+(its e0) and ``hamio.freeze_core`` (its core energy) each spelled it out,
+op for op the same, before ``freeze_core`` called ``normal_order``; the
+package must return the same bits.  ``fock_matrix`` is the Fock matrix
+``normal_order`` returned next to e0 until nothing in a run read it.
 
 The PT2 oracles are the scalar and loop forms the vectorized ``rdmpt2.pt2``
 must reproduce: ``fbar``/``gammabar`` evaluate one transformed matrix element
@@ -352,6 +357,20 @@ def determinant_rdm(occupied, n_so) -> rdm.RdmPair:
     rho2 = (np.einsum("p,q,pr,qs->pqrs", n, n, np.eye(n_so), np.eye(n_so))
             - np.einsum("p,q,ps,qr->pqrs", n, n, np.eye(n_so), np.eye(n_so)))
     return rdm.RdmPair(rho1, rho2, rdm.RdmMeta(provenance="exact", n_electrons=len(occ)))
+
+
+def determinant_energy(table: IntegralTable, occupied) -> float:
+    """e_nuclear + sum_i h_ii + 1/2 sum_ij g_ijij over ``occupied``."""
+    occ = list(occupied)
+    e0 = table.e_nuclear + float(np.trace(table.h[np.ix_(occ, occ)]))
+    e0 += 0.5 * float(np.einsum("ijij->", table.g[np.ix_(occ, occ, occ, occ)]))
+    return e0
+
+
+def fock_matrix(table: IntegralTable, occupied):
+    """f_pq = h_pq + sum_i g_piqi over ``occupied``."""
+    occ = list(occupied)
+    return table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
 
 
 def traces(pair):
@@ -785,7 +804,7 @@ def hf_mp2(table, ref):
     """Textbook MP2 from the Fock matrix and bare integrals, in loops."""
     occ = list(ref.occupied)
     virt = list(ref.virtual)
-    f = table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
+    f = fock_matrix(table, occ)
     eps = {p: f[p, p] for p in range(table.n_so)}
     return _loop_sum(eps, eps, f[np.ix_(occ, virt)],
                      table.g[np.ix_(occ, occ, virt, virt)], occ, virt)

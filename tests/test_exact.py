@@ -24,10 +24,10 @@ def test_noninteracting_toy(tmp_path):
 
 
 def test_fci_matches_generator_references():
-    for fid in ("h2_0.70", "h2_4.00", "lih_1.5949"):
-        table, entry = hamio.load_fixture(fid)
+    for fixture in (("h2", 0.7), ("h2", 4.0), ("lih", 1.5949)):
+        _, table, entry = hamio.load_fixture(*fixture)
         energy, _ = fci_ground_state(table)
-        assert abs(energy - entry["e_fci_full"]) < 1e-8, fid
+        assert abs(energy - entry["e_fci_full"]) < 1e-8, fixture
 
 
 def test_sector_hamiltonian_hermitian(lih):
@@ -77,7 +77,7 @@ def test_variational_bound_of_ansatz_states(h2, h2_fci):
 
 
 def test_dimension_cap_advises_freezing(monkeypatch):
-    table, _ = hamio.load_fixture("nah_1.8874")
+    _, table, _ = hamio.load_fixture("nah", 1.8874)
     monkeypatch.setattr(oracles, "DIMENSION_CAP", 100)
     with pytest.raises(ValidationError, match="freeze"):
         fci_ground_state(table)

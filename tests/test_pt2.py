@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_pure_2e_rdm, random_rdm_pair, same_bits
+from conftest import FIXTURES, random_pure_2e_rdm, random_rdm_pair, same_bits
 from oracles import fbar, gammabar, reducible_3rdm
 from rdmpt2 import hamio, pt2, purify, qsim, rdm, vqe
 from rdmpt2.hamio import (ActiveSpaceSpec, IntegralTable, ReferenceDeterminant,
@@ -17,6 +17,10 @@ from rdmpt2.hamio import (ActiveSpaceSpec, IntegralTable, ReferenceDeterminant,
 from rdmpt2.rdm import RdmPair
 from rdmpt2.pt2 import (DegenerateDenominatorError, embed_active_rdm, hf_mp2,
                         rdm_pt2, transformed_energies)
+
+# The two fixtures with a frozen core, parametrized under their manifest ids
+FROZEN_CORE_FIXTURES = pytest.mark.parametrize(
+    "molecule, r", FIXTURES[4:], ids=["lih_1.5949", "nah_1.8874"])
 
 
 def exact_active_rdm(table, entry):
@@ -128,7 +132,7 @@ def test_fbar_on_hf_determinant_is_fock_offdiagonal(lih):
     table, _ = lih
     ref = ReferenceDeterminant.aufbau(table)
     det = oracles.determinant_rdm(ref.occupied, table.n_so)
-    f = hamio.normal_order(table, ref).f
+    f = oracles.fock_matrix(table, ref.occupied)
     for i in (0, 1, 3):
         for a in (8, 9, 11):
             assert fbar(det, table, ref, i, a) == pytest.approx(f[i, a], abs=1e-12)
@@ -179,12 +183,12 @@ def test_scalar_and_batch_numerators_agree(lih):
             fbar(emb, table, ref, occ[i], virt[a]), abs=1e-11)
 
 
-@pytest.mark.parametrize("fid", ["lih_1.5949", "nah_1.8874"])
-def test_numerators_match_einsum_oracle_on_unphysical_rdm(fid):
+@FROZEN_CORE_FIXTURES
+def test_numerators_match_einsum_oracle_on_unphysical_rdm(molecule, r):
     # the 3-RDM terms are rearranged through an algebraic identity of the
     # reconstruction, so they must agree for any antisymmetric rho2 and
     # hermitian rho1, not only N-representable ones
-    table, _ = hamio.load_fixture(fid)
+    _, table, _ = hamio.load_fixture(molecule, r)
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
     pair = random_rdm_pair(np.random.default_rng(4), table.n_so, table.n_electrons)
@@ -318,7 +322,7 @@ def test_transformed_energies_collapse_on_determinant(lih):
     table, _ = lih
     ref = ReferenceDeterminant.aufbau(table)
     det = oracles.determinant_rdm(ref.occupied, table.n_so)
-    f = hamio.normal_order(table, ref).f
+    f = oracles.fock_matrix(table, ref.occupied)
     eps_occ, eps_virt = transformed_energies(det, table, ref)
     for i, e in zip(ref.occupied, eps_occ, strict=True):
         assert e == pytest.approx(f[i, i], abs=1e-12)
@@ -332,7 +336,7 @@ def test_transformed_energies_shift_directions(h2, h2_fci):
     ref = ReferenceDeterminant.aufbau(table)
     _, amps, basis = h2_fci
     pair = oracles.rdms_from_amplitudes(amps, basis)
-    f = hamio.normal_order(table, ref).f
+    f = oracles.fock_matrix(table, ref.occupied)
     eps_occ, eps_virt = transformed_energies(pair, table, ref)
     for i, e in zip(ref.occupied, eps_occ, strict=True):
         assert e < f[i, i]
@@ -353,7 +357,7 @@ def test_transformed_energies_zero_offdiagonal_blocks(h2, h2_fci):
     r2[np.ix_(virt, virt, occ, occ)] = 0.0
     r2[np.ix_(occ, occ, virt, virt)] = 0.0
     stripped = rdm.RdmPair(stripped.rho1, r2, pair.meta)
-    f = hamio.normal_order(table, ref).f
+    f = oracles.fock_matrix(table, ref.occupied)
     eps_occ, eps_virt = transformed_energies(stripped, table, ref)
     for i, e in zip(occ, eps_occ, strict=True):
         assert e == pytest.approx(f[i, i], abs=1e-12)
@@ -366,9 +370,8 @@ def test_transformed_energies_zero_offdiagonal_blocks(h2, h2_fci):
 # ---------------------------------------------------------------------------
 
 def test_mp2_reduction_every_fixture():
-    for fid in ("h2_0.70", "h2_2.00", "h2_3.00", "h2_4.00",
-                "lih_1.5949", "nah_1.8874"):
-        table, entry = hamio.load_fixture(fid)
+    for fixture in FIXTURES:
+        _, table, _ = hamio.load_fixture(*fixture)
         ref = ReferenceDeterminant.aufbau(table)
         det = oracles.determinant_rdm(ref.occupied, table.n_so)
         assert abs(rdm_pt2(det, table, ref)
@@ -377,8 +380,8 @@ def test_mp2_reduction_every_fixture():
 
 def test_mp2_matches_generator_value():
     # third, fully independent route: the generator's closed-shell MP2
-    for fid in ("h2_0.70", "lih_1.5949", "nah_1.8874"):
-        table, entry = hamio.load_fixture(fid)
+    for fixture in (("h2", 0.7), ("lih", 1.5949), ("nah", 1.8874)):
+        _, table, entry = hamio.load_fixture(*fixture)
         ref = ReferenceDeterminant.aufbau(table)
         assert abs(hf_mp2(table, ref) - entry["e_mp2_corr_full"]) < 1e-9
 
@@ -573,16 +576,16 @@ def fsum_of_every_term(eps_occ, eps_virt, fmat, gten, occ, virt, internal=()):
 
 
 def test_second_order_sum_without_zero_terms_is_bit_identical(pipelines):
-    for fid in ("h2_0.70", "h2_2.00", "h2_3.00", "h2_4.00", "lih_1.5949", "nah_1.8874"):
-        table, _ = hamio.load_fixture(fid)
+    for fixture in FIXTURES:
+        _, table, _ = hamio.load_fixture(*fixture)
         ref = ReferenceDeterminant.aufbau(table)
         occ, virt = list(ref.occupied), list(ref.virtual)
-        f = table.h + np.einsum("piqi->pq", table.g[:, occ][:, :, :, occ])
+        f = oracles.fock_matrix(table, occ)
         eps = f.diagonal()
         gten = table.g[np.ix_(occ, occ, virt, virt)]
         assert (gten == 0).any()
         assert hf_mp2(table, ref) == fsum_of_every_term(
-            eps[occ], eps[virt], f[np.ix_(occ, virt)], gten, occ, virt), fid
+            eps[occ], eps[virt], f[np.ix_(occ, virt)], gten, occ, virt), fixture
     for mol in ("h2", "lih", "nah"):
         rdm_, table, ref, space = pipeline_pt2_case(pipelines[mol], (0.3, -0.2, 0.1))
         split = pt2._Split(rdm_, table, ref, space)
@@ -688,14 +691,14 @@ def test_embed_equals_loop_form_exactly(pipelines, mol):
         assert emb.meta.n_electrons == 2 + len(pipe.space.frozen_occupied)
 
 
-@pytest.mark.parametrize("fid", ["lih_1.5949", "nah_1.8874"])
+@FROZEN_CORE_FIXTURES
 @pytest.mark.parametrize("reorder", [False, True])
-def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(fid, reorder):
+def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(molecule, r, reorder):
     # the core/active split is an algebraic identity of the reconstruction,
     # so it holds off the N-representable set too; the reordered partitions
     # (active spatials 0 and 2, below the core) put the core after the
     # occupied active orbitals
-    table, entry = hamio.load_fixture(fid)
+    _, table, entry = hamio.load_fixture(molecule, r)
     ref = ReferenceDeterminant.aufbau(table)
     active = (0, 2) if reorder else entry["active_spatial_orbitals"]
     space = ActiveSpaceSpec.from_active_spatials(table.n_spatial, table.n_electrons, active)
@@ -707,12 +710,12 @@ def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(fid, r
         oracles.rdm_pt2(emb, table, ref, space), rel=1e-12)
 
 
-@pytest.mark.parametrize("fid", ["lih_1.5949", "nah_1.8874"])
-def test_pt2_in_plan_order_equals_sum_in_reference_order(fid):
+@FROZEN_CORE_FIXTURES
+def test_pt2_in_plan_order_equals_sum_in_reference_order(molecule, r):
     # the reordered partition (active spatials 0 and 2) puts the plan's
     # occupied axis, core first, out of the reference's order; permuting its
     # numerators and masks into the reference's order must not change a bit
-    table, _ = hamio.load_fixture(fid)
+    _, table, _ = hamio.load_fixture(molecule, r)
     ref = ReferenceDeterminant.aufbau(table)
     space = ActiveSpaceSpec.from_active_spatials(table.n_spatial, table.n_electrons, (0, 2))
     for seed in range(3):
@@ -732,7 +735,7 @@ def test_pt2_in_plan_order_equals_sum_in_reference_order(fid):
             *transformed_energies(emb, table, ref, space),
             split.fbar[0][np.ix_(po, pv)], pt2._gammabar_tensor(split)[0][np.ix_(po, po, pv, pv)],
             ref.occupied, ref.virtual, keeps)
-        assert rdm_pt2(emb, table, ref, space) == want, (fid, seed)
+        assert rdm_pt2(emb, table, ref, space) == want, (molecule, seed)
 
 
 def test_full_space_pt2_rejects_non_embedded_rho1(lih):
@@ -857,7 +860,7 @@ def test_plans_are_dropped_with_their_table():
 
 
 def test_bad_partition_raises_on_every_call_and_caches_nothing():
-    table, _ = hamio.load_fixture("lih_1.5949")
+    _, table, _ = hamio.load_fixture("lih", 1.5949)
     ref = ReferenceDeterminant.aufbau(table)
     space = ActiveSpaceSpec.from_active_spatials(table.n_spatial, table.n_electrons, (1, 5))
     core, act, fv = space.frozen_occupied, space.active, space.frozen_virtual

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from rdmpt2 import cli, hamio, qsim, rdm, vqe
-from rdmpt2.vqe import (OptimizerSettings, RunRecord, ScanSpec, optimize,
-                        resolve_fixture, run_point, run_scan)
+from rdmpt2.vqe import (OptimizerSettings, RunRecord, ScanSpec, optimize, run_point,
+                        run_scan)
 
 SRC = str(Path(vqe.__file__).resolve().parents[1])
 
@@ -451,11 +451,21 @@ def test_scan_continues_past_bad_fixture(tmp_path):
     assert len(csv_text.strip().splitlines()) == 3  # header + two rows
 
 
-def test_resolve_fixture():
-    assert resolve_fixture("h2", 0.7) == "h2_0.70"
-    assert resolve_fixture("LiH", 1.5949) == "lih_1.5949"
-    with pytest.raises(KeyError):
-        resolve_fixture("h2", 1.23)
+@pytest.mark.parametrize("molecule, r, fid", [  # the benchmark workloads' geometries
+    ("h2", 2.0, "h2_2.00"), ("nah", 1.8874, "nah_1.8874"), ("lih", 1.5949, "lih_1.5949")])
+def test_point_set_up_reads_the_manifest_once(monkeypatch, molecule, r, fid):
+    load, reads = hamio.load_manifest, []
+    monkeypatch.setattr(hamio, "load_manifest", lambda: reads.append(None) or load())
+    pipe = vqe.PointPipeline(ScanSpec(molecule=molecule, geometries=[r], shots=None), r)
+    assert len(reads) == 1
+    assert pipe.fixture_id == fid
+
+
+def test_missing_geometry_is_recorded_with_the_lookup_error():
+    record, = run_scan(ScanSpec(molecule="h2", geometries=[9.9], shots=None, noise=None))
+    text = ("no fixture for h2 at 9.9 A (available: ['h2_0.70', 'h2_2.00', "
+            "'h2_3.00', 'h2_4.00', 'lih_1.5949', 'nah_1.8874'])")
+    assert record.error == repr(text)  # str() of a KeyError quotes its message
 
 
 def test_scanspec_from_json(tmp_path):
