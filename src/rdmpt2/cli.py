@@ -10,23 +10,6 @@ from pathlib import Path
 from . import hamio, vqe
 
 
-def _add_common(p):
-    p.add_argument("--shots", type=int, default=8192,
-                   help="shots per measurement circuit; 0 = exact expectations "
-                        "(a spec's null)")
-    p.add_argument("--noise", default="default",
-                   help="'default', 'none' (a spec's null), or a JSON file of "
-                        "NoiseModel fields p1, p2, readout, n_qubits "
-                        "(--shots 0 needs 'none')")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bootstrap", type=int, default=0,
-                   help="bootstrap resamples at the final point "
-                        "(needs --shots > 0)")
-    p.add_argument("--max-evals", type=int, default=200,
-                   help="objective evaluations per point (hard cap)")
-    p.add_argument("--out", default="runs", help="output directory")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="rdmpt2",
@@ -38,7 +21,20 @@ def main(argv=None):
     p_run.add_argument("--fixture", required=True, help="molecule id, e.g. h2")
     p_run.add_argument("--geometry", type=float, required=True,
                        help="bond length in Angstrom (must match a fixture)")
-    _add_common(p_run)
+    p_run.add_argument("--shots", type=int, default=8192,
+                       help="shots per measurement circuit; 0 = exact expectations "
+                            "(a spec's null)")
+    p_run.add_argument("--noise", default="default",
+                       help="'default', 'none' (a spec's null), or a JSON file of "
+                            "NoiseModel fields p1, p2, readout and n_qubits, which "
+                            "must be 4; --shots 0 needs 'none'")
+    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--bootstrap", type=int, default=0,
+                       help="bootstrap resamples at the final point "
+                            "(needs --shots > 0)")
+    p_run.add_argument("--max-evals", type=int, default=200,
+                       help="objective evaluations per point (hard cap)")
+    p_run.add_argument("--out", default="runs", help="output directory")
 
     p_scan = sub.add_parser("scan", help="run a geometry scan from a JSON spec")
     p_scan.add_argument("--spec", required=True, help="ScanSpec JSON file")

@@ -2,9 +2,9 @@
 
 The numerators are the real parts of commutator expectations
 <[a+_i a_a, H]> and <[a+_i a+_j a_b a_a, H]> expressed through the 1-/2-RDM
-(plus a reducible 3-RDM reconstruction when more than two electrons are
-present); the denominators use transformed orbital energies obtained from the
-same RDMs.  On a determinant RDM everything collapses to textbook MP2.
+(plus a reducible 3-RDM reconstruction when the reference holds more than
+two electrons); the denominators use transformed orbital energies obtained
+from the same RDMs.  On a determinant RDM everything collapses to textbook MP2.
 
 Everything here is array code over the occupied/virtual blocks of the
 reference: the numerators and transformed energies are block contractions,
@@ -26,7 +26,7 @@ outside A^4, nor rho1 outside A but for the O(n^2) embedded-form check.
 Without a partition the core is empty and every orbital counts as active, so
 the same code reads any RDM in full.  With a partition the RDM may also be
 the active pair itself, rho over ``space.active``, which is all the
-embedded one is read for; the embedding adds the core's electrons.
+embedded one is read for.
 
 Every RDM block carries a leading resample axis (of length 1 for one pair),
 so a stack of pairs (a bootstrap block) runs through the same contractions:
@@ -38,9 +38,10 @@ one pair.
 What depends only on the integral table, the reference and the partition is
 computed once, on the first call, and kept while the table lives (the plans
 are weakly keyed by the table): one ``_Plan`` per (reference, partition)
-holds the index classes, the partition and reference checks, the bare Fock
-diagonal, every block of h and g that is read (with the core's mean field and
-h plus it) and the masks of the channels the second-order sum keeps.  Per
+holds the index classes, the partition and reference checks, whether the
+three-body terms apply (the reference holds more than two electrons), the bare
+Fock diagonal, every block of h and g that is read (with the core's mean field
+and h plus it) and the masks of the channels the second-order sum keeps.  Per
 RDM there remain its active blocks, the embedded-form check and the
 contractions themselves, whose inputs and summation order are those of
 cutting the blocks on every call.
@@ -214,15 +215,15 @@ class _Plan:
         self.g_kwaa = np.ascontiguousarray(
             _block(g, A, CA, W, A).transpose(1, 2, 0, 3))              # g_mnaw, n in C + A
         # ``_pair_transform``'s g_mnwx and U's g_ijmn: x in W and j in O for
-        # two electrons; x in A + W and j in C + A with the three-body terms
-        self.pair = {}
-        for three_body in (False, True):
-            x = AW if three_body else W
-            self.pair[three_body] = (
-                np.ascontiguousarray(_block(g, A, A, W, x)),
-                _block(g, C, C, W, x) if nc else None,
-                np.ascontiguousarray(_block(g, C, A, W, x).transpose(1, 0, 2, 3)) if nc else None,
-                np.ascontiguousarray(_block(g, O, CA if three_body else O, A, A)))
+        # a two-electron reference; x in A + W and j in C + A with the
+        # three-body terms, which a reference of more electrons needs
+        self.three_body = len(self.occ) > 2
+        x, j = (AW, CA) if self.three_body else (W, O)
+        self.pair = (
+            np.ascontiguousarray(_block(g, A, A, W, x)),
+            _block(g, C, C, W, x) if nc else None,
+            np.ascontiguousarray(_block(g, C, A, W, x).transpose(1, 0, 2, 3)) if nc else None,
+            np.ascontiguousarray(_block(g, O, j, A, A)))
         # ``_second_order_sum``'s masks: with a partition, every channel
         # whose indices all lie in the active set is dropped
         self.keeps = (None, None)
@@ -252,23 +253,22 @@ class _Plan:
 
 
 def _cut(rdm: RdmPair, p: _Plan, check=False):
-    """A stack of the RDM's active blocks: (r, r2, n_electrons, stacked), r =
-    rho1 on A and r2 = rho2 on A^4 with one leading resample axis (of length
-    1 for a single pair).  With a partition ``rdm`` is the embedded pair, or
-    the active pair (rho over ``space.active``, ``embed_active_rdm``'s
-    input), whose electron count lacks the core's.  ``check`` checks an
-    embedded rho1's form: ``transformed_energies`` asks for it, and
+    """A stack of the RDM's active blocks: (r, r2, stacked), r = rho1 on A and
+    r2 = rho2 on A^4 with one leading resample axis (of length 1 for a single
+    pair).  With a partition ``rdm`` is the embedded pair, or the active pair
+    (rho over ``space.active``, ``embed_active_rdm``'s input).  ``check``
+    checks an embedded rho1's form: ``transformed_energies`` asks for it, and
     ``rdm_pt2`` calls that first."""
     stacked = rdm.rho1.ndim == 3
     rho1, rho2 = (rdm.rho1, rdm.rho2) if stacked else (rdm.rho1[None], rdm.rho2[None])
-    A, n_electrons = p.A, rdm.meta.n_electrons
+    A = p.A
     if p.embedded is not None:
         if rho1.shape[-1] == p.n_active:
-            A, n_electrons = p.A_pos, n_electrons + p.nc
+            A = p.A_pos
         elif check:
             p.check_embedded(rho1)
     every = slice(None)
-    return _block(rho1, every, A, A), _block(rho2, every, A, A, A, A), n_electrons, stacked
+    return _block(rho1, every, A, A), _block(rho2, every, A, A, A, A), stacked
 
 
 class _Split:
@@ -279,7 +279,7 @@ class _Split:
     def __init__(self, rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
                  space: ActiveSpaceSpec | None = None):
         self.plan = plan = _plan(table, ref, space)
-        self.r, self.r2, self.n_electrons, self.stacked = _cut(rdm, plan)
+        self.r, self.r2, self.stacked = _cut(rdm, plan)
         nao, r = plan.nao, self.r
         self.ro, self.rv, self.t = r[:, :, :nao], r[:, :, nao:], r[:, :nao, nao:]
 
@@ -343,18 +343,18 @@ def _gammabar_tensor(s: _Split) -> np.ndarray:
     1/2 sum_m h_im rho2_mjab - sum_m h_am rho2_ijmb, which need an active j
     (the latter halved for active i, whose mirror term A_ij supplies).  The
     three-body terms add to S (``_gamma_3rdm_terms``); they vanish
-    identically for 2-electron states and are skipped there.
+    identically for 2-electron states and are skipped when the plan's
+    reference holds two electrons (``_Plan.three_body``).
     """
     p, r2 = s.plan, s.r2
     nc, nao, nav, va = p.nc, p.nao, p.nav, p.va
     h_cw, h_aw, h_oa = p.h_cuts
     # the pair transform of g_mnaw, w in W for X and, first, in A for the
     # three-body terms; U_ivab also for v in Av there
-    three_body = s.n_electrons > 2
-    g_aawx, g_ccwx, g_acwx, g_ojaa = p.pair[three_body]
+    g_aawx, g_ccwx, g_acwx, g_ojaa = p.pair
     om = _pair_transform(s, g_aawx, g_ccwx, g_acwx)
     u = 0.5 * _dot(g_ojaa[None], r2[:, :, :, nao:, nao:], 2)
-    if three_body:
+    if p.three_body:
         gen = _gamma_3rdm_terms(s, om, u)
     else:
         gen = np.zeros(om.shape[:4] + (nav,))
@@ -456,7 +456,7 @@ def transformed_energies(rdm: RdmPair, table: IntegralTable,
     """
     _check_pt2_input(rdm)
     p = _plan(table, ref, space)
-    r, r2, _, stacked = _cut(rdm, p, check=True)
+    r, r2, stacked = _cut(rdm, p, check=True)
     o, v = slice(p.nao), slice(p.nao, None)  # Ao and Av within A
     eps_occ, eps_virt = p.bare_occ[None].repeat(len(r), 0), p.bare_virt[None].repeat(len(r), 0)
     eps_occ[:, p.ao_pos] = (

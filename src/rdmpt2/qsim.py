@@ -102,10 +102,6 @@ class Gate:
     qubits: tuple
     matrix: np.ndarray
 
-    @property
-    def arity(self) -> int:
-        return len(self.qubits)
-
 
 @dataclass
 class Circuit:
@@ -351,7 +347,7 @@ def _evolve(rho, gates, model: NoiseModel):
     n = model.n_qubits
     vec = rho.reshape(1, -1)
     for gate in gates:
-        p = model.p1 if gate.arity == 1 else model.p2
+        p = model.p1 if len(gate.qubits) == 1 else model.p2
         rows = tuple(q + n for q in gate.qubits)
         vec = _apply_gate_batch(vec, _channel(gate, p), rows + gate.qubits, 2 * n)
     return vec.reshape(rho.shape)
@@ -386,34 +382,22 @@ def _draw(rho, model: NoiseModel, shots: int, seed) -> np.ndarray:
 
 
 def qwc_groups(words):
-    """Greedy grouping of Pauli words into qubit-wise commuting sets.
+    """Greedy grouping of Pauli words into qubit-wise commuting sets: a word
+    joins the first group whose basis it commutes with letter by letter.
 
-    Returns (group basis strings, assignment list index->group).
+    Returns (group basis strings, I read as Z; assignment list index->group).
     """
-    bases = []
-    assignment = []
+    bases, assignment = [], []
     for word in words:
-        placed = False
         for gi, basis in enumerate(bases):
-            merged = list(basis)
-            ok = True
-            for k, c in enumerate(word):
-                if c == "I":
-                    continue
-                if merged[k] == "I":
-                    merged[k] = c
-                elif merged[k] != c:
-                    ok = False
-                    break
-            if ok:
-                bases[gi] = merged
+            if all("I" in (b, c) or b == c for b, c in zip(basis, word)):
+                bases[gi] = "".join(c if b == "I" else b for b, c in zip(basis, word))
                 assignment.append(gi)
-                placed = True
                 break
-        if not placed:
-            bases.append(list(word))
+        else:
+            bases.append(word)
             assignment.append(len(bases) - 1)
-    return ["".join("Z" if c == "I" else c for c in b) for b in bases], assignment
+    return [b.replace("I", "Z") for b in bases], assignment
 
 
 def basis_rotation(basis: str) -> Circuit:

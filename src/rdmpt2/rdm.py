@@ -11,10 +11,10 @@ Measurement is one linear map, compiled once per schedule:
 P is the G x 2^n stack of outcome probabilities, one row per qubit-wise
 commuting group in the order of ``schedule.bases`` (13 x 16 for 4 qubits),
 column i the little-endian outcome after the group's basis rotation.  x holds
-the measured elements (``elements1`` then ``elements2``, 18 for 4 qubits):
-row e of K is e's Pauli coefficients times the outcome parities of its
-words.  The coefficients come from matrices: e's ladder product A is a
-matmul of ``qsim.jw_ladder`` matrices, and its hermitian part
+the measured (stored-form) elements of ``_elements``, rho1's then rho2's
+(18 for 4 qubits): row e of K is e's Pauli coefficients times the outcome
+parities of its words.  The coefficients come from matrices: e's ladder
+product A is a matmul of ``qsim.jw_ladder`` matrices, and its hermitian part
 O = (A + A+)/2 has c_w = Tr(P_w O) / 2^n on word w (k0 holds c_I).
 raw is rho1.ravel() followed by rho2.ravel() (16 + 256 entries); each
 position reads its element with the antisymmetry sign, and a vanishing
@@ -117,9 +117,8 @@ def _reflection(n_so):
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSchedule:
-    """Which RDM elements are measured, and the compiled measurement map.
+    """The measurement circuits and the compiled measurement map.
 
-    ``elements1``/``elements2`` are the measured (stored-form) elements.
     Group g measures ``words[g]`` in basis ``bases[g]``, after the basis
     rotation whose unitary is ``rotations[g]``; ``k0``, ``K``, ``index`` and
     ``sign`` map the group probabilities to the raw RDMs (module docstring).
@@ -128,8 +127,6 @@ class MeasurementSchedule:
     """
 
     n_so: int
-    elements1: tuple
-    elements2: tuple
     bases: tuple
     words: tuple
     rotations: np.ndarray
@@ -215,8 +212,7 @@ def build_schedule(n_so) -> MeasurementSchedule:
         if e in slot:  # else the element vanishes: sign 0
             index[i], sign[i] = slot[e], s
     return MeasurementSchedule(
-        n_so=n_so, elements1=tuple(el1), elements2=tuple(el2),
-        bases=tuple(bases),
+        n_so=n_so, bases=tuple(bases),
         words=tuple(tuple(w for w in words if group[w] == g) for g in range(len(bases))),
         rotations=np.array([qsim.basis_rotation(b).unitary() for b in bases]),
         k0=k0, K=K, index=index, sign=sign)

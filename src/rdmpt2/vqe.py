@@ -329,6 +329,11 @@ class PointPipeline:
         n_elec = self.table_full.n_electrons
         self.space = hamio.ActiveSpaceSpec.from_active_spatials(
             n_sp, n_elec, self.entry["active_spatial_orbitals"])
+        if len(self.space.active) != qsim.ANSATZ_QUBITS:
+            raise ValidationError(
+                f"fixture {self.fixture_id} has {len(self.space.active)} active spin "
+                f"orbitals; the ansatz register has {qsim.ANSATZ_QUBITS} qubits, one "
+                "per active spin orbital")
         self.has_frozen = bool(self.space.frozen_occupied or self.space.frozen_virtual)
         self.table = (hamio.freeze_core(self.table_full, self.space) if self.has_frozen
                       else self.table_full)
@@ -391,9 +396,9 @@ class PointPipeline:
                     embedded, self.table_full, self.ref_full, space=self.space)
             except pt2.DegenerateDenominatorError as exc:
                 out["e_pt2_full"] = None
-                out["note"] = str(exc)
+                out["note"] = "; ".join(filter(None, (out.get("note"), str(exc))))
         else:
-            out["e_pt2_full"] = out.get("e_pt2_frozen")
+            out["e_pt2_full"] = out["e_pt2_frozen"]
         return out
 
     def bootstrap_pipeline(self, raw: rdm.RdmPair) -> dict:
@@ -496,9 +501,7 @@ def _fmt(x):
 
 def record_row(rec: RunRecord) -> dict:
     if rec.error is not None:
-        return {"r": f"{rec.geometry:.4f}", "e_raw": "", "e_pure": "",
-                "e_pt2_frozen": "", "e_pt2_full": "", "err_pure": "",
-                "err_pt2": "", "e_fci_frozen": "", "e_fci_full": ""}
+        return dict.fromkeys(CSV_COLUMNS, "") | {"r": f"{rec.geometry:.4f}"}
     mean = {k: rec.last5.get(k, {}).get("mean") for k in ENERGY_KEYS}
     fci_frozen = rec.references.get("e_fci_frozen")
     fci_full = rec.references.get("e_fci_full")

@@ -44,6 +44,10 @@ formed it before its broadcast product, through ``np.kron`` with vec(I_d)
 rebuilt on every call, and ``rotation_gates`` a basis-rotation tail built
 afresh on every call, as ``measure_pauli_sets`` built it before it kept one
 per basis; ``qsim._channel`` and ``qsim._tail`` must return the same bits.
+``qwc_groups`` is the greedy qubit-wise commuting grouping as it stood
+before the package's ``for ... else`` loop over strings: it merges each
+word into a letter list under a flag; ``qsim.qwc_groups`` must return the
+same groups.
 
 The measurement oracles are the element-by-element assembly the compiled
 map replaced: ``element_terms`` expands every measured element in Pauli
@@ -281,8 +285,8 @@ def kraus_density_matrix(circuit, model):
     for gate in circuit.gates:
         u = expand_matrix(gate.matrix, gate.qubits, n)
         rho = u @ rho @ u.conj().T
-        p = model.p1 if gate.arity == 1 else model.p2
-        paulis = _PAULIS_1Q if gate.arity == 1 else _PAULIS_2Q
+        p = model.p1 if len(gate.qubits) == 1 else model.p2
+        paulis = _PAULIS_1Q if len(gate.qubits) == 1 else _PAULIS_2Q
         words = [expand_matrix(w, gate.qubits, n) for w in paulis]
         rho = (1 - p) * rho + p / len(words) * sum(w @ rho @ w for w in words)
     return rho
@@ -321,11 +325,11 @@ def trajectory_counts(circuit, model, shots, seed):
     states[:, 0] = 1.0
     for gate in circuit.gates:
         states = states @ expand_matrix(gate.matrix, gate.qubits, n).T
-        p_err = model.p1 if gate.arity == 1 else model.p2
+        p_err = model.p1 if len(gate.qubits) == 1 else model.p2
         if p_err <= 0:
             continue
         hit = rng.random(shots) < p_err
-        paulis = _PAULIS_1Q if gate.arity == 1 else _PAULIS_2Q
+        paulis = _PAULIS_1Q if len(gate.qubits) == 1 else _PAULIS_2Q
         which = rng.integers(0, len(paulis), size=shots)
         for k, pauli in enumerate(paulis):
             rows = np.where(hit & (which == k))[0]
@@ -341,6 +345,37 @@ def trajectory_counts(circuit, model, shots, seed):
         flip = rng.random(shots) < p_flip
         outcomes = outcomes ^ (flip.astype(np.int64) << q)
     return np.bincount(outcomes, minlength=1 << n)
+
+
+def qwc_groups(words):
+    """Greedy grouping of Pauli words into qubit-wise commuting sets.
+
+    Returns (group basis strings, assignment list index->group).
+    """
+    bases = []
+    assignment = []
+    for word in words:
+        placed = False
+        for gi, basis in enumerate(bases):
+            merged = list(basis)
+            ok = True
+            for k, c in enumerate(word):
+                if c == "I":
+                    continue
+                if merged[k] == "I":
+                    merged[k] = c
+                elif merged[k] != c:
+                    ok = False
+                    break
+            if ok:
+                bases[gi] = merged
+                assignment.append(gi)
+                placed = True
+                break
+        if not placed:
+            bases.append(list(word))
+            assignment.append(len(bases) - 1)
+    return ["".join("Z" if c == "I" else c for c in b) for b in bases], assignment
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +888,8 @@ def rdm_from_expectations(expectation, schedule):
     n = schedule.n_so
     rho1 = np.zeros((n, n))
     rho2 = np.zeros((n, n, n, n))
-    elements = schedule.elements1 + schedule.elements2
+    el1, el2 = rdm._elements(n)
+    elements = el1 + el2
     for e, (const, terms) in element_terms(elements, n).items():
         value = const + sum(c * expectation(w) for w, c in terms.items())
         if len(e) == 2:

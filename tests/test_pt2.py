@@ -691,6 +691,21 @@ def test_embed_equals_loop_form_exactly(pipelines, mol):
         assert emb.meta.n_electrons == 2 + len(pipe.space.frozen_occupied)
 
 
+@pytest.mark.parametrize("mol", ["lih", "nah"])
+def test_three_body_terms_follow_the_reference_not_the_declared_count(pipelines, mol):
+    # the reference holds more than two electrons, so the 3-RDM terms apply
+    # whatever electron count the embedded or the active pair declares
+    pipe = pipelines[mol]
+    pure = purified_rdm(pipe, (0.4, -0.3, 0.2))
+    emb = embed_active_rdm(pure, pipe.space)
+    assert emb.meta.n_electrons > 2
+    args = pipe.table_full, pipe.ref_full, pipe.space
+    e = rdm_pt2(emb, *args)
+    for pair in (emb, pure):
+        declared_two = RdmPair(pair.rho1, pair.rho2, rdm.RdmMeta("purified", n_electrons=2))
+        assert np.float64(rdm_pt2(declared_two, *args)).tobytes() == np.float64(e).tobytes()
+
+
 @FROZEN_CORE_FIXTURES
 @pytest.mark.parametrize("reorder", [False, True])
 def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(molecule, r, reorder):

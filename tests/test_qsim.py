@@ -252,10 +252,10 @@ def test_channel_matches_kron_oracle_bit_for_bit(p_kind):
     rng = np.random.default_rng(19)
     gates = [g for _ in range(4) for g in build_ansatz(rng.uniform(-np.pi, np.pi, 3)).gates]
     gates += [g for basis in rdm.build_schedule(4).bases for g in oracles.rotation_gates(basis)]
-    assert {g.arity for g in gates} == {1, 2}
+    assert {len(g.qubits) for g in gates} == {1, 2}
     default = NoiseModel()
     for gate in gates:
-        p = {"zero": 0.0, "default": default.p1 if gate.arity == 1 else default.p2,
+        p = {"zero": 0.0, "default": default.p1 if len(gate.qubits) == 1 else default.p2,
              "random": rng.random()}[p_kind]
         assert same_bits(qsim._channel(gate, p), oracles.channel(gate, p)), (gate, p)
 
@@ -380,6 +380,14 @@ def test_qwc_groups_basis_carries_every_letter(data, n):
     assert len(assign) == len(words)
     for word, g in zip(words, assign):
         assert all(c in ("I", bases[g][k]) for k, c in enumerate(word)), (word, bases[g])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_qwc_groups_match_flag_and_list_oracle(data, n):
+    words = data.draw(st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n),
+                               max_size=40))
+    assert qwc_groups(words) == oracles.qwc_groups(words)
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,7 +57,8 @@ def test_pauli_coefficients_rebuild_every_measured_element():
     # exactly the non-identity words some element uses
     n = 4
     schedule = build_schedule(n)
-    elements = schedule.elements1 + schedule.elements2
+    el1, el2 = rdm._elements(n)
+    elements = el1 + el2
     a = {p: qsim.jw_ladder(p, n) for p in range(n)}
     ad = {p: m.conj().T for p, m in a.items()}
     ops = [ad[e[0]] @ a[e[1]] if len(e) == 2 else ad[e[0]] @ ad[e[1]] @ a[e[3]] @ a[e[2]]

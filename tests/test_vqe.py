@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rdmpt2 import cli, hamio, qsim, rdm, vqe
+from rdmpt2 import cli, hamio, pt2, qsim, rdm, vqe
 from rdmpt2.vqe import (OptimizerSettings, RunRecord, ScanSpec, optimize, run_point,
                         run_scan)
 
@@ -539,6 +539,43 @@ def test_older_records_settings_load_and_rerun(tmp_path):
     assert record.error is None and record.n_objective_calls == 12
     assert record.settings["optimizer"] == {"maxfev": 12, "rhobeg": 0.5,
                                             "rhoend": 0.0001}
+
+
+def test_both_pt2_failures_are_noted_in_order(monkeypatch):
+    # a frozen-space and then a full-space degenerate denominator at one
+    # point: the note names both, the frozen one first
+    pipe = vqe.PointPipeline(ScanSpec(molecule="lih", geometries=[1.5949], shots=None), 1.5949)
+    errors = [pt2.DegenerateDenominatorError((0, 2), 1e-9),
+              pt2.DegenerateDenominatorError((1, 7), 2e-9)]
+    notes = [str(exc) for exc in errors]
+
+    def degenerate(*args, **kwargs):
+        raise errors.pop(0)
+
+    monkeypatch.setattr(pt2, "rdm_pt2", degenerate)
+    rec, _ = pipe.evaluate((0.4, -0.3, 0.2), 0)
+    assert rec["e_pure"] is not None
+    assert rec["e_pt2_frozen"] is None and rec["e_pt2_full"] is None
+    assert rec["note"] == f"{notes[0]}; {notes[1]}"
+
+
+def test_wrong_size_active_space_fails_at_set_up(monkeypatch):
+    # three active spatial orbitals are six spin orbitals, two more than the
+    # ansatz register: the point fails before the schedule is built
+    load = hamio.load_fixture
+
+    def three_active(molecule, r):
+        fid, table, entry = load(molecule, r)
+        return fid, table, {**entry, "active_spatial_orbitals": [1, 2, 5]}
+
+    def no_schedule(n_so):
+        raise AssertionError(f"schedule built for {n_so} spin orbitals")
+
+    monkeypatch.setattr(hamio, "load_fixture", three_active)
+    monkeypatch.setattr(rdm, "build_schedule", no_schedule)
+    record, = run_scan(ScanSpec(molecule="lih", geometries=[1.5949], shots=None))
+    assert record.error == ("fixture lih_1.5949 has 6 active spin orbitals; the ansatz "
+                            "register has 4 qubits, one per active spin orbital")
 
 
 def test_failed_purification_error_names_plain_params():
