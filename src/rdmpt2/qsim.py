@@ -17,10 +17,11 @@ One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
 noisy gate (one superoperator) to vec(rho) and every confusion matrix.  It
 reads the gate's blocks through an index table cached per (qubits, register
 size), or as a strided view when the gate acts on the lowest qubits, and
-contracts them with one ``einsum``.  A noisy gate's superoperator is built
-per call by one broadcast product, kron(U, conj U) without ``np.kron``'s
-shape handling, and each measurement basis's rotation tail is built once and
-kept; the gate constants the tails share are read-only.
+contracts them with one ``einsum``.  A noisy gate's superoperator is one
+broadcast product, kron(U, conj U) without ``np.kron``'s shape handling; a
+gate constant's is kept per p.  ``measure_pauli_sets`` passes a stack of one
+noisy state per basis through the rotation gates, each gate on the rows that
+need it, and folds the readout confusion into the stack.
 
 A ``NoiseModel``'s fields are ``p1``/``p2``, the depolarizing probability
 after each one-/two-qubit gate (a real in [0, 1]); ``readout``, one flip
@@ -38,8 +39,8 @@ import numpy as np
 from .hamio import ValidationError, _is_count, _is_finite, _read_only, _reject_unknown
 
 # The gate constants are read-only: every ``Gate`` built from one holds the
-# constant itself (``Circuit.add`` does not copy it), and so do the tails that
-# ``measure_pauli_sets`` keeps per basis.
+# constant itself (``Circuit.add`` does not copy it), and ``_channel`` keeps
+# one superoperator per (constant, p).
 _PAULI_MATS = {
     "I": _read_only(np.eye(2, dtype=complex)),
     "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
@@ -89,6 +90,9 @@ _CNOT = _read_only(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1,
 _CZ = _read_only(np.diag([1, 1, 1, -1]).astype(complex))
 _FSWAP = _read_only(np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
                              dtype=complex))
+# Gate constants by id, for the channel cache; held here, their ids cannot be reused
+_CONSTANTS = {id(m): m for m in (_H, _X, _SDG, _CNOT, _CZ, _FSWAP)}
+_CHANNELS = {}  # (id of a constant, p) -> its channel, read-only
 
 
 def _givens(phi):
@@ -331,13 +335,20 @@ def _channel(gate: Gate, p: float) -> np.ndarray:
     Paulis sum to d (I x Tr_gate rho) - rho, with Tr_gate = <e| for
     e = vec(I_d), (1 - p) rho + p/(d^2 - 1) sum_P P rho P is S plus rank one.
     S is formed as ``np.kron`` forms it, one broadcast product
-    S[(i, k), (j, l)] = U_ij conj(U_kl), without its shape handling."""
+    S[(i, k), (j, l)] = U_ij conj(U_kl), without its shape handling.  A gate
+    constant's channel is kept per p; a Givens matrix's is built per call."""
     u = gate.matrix
+    key = id(u), p
+    if key in _CHANNELS:
+        return _CHANNELS[key]
     d = u.shape[0]
     s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
     e = _vec_identity(d)
     w = p / (d * d - 1)
-    return (1 - p - w) * s + w * d * np.outer(e, e @ s)
+    s = (1 - p - w) * s + w * d * np.outer(e, e @ s)
+    if id(u) in _CONSTANTS:
+        _CHANNELS[key] = _read_only(s)
+    return s
 
 
 def _evolve(rho, gates, model: NoiseModel):
@@ -353,9 +364,12 @@ def _evolve(rho, gates, model: NoiseModel):
     return vec.reshape(rho.shape)
 
 
+_ideal_model = functools.cache(NoiseModel.ideal)  # frozen and read-only: safe to share
+
+
 def _model_for(circuit: Circuit, model) -> NoiseModel:
     if model is None:
-        return NoiseModel.ideal(circuit.n_qubits)
+        return _ideal_model(circuit.n_qubits)
     if model.n_qubits != circuit.n_qubits:
         raise ValidationError(f"noise model is for {model.n_qubits} qubits, "
                               f"the circuit has {circuit.n_qubits}")
@@ -369,16 +383,6 @@ def noisy_density_matrix(circuit: Circuit, model: NoiseModel | None) -> np.ndarr
     rho = np.zeros((1 << model.n_qubits,) * 2, dtype=complex)
     rho[0, 0] = 1.0
     return _evolve(rho, circuit.gates, model)
-
-
-def _draw(rho, model: NoiseModel, shots: int, seed) -> np.ndarray:
-    """One multinomial draw from the readout-confused Born distribution: the
-    diagonal of ``rho`` passes each qubit's confusion matrix in turn."""
-    probs = rho.diagonal().real[None, :]
-    for q, confusion in enumerate(model.readout):
-        probs = _apply_gate_batch(probs, confusion, (q,), model.n_qubits)
-    probs = np.clip(probs[0], 0.0, None)
-    return _rng_for(seed, 0).multinomial(shots, probs / probs.sum())
 
 
 def qwc_groups(words):
@@ -412,32 +416,35 @@ def basis_rotation(basis: str) -> Circuit:
     return c
 
 
-@functools.cache
-def _tail(basis: str) -> tuple:
-    """The gates of ``basis_rotation(basis)``, built once per basis (their
-    matrices are the read-only gate constants)."""
-    return tuple(basis_rotation(basis).gates)
-
-
 def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
     """Sample one circuit per measurement basis (the group bases of
     ``qwc_groups``, as ``MeasurementSchedule.bases`` holds them).
 
-    The noisy density matrix of ``circuit`` is evolved once; each group then
-    passes its basis-rotation tail (one superoperator per gate) and draws its
-    shots, so a group's counts equal the per-circuit channel of the tests'
+    The noisy density matrix of ``circuit`` is evolved once and stacked as
+    one vec(rho) row per group.  Qubit by qubit, Sdg passes the rows whose
+    basis letter there is Y, then H the rows with X or Y: each row gets its
+    ``basis_rotation`` gates in their order.  The readout confusion folds
+    into the stack of diagonals one qubit at a time, and each group draws
+    its shots in one multinomial, so its counts have the bits of the tests'
     ``oracles.apply_noise`` on its rotated circuit."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
     model = _model_for(circuit, model)
-    prefix = noisy_density_matrix(circuit, model)
-    tables = []
-    for gi, basis in enumerate(bases):
-        rho = _evolve(prefix, _tail(basis), model)
-        tables.append(ShotTable(basis=basis, counts=_draw(rho, model, shots,
-                                                          _group_seed(seed, gi)),
-                                shots=shots))
-    return tables
+    n, groups = model.n_qubits, len(bases)
+    vecs = np.repeat(noisy_density_matrix(circuit, model).reshape(1, -1), groups, axis=0)
+    for q in range(n):
+        for gate, letters in ((_SDG, "Y"), (_H, "XY")):
+            rows = np.array([basis[q] in letters for basis in bases])
+            if rows.any():
+                vecs[rows] = _apply_gate_batch(vecs[rows], _channel(Gate((q,), gate), model.p1),
+                                               (q + n, q), 2 * n)
+    probs = vecs.reshape(groups, 1 << n, 1 << n).diagonal(axis1=1, axis2=2).real
+    for q, confusion in enumerate(model.readout):
+        probs = _apply_gate_batch(probs, confusion, (q,), n)
+    probs = np.clip(probs, 0.0, None)
+    draws = (_rng_for(_group_seed(seed, gi), 0).multinomial(shots, p / p.sum())
+             for gi, p in enumerate(probs))
+    return [ShotTable(basis, counts, shots) for basis, counts in zip(bases, draws)]
 
 
 def _group_seed(seed, group_index):

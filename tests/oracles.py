@@ -37,13 +37,13 @@ gathered through cached index tables: it reshapes the batch to one axis per
 qubit, moves the gate's axes to the front, contracts and moves them back;
 ``qsim._apply_gate_batch`` must return the same bits.
 ``apply_noise`` is the package's channel for one circuit at a time, the
-reference ``qsim.measure_pauli_sets`` must match group by group: it evolves
-the whole circuit's noisy density matrix and draws every shot in one
-multinomial.  ``channel`` is one noisy gate's superoperator as the package
-formed it before its broadcast product, through ``np.kron`` with vec(I_d)
-rebuilt on every call, and ``rotation_gates`` a basis-rotation tail built
-afresh on every call, as ``measure_pauli_sets`` built it before it kept one
-per basis; ``qsim._channel`` and ``qsim._tail`` must return the same bits.
+reference ``qsim.measure_pauli_sets`` must match group by group, bit for bit:
+it evolves the whole circuit's noisy density matrix, and ``draw`` passes its
+diagonal through the readout confusion and draws every shot in one
+multinomial, as the package did for each group before it stacked them.
+``channel`` is one noisy gate's superoperator as the package formed it
+before its broadcast product, through ``np.kron`` with vec(I_d) rebuilt on
+every call; ``qsim._channel`` must return the same bits, kept or built.
 ``qwc_groups`` is the greedy qubit-wise commuting grouping as it stood
 before the package's ``for ... else`` loop over strings: it merges each
 word into a letter list under a flag; ``qsim.qwc_groups`` must return the
@@ -299,7 +299,17 @@ def apply_noise(circuit, model, seed):
     exact Born distribution)."""
     model = qsim._model_for(circuit, model)
     rho = qsim.noisy_density_matrix(circuit, model)
-    return lambda shots: qsim._draw(rho, model, shots, seed)
+    return lambda shots: draw(rho, model, shots, seed)
+
+
+def draw(rho, model, shots, seed):
+    """One multinomial draw from the readout-confused Born distribution: the
+    diagonal of ``rho`` passes each qubit's confusion matrix in turn."""
+    probs = rho.diagonal().real[None, :]
+    for q, confusion in enumerate(model.readout):
+        probs = qsim._apply_gate_batch(probs, confusion, (q,), model.n_qubits)
+    probs = np.clip(probs[0], 0.0, None)
+    return qsim._rng_for(seed, 0).multinomial(shots, probs / probs.sum())
 
 
 def channel(gate, p):
@@ -309,11 +319,6 @@ def channel(gate, p):
     e = np.eye(d).reshape(-1)
     w = p / (d * d - 1)
     return (1 - p - w) * s + w * d * np.outer(e, e @ s)
-
-
-def rotation_gates(basis):
-    """The gates of ``basis``'s rotation tail, from a new circuit."""
-    return qsim.basis_rotation(basis).gates
 
 
 def trajectory_counts(circuit, model, shots, seed):

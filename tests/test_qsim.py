@@ -3,11 +3,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from rdmpt2 import qsim, rdm
+from rdmpt2 import qsim, rdm, vqe
 from rdmpt2.hamio import ValidationError
 from rdmpt2.qsim import (Circuit, NoiseModel, basis_rotation, build_ansatz, jw_ladder,
                          measure_pauli_sets, mitigate_readout, noisy_density_matrix,
@@ -251,7 +251,7 @@ def test_depolarizing_closed_form_matches_pauli_sum():
 def test_channel_matches_kron_oracle_bit_for_bit(p_kind):
     rng = np.random.default_rng(19)
     gates = [g for _ in range(4) for g in build_ansatz(rng.uniform(-np.pi, np.pi, 3)).gates]
-    gates += [g for basis in rdm.build_schedule(4).bases for g in oracles.rotation_gates(basis)]
+    gates += [g for basis in rdm.build_schedule(4).bases for g in basis_rotation(basis).gates]
     assert {len(g.qubits) for g in gates} == {1, 2}
     default = NoiseModel()
     for gate in gates:
@@ -260,24 +260,45 @@ def test_channel_matches_kron_oracle_bit_for_bit(p_kind):
         assert same_bits(qsim._channel(gate, p), oracles.channel(gate, p)), (gate, p)
 
 
-def test_tail_is_built_once_per_basis_with_the_rotation_gates():
-    for basis in rdm.build_schedule(4).bases:
-        tail = qsim._tail(basis)
-        assert qsim._tail(basis) is tail
-        want = oracles.rotation_gates(basis)
-        assert [g.qubits for g in tail] == [g.qubits for g in want]
-        assert all(same_bits(g.matrix, w.matrix) for g, w in zip(tail, want))
+def test_kept_channels_have_fresh_bits_and_stay_bounded():
+    # a full sampled point keeps one channel per gate constant, at the p of
+    # its arity; each kept channel is read-only and has the bits of a fresh
+    # build, at either p; a Givens matrix's channel is never kept
+    model = NoiseModel()
+    spec = vqe.ScanSpec(molecule="h2", geometries=[0.7], shots=64, noise=model,
+                        optimizer=vqe.OptimizerSettings(maxfev=10))
+    qsim._CHANNELS.clear()
+    vqe.run_point(spec, 0.7)
+    one, two = (qsim._H, qsim._X, qsim._SDG), (qsim._CNOT, qsim._CZ, qsim._FSWAP)
+    kept = {(id(c), model.p1) for c in one} | {(id(c), model.p2) for c in two}
+    assert set(qsim._CHANNELS) == kept
+    measure_pauli_sets(build_ansatz((0.9, -1.2, 2.5)), rdm.build_schedule(4).bases, 64,
+                       model=model, seed=1)
+    assert set(qsim._CHANNELS) == kept
+    for constant in one + two:
+        gate = qsim.Gate(tuple(range(len(constant) // 2)), constant)
+        for p in (model.p1, model.p2):
+            channel = qsim._channel(gate, p)
+            assert qsim._channel(gate, p) is channel and not channel.flags.writeable
+            assert same_bits(channel, oracles.channel(gate, p)), (constant, p)
+    assert len(qsim._CHANNELS) == 2 * len(kept)
+    givens = build_ansatz((0.3, 0.2, 0.1)).gates[4]
+    assert givens.matrix.flags.writeable
+    channel = qsim._channel(givens, model.p2)
+    assert channel.flags.writeable and qsim._channel(givens, model.p2) is not channel
+    assert same_bits(channel, oracles.channel(givens, model.p2))
+    assert len(qsim._CHANNELS) == 2 * len(kept)
 
 
 def test_shared_gate_matrices_are_read_only():
     # Circuit.add keeps a gate constant itself, not a copy, so one write into
-    # a built gate's matrix would reach every later circuit and cached tail
+    # a built gate's matrix would reach every later circuit and kept channel
     constants = [qsim._H, qsim._X, qsim._SDG, qsim._CNOT, qsim._CZ, qsim._FSWAP,
                  *qsim._PAULI_MATS.values()]
     assert not any(m.flags.writeable for m in constants)
     gate = build_ansatz((0.1, 0.2, 0.3)).gates[0]
     assert gate.matrix is qsim._X
-    gates = [gate] + [g for basis in ("XYZX", "YYXZ") for g in qsim._tail(basis)]
+    gates = [gate] + basis_rotation("XYZX").gates + basis_rotation("YYXZ").gates
     for g in gates:
         with pytest.raises(ValueError, match="read-only"):
             g.matrix[0, 0] = 2.0
@@ -301,7 +322,7 @@ def test_gate_kernel_matches_moveaxis_oracle(batch):
         shape, dim = (batch, 1 << n), 1 << len(qubits)
         states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        strided = np.stack([states.real, states.imag], axis=-1)[..., 0]  # as _draw's diagonal
+        strided = np.stack([states.real, states.imag], axis=-1)[..., 0]  # as a diagonal
         assert not strided.flags.c_contiguous
         for s, mat, dtype in ((states, matrix, complex), (states.real.copy(), matrix, complex),
                               (states.real.copy(), matrix.real.copy(), float),
@@ -312,17 +333,40 @@ def test_gate_kernel_matches_moveaxis_oracle(batch):
             assert np.array_equal(got, want), (qubits, n, dtype)
 
 
-def test_shared_prefix_matches_per_circuit_channel():
-    circuit = build_ansatz((0.5, -0.3, 0.8))
+_ANGLE = st.floats(-np.pi, np.pi)
+_AXIS_ANGLE = st.one_of(_ANGLE, st.sampled_from([np.pi / 2, -np.pi / 2, np.pi, -np.pi]))
+# At theta = 0 and on the axes the outcome distributions hold exactly equal
+# pairs, where a one-ulp change flips a multinomial branch.
+_THETAS = st.one_of(
+    st.tuples(_ANGLE, _ANGLE, _ANGLE), st.just((0.0, 0.0, 0.0)),
+    st.builds(lambda axis, t: tuple(t if k == axis else 0.0 for k in range(3)),
+              st.integers(0, 2), _AXIS_ANGLE))
+# Columns are the true bit: P(1 | 0) = a and P(0 | 1) = b, so det = 1 - a - b > 0.
+_CONFUSION = st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)).map(
+    lambda ab: [[1 - ab[0], ab[1]], [ab[0], 1 - ab[1]]])
+_MODELS = st.one_of(
+    st.just(None),  # the ideal model
+    st.just(NoiseModel(p1=0.0, p2=0.0)),
+    st.builds(NoiseModel, p1=st.floats(0.0, 0.1), p2=st.floats(0.0, 0.1),
+              readout=st.lists(_CONFUSION, min_size=4, max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=_THETAS, model=_MODELS, seed=st.integers(0, 1000))
+@example(theta=(0.0, 0.0, 0.0), model=None, seed=0)
+@example(theta=(0.0, 0.0, 0.0), model=NoiseModel(), seed=0)
+@example(theta=(0.5, -0.3, 0.8), model=NoiseModel(p1=0.004, p2=0.03), seed=6)
+def test_shared_prefix_matches_per_circuit_channel(theta, model, seed):
+    # each group's counts have the bits of its rotated circuit's own channel,
+    # evolved and read out one circuit at a time
+    circuit = build_ansatz(theta)
     bases = rdm.build_schedule(4).bases
-    model = NoiseModel(p1=0.004, p2=0.03)
-    seed = 6
     tables = measure_pauli_sets(circuit, bases, 4096, model=model, seed=seed)
     assert tuple(t.basis for t in tables) == bases
     for gi, table in enumerate(tables):
         rotated = Circuit(4, circuit.gates + basis_rotation(table.basis).gates)
         alone = apply_noise(rotated, model, qsim._group_seed(seed, gi))(4096)
-        assert np.array_equal(table.counts, alone)
+        assert same_bits(table.counts, alone), (gi, table.basis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,6 +390,16 @@ def test_noisy_density_matrix_matches_kraus_sum(angles, basis, p1, p2):
     model = NoiseModel(p1=p1, p2=p2)
     rho = noisy_density_matrix(circuit, model)
     assert np.abs(rho - kraus_density_matrix(circuit, model)).max() < 1e-13
+
+
+def test_ideal_model_is_built_once_per_register_size():
+    # noise=None shares one ideal model per register size: it is frozen and
+    # its arrays are read-only
+    ideal = qsim._model_for(build_ansatz((0.1, 0.2, 0.3)), None)
+    assert qsim._model_for(Circuit(4), None) is ideal
+    assert qsim._model_for(Circuit(2), None).n_qubits == 2
+    assert ideal.p1 == ideal.p2 == 0 and np.array_equal(ideal.readout_inverse, np.eye(16))
+    assert not (ideal.readout.flags.writeable or ideal.readout_inverse.flags.writeable)
 
 
 def test_channel_rejects_mismatched_register():
