@@ -95,15 +95,14 @@ def purify_rdm(rdm: RdmPair) -> RdmPair:
 
     rho1 is recomputed from the purified rho2 by partial trace so the pair
     stays mutually consistent.  ``meta.purification`` records ``iterations``
-    (0: there is no iteration), the ``residual`` ||P^2 - P||_F of the
-    unit-trace projector and ``basin_warning``.
+    (0: there is no iteration) and ``basin_warning``.
 
     One pair that cannot be purified raises (ValidationError for broken
     antisymmetry, PurificationError otherwise).  A stack never raises for
     one resample: one ``eigh`` runs on every pair matrix,
     ``meta.purification["failed"]`` holds per resample None or the message
-    its error would carry, a failed resample's rho1, rho2 and residual are
-    NaN, and ``residual`` and ``basin_warning`` are arrays.
+    its error would carry, a failed resample's rho1 and rho2 are NaN, and
+    ``basin_warning`` is an array.
     """
     n_elec = rdm.meta.n_electrons
     if n_elec != 2:
@@ -127,20 +126,18 @@ def purify_rdm(rdm: RdmPair) -> RdmPair:
     if not stacked and failures[0] is not None:
         raise failures[0]
     proj = (vecs * keep[:, None, :]) @ vecs.transpose(0, 2, 1)
-    residual = np.linalg.norm(proj @ proj - proj, axis=(1, 2))
     rho2 = from_pair_basis(proj / np.maximum(rank, 1)[:, None, None],
                            rdm.n_so)  # trace N(N-1)/2 = 1
     rho1 = np.einsum("...prqr->...pq", rho2)  # divided by N - 1 = 1
     failed = [f is not None for f in failures]
     if any(failed):
-        rho1[failed] = rho2[failed] = residual[failed] = np.nan
+        rho1[failed] = rho2[failed] = np.nan
     basin_warning = (evals[:, 0] < -0.3) | (evals[:, -1] > 1.3)
     if stacked:
-        info = {"iterations": 0, "residual": residual, "basin_warning": basin_warning,
+        info = {"iterations": 0, "basin_warning": basin_warning,
                 "failed": tuple(None if f is None else str(f) for f in failures)}
     else:
-        info = {"iterations": 0, "residual": float(residual[0]),
-                "basin_warning": bool(basin_warning[0])}
+        info = {"iterations": 0, "basin_warning": bool(basin_warning[0])}
         rho1, rho2 = rho1[0], rho2[0]
     meta = replace(rdm.meta, provenance="purified", purification=info)
     return RdmPair(rho1, rho2, meta)

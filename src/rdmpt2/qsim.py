@@ -17,11 +17,13 @@ One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
 noisy gate (one superoperator) to vec(rho) and every confusion matrix.  It
 reads the gate's blocks through an index table cached per (qubits, register
 size), or as a strided view when the gate acts on the lowest qubits, and
-contracts them with one ``einsum``.  A noisy gate's superoperator is one
-broadcast product, kron(U, conj U) without ``np.kron``'s shape handling; a
-gate constant's is kept per p.  ``measure_pauli_sets`` passes a stack of one
-noisy state per basis through the rotation gates, each gate on the rows that
-need it, and folds the readout confusion into the stack.
+contracts them with one ``einsum``.  A noisy gate's superoperator is built
+from its matrix alone, as one broadcast product, kron(U, conj U) without
+``np.kron``'s shape handling; a gate constant's is kept per p.  One table,
+``_BASIS_GATES``, rotates a measured basis onto Z: ``basis_rotation`` builds
+its circuit from it, and ``measure_pauli_sets`` passes a stack of one noisy
+state per basis through its gates, each on the rows that need it, then folds
+the readout confusion into the stack.
 
 A ``NoiseModel``'s fields are ``p1``/``p2``, the depolarizing probability
 after each one-/two-qubit gate (a real in [0, 1]); ``readout``, one flip
@@ -93,6 +95,9 @@ _FSWAP = _read_only(np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0
 # Gate constants by id, for the channel cache; held here, their ids cannot be reused
 _CONSTANTS = {id(m): m for m in (_H, _X, _SDG, _CNOT, _CZ, _FSWAP)}
 _CHANNELS = {}  # (id of a constant, p) -> its channel, read-only
+# The rotation of a measured Pauli basis onto Z, per qubit: each gate in turn,
+# on the qubits whose letter is one it lists (X: H; Y: Sdg then H)
+_BASIS_GATES = ((_SDG, "Y"), (_H, "XY"))
 
 
 def _givens(phi):
@@ -127,12 +132,6 @@ class Circuit:
 
     def x(self, q):
         return self.add((q,), _X)
-
-    def h(self, q):
-        return self.add((q,), _H)
-
-    def sdg(self, q):
-        return self.add((q,), _SDG)
 
     def cnot(self, control, target):
         return self.add((control, target), _CNOT)
@@ -323,27 +322,21 @@ def _rng_for(seed, *key):
         np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))))
 
 
-@functools.cache
-def _vec_identity(d):
-    """vec(I_d), read-only: it is shared by every channel on d levels."""
-    return _read_only(np.eye(d).reshape(-1))
-
-
-def _channel(gate: Gate, p: float) -> np.ndarray:
-    """``gate`` then depolarizing noise p as one matrix on vec(local rho):
+def _channel(u: np.ndarray, p: float) -> np.ndarray:
+    """The gate matrix ``u`` then depolarizing noise p as one matrix on
+    vec(local rho); nothing but the matrix is read.
     U rho U^dagger is S = kron(U, conj U), and as the d^2 - 1 non-identity
     Paulis sum to d (I x Tr_gate rho) - rho, with Tr_gate = <e| for
     e = vec(I_d), (1 - p) rho + p/(d^2 - 1) sum_P P rho P is S plus rank one.
     S is formed as ``np.kron`` forms it, one broadcast product
     S[(i, k), (j, l)] = U_ij conj(U_kl), without its shape handling.  A gate
-    constant's channel is kept per p; a Givens matrix's is built per call."""
-    u = gate.matrix
+    constant's channel is kept per p; any other matrix's is built per call."""
     key = id(u), p
     if key in _CHANNELS:
         return _CHANNELS[key]
     d = u.shape[0]
     s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
-    e = _vec_identity(d)
+    e = np.eye(d).reshape(-1)
     w = p / (d * d - 1)
     s = (1 - p - w) * s + w * d * np.outer(e, e @ s)
     if id(u) in _CONSTANTS:
@@ -360,7 +353,7 @@ def _evolve(rho, gates, model: NoiseModel):
     for gate in gates:
         p = model.p1 if len(gate.qubits) == 1 else model.p2
         rows = tuple(q + n for q in gate.qubits)
-        vec = _apply_gate_batch(vec, _channel(gate, p), rows + gate.qubits, 2 * n)
+        vec = _apply_gate_batch(vec, _channel(gate.matrix, p), rows + gate.qubits, 2 * n)
     return vec.reshape(rho.shape)
 
 
@@ -408,11 +401,9 @@ def basis_rotation(basis: str) -> Circuit:
     """Gates mapping the given per-qubit Pauli basis onto Z measurements."""
     c = Circuit(len(basis))
     for q, b in enumerate(basis):
-        if b == "X":
-            c.h(q)
-        elif b == "Y":
-            c.sdg(q)
-            c.h(q)
+        for gate, letters in _BASIS_GATES:
+            if b in letters:
+                c.add((q,), gate)
     return c
 
 
@@ -421,9 +412,10 @@ def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
     ``qwc_groups``, as ``MeasurementSchedule.bases`` holds them).
 
     The noisy density matrix of ``circuit`` is evolved once and stacked as
-    one vec(rho) row per group.  Qubit by qubit, Sdg passes the rows whose
-    basis letter there is Y, then H the rows with X or Y: each row gets its
-    ``basis_rotation`` gates in their order.  The readout confusion folds
+    one vec(rho) row per group.  Qubit by qubit, each gate of
+    ``_BASIS_GATES`` in turn passes the rows whose basis letter there it
+    lists, as its channel at p1: each row gets the gates of its
+    ``basis_rotation`` in their order.  The readout confusion folds
     into the stack of diagonals one qubit at a time, and each group draws
     its shots in one multinomial, so its counts have the bits of the tests'
     ``oracles.apply_noise`` on its rotated circuit."""
@@ -433,10 +425,10 @@ def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
     n, groups = model.n_qubits, len(bases)
     vecs = np.repeat(noisy_density_matrix(circuit, model).reshape(1, -1), groups, axis=0)
     for q in range(n):
-        for gate, letters in ((_SDG, "Y"), (_H, "XY")):
+        for gate, letters in _BASIS_GATES:
             rows = np.array([basis[q] in letters for basis in bases])
             if rows.any():
-                vecs[rows] = _apply_gate_batch(vecs[rows], _channel(Gate((q,), gate), model.p1),
+                vecs[rows] = _apply_gate_batch(vecs[rows], _channel(gate, model.p1),
                                                (q + n, q), 2 * n)
     probs = vecs.reshape(groups, 1 << n, 1 << n).diagonal(axis1=1, axis2=2).real
     for q, confusion in enumerate(model.readout):

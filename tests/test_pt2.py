@@ -691,6 +691,18 @@ def test_embed_equals_loop_form_exactly(pipelines, mol):
         assert emb.meta.n_electrons == 2 + len(pipe.space.frozen_occupied)
 
 
+@pytest.mark.parametrize("mol, n_electrons", [("lih", 4), ("nah", 12)])
+def test_purification_refuses_an_embedded_pair(pipelines, mol, n_electrons):
+    # the embedded pair declares the full-space electron count, and that is
+    # what purify_rdm's N = 2 guard reads: its provenance alone would pass
+    pipe = pipelines[mol]
+    emb = embed_active_rdm(purified_rdm(pipe, (0.4, -0.3, 0.2)), pipe.space)
+    assert emb.meta.provenance == "purified"
+    with pytest.raises(ValidationError, match=f"got N={n_electrons}. General-N purification "
+                       "needs semidefinite N-representability"):
+        purify.purify_rdm(emb)
+
+
 @pytest.mark.parametrize("mol", ["lih", "nah"])
 def test_three_body_terms_follow_the_reference_not_the_declared_count(pipelines, mol):
     # the reference holds more than two electrons, so the 3-RDM terms apply

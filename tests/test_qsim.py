@@ -239,10 +239,10 @@ def test_depolarizing_closed_form_matches_pauli_sum():
         assert len(words) == 4 ** len(qubits) - 1
         # an identity gate leaves only the noise; vec(rho) is row-major, so
         # row qubit q is qubit q + 4 of the 8-qubit vector
-        gate = qsim.Gate(qubits, np.eye(1 << len(qubits), dtype=complex))
+        identity = np.eye(1 << len(qubits), dtype=complex)
         rows = tuple(q + 4 for q in qubits)
         explicit = (1 - p) * rho + p / len(words) * sum(w @ rho @ w for w in words)
-        closed = qsim._apply_gate_batch(rho.reshape(1, -1), qsim._channel(gate, p),
+        closed = qsim._apply_gate_batch(rho.reshape(1, -1), qsim._channel(identity, p),
                                         rows + qubits, 8).reshape(rho.shape)
         assert np.abs(closed - explicit).max() < 1e-12, qubits
 
@@ -257,13 +257,14 @@ def test_channel_matches_kron_oracle_bit_for_bit(p_kind):
     for gate in gates:
         p = {"zero": 0.0, "default": default.p1 if len(gate.qubits) == 1 else default.p2,
              "random": rng.random()}[p_kind]
-        assert same_bits(qsim._channel(gate, p), oracles.channel(gate, p)), (gate, p)
+        assert same_bits(qsim._channel(gate.matrix, p), oracles.channel(gate, p)), (gate, p)
 
 
 def test_kept_channels_have_fresh_bits_and_stay_bounded():
     # a full sampled point keeps one channel per gate constant, at the p of
     # its arity; each kept channel is read-only and has the bits of a fresh
-    # build, at either p; a Givens matrix's channel is never kept
+    # build, at either p; the channel of any other matrix, writeable (a
+    # Givens) or read-only (a Pauli that is no gate constant), is never kept
     model = NoiseModel()
     spec = vqe.ScanSpec(molecule="h2", geometries=[0.7], shots=64, noise=model,
                         optimizer=vqe.OptimizerSettings(maxfev=10))
@@ -278,15 +279,20 @@ def test_kept_channels_have_fresh_bits_and_stay_bounded():
     for constant in one + two:
         gate = qsim.Gate(tuple(range(len(constant) // 2)), constant)
         for p in (model.p1, model.p2):
-            channel = qsim._channel(gate, p)
-            assert qsim._channel(gate, p) is channel and not channel.flags.writeable
+            channel = qsim._channel(constant, p)
+            assert qsim._channel(constant, p) is channel and not channel.flags.writeable
             assert same_bits(channel, oracles.channel(gate, p)), (constant, p)
     assert len(qsim._CHANNELS) == 2 * len(kept)
     givens = build_ansatz((0.3, 0.2, 0.1)).gates[4]
     assert givens.matrix.flags.writeable
-    channel = qsim._channel(givens, model.p2)
-    assert channel.flags.writeable and qsim._channel(givens, model.p2) is not channel
+    channel = qsim._channel(givens.matrix, model.p2)
+    assert channel.flags.writeable and qsim._channel(givens.matrix, model.p2) is not channel
     assert same_bits(channel, oracles.channel(givens, model.p2))
+    y = qsim._PAULI_MATS["Y"]
+    assert not y.flags.writeable and id(y) not in qsim._CONSTANTS
+    channel = qsim._channel(y, model.p1)
+    assert channel.flags.writeable and qsim._channel(y, model.p1) is not channel
+    assert same_bits(channel, oracles.channel(qsim.Gate((0,), y), model.p1))
     assert len(qsim._CHANNELS) == 2 * len(kept)
 
 
@@ -344,6 +350,12 @@ _THETAS = st.one_of(
 # Columns are the true bit: P(1 | 0) = a and P(0 | 1) = b, so det = 1 - a - b > 0.
 _CONFUSION = st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)).map(
     lambda ab: [[1 - ab[0], ab[1]], [ab[0], 1 - ab[1]]])
+# The schedule's 13 bases, or any list of bases, most of which the schedule
+# never measures (it holds 13 of the 81)
+_SCHEDULE_BASES = rdm.build_schedule(4).bases
+_BASES = st.one_of(st.just(_SCHEDULE_BASES),
+                   st.lists(st.text(alphabet="XYZ", min_size=4, max_size=4),
+                            min_size=1, max_size=13).map(tuple))
 _MODELS = st.one_of(
     st.just(None),  # the ideal model
     st.just(NoiseModel(p1=0.0, p2=0.0)),
@@ -352,15 +364,17 @@ _MODELS = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(theta=_THETAS, model=_MODELS, seed=st.integers(0, 1000))
-@example(theta=(0.0, 0.0, 0.0), model=None, seed=0)
-@example(theta=(0.0, 0.0, 0.0), model=NoiseModel(), seed=0)
-@example(theta=(0.5, -0.3, 0.8), model=NoiseModel(p1=0.004, p2=0.03), seed=6)
-def test_shared_prefix_matches_per_circuit_channel(theta, model, seed):
+@given(theta=_THETAS, bases=_BASES, model=_MODELS, seed=st.integers(0, 1000))
+@example(theta=(0.0, 0.0, 0.0), bases=_SCHEDULE_BASES, model=None, seed=0)
+@example(theta=(0.0, 0.0, 0.0), bases=_SCHEDULE_BASES, model=NoiseModel(), seed=0)
+@example(theta=(0.5, -0.3, 0.8), bases=_SCHEDULE_BASES, model=NoiseModel(p1=0.004, p2=0.03),
+         seed=6)
+@example(theta=(0.5, -0.3, 0.8), bases=("YXZY", "XZZY", "ZZYX", "YYYY", "YXZY"),
+         model=NoiseModel(), seed=3)
+def test_shared_prefix_matches_per_circuit_channel(theta, bases, model, seed):
     # each group's counts have the bits of its rotated circuit's own channel,
-    # evolved and read out one circuit at a time
+    # evolved and read out one circuit at a time, whichever bases are measured
     circuit = build_ansatz(theta)
-    bases = rdm.build_schedule(4).bases
     tables = measure_pauli_sets(circuit, bases, 4096, model=model, seed=seed)
     assert tuple(t.basis for t in tables) == bases
     for gi, table in enumerate(tables):
@@ -442,6 +456,20 @@ def test_qwc_groups_match_flag_and_list_oracle(data, n):
     words = data.draw(st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n),
                                max_size=40))
     assert qwc_groups(words) == oracles.qwc_groups(words)
+
+
+def test_basis_rotation_diagonalizes_every_measured_word():
+    # R P_w R^dagger is diagonal, with the word's sign on each outcome, for
+    # every basis and every word it measures (each letter I or the basis's)
+    for basis in map("".join, itertools.product("XYZ", repeat=4)):
+        rotation = basis_rotation(basis).unitary()
+        for word in map("".join, itertools.product(*(("I", b) for b in basis))):
+            rotated = rotation @ pauli_matrix(word) @ rotation.conj().T
+            assert np.abs(rotated - np.diag(z_parity_signs(word))).max() < 1e-12, (basis, word)
+    schedule = rdm.build_schedule(4)
+    assert len(schedule.bases) == 13
+    assert same_bits(schedule.rotations,
+                     np.array([basis_rotation(b).unitary() for b in schedule.bases]))
 
 
 @settings(max_examples=60, deadline=None)
