@@ -19,11 +19,16 @@ reads the gate's blocks through an index table cached per (qubits, register
 size), or as a strided view when the gate acts on the lowest qubits, and
 contracts them with one ``einsum``.  A noisy gate's superoperator is built
 from its matrix alone, as one broadcast product, kron(U, conj U) without
-``np.kron``'s shape handling; a gate constant's is kept per p.  One table,
-``_BASIS_GATES``, rotates a measured basis onto Z: ``basis_rotation`` builds
-its circuit from it, and ``measure_pauli_sets`` passes a stack of one noisy
-state per basis through its gates, each on the rows that need it, then folds
-the readout confusion into the stack.
+``np.kron``'s shape handling.  One table, ``_BASIS_GATES``, rotates a
+measured basis onto Z: ``basis_rotation`` builds its circuit from it, and
+``_readout_tail`` compiles from it, with the readout confusion, one real
+linear map from vec(rho) to every basis's outcome distribution.
+``measure_pauli_sets`` evolves the circuit's noisy density matrix once,
+applies that map and draws every basis's shots from one generator.
+
+A model's gate-constant channels and its last readout-tail map are kept in
+``_KEPT``, weakly keyed by the model: they are reused for as long as the
+model lives and go with it.
 
 A ``NoiseModel``'s fields are ``p1``/``p2``, the depolarizing probability
 after each one-/two-qubit gate (a real in [0, 1]); ``readout``, one flip
@@ -34,6 +39,7 @@ qubit; and ``n_qubits``, an integer >= 1.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +48,7 @@ from .hamio import ValidationError, _is_count, _is_finite, _read_only, _reject_u
 
 # The gate constants are read-only: every ``Gate`` built from one holds the
 # constant itself (``Circuit.add`` does not copy it), and ``_channel`` keeps
-# one superoperator per (constant, p).
+# one superoperator per (constant, p) with each noise model that uses it.
 _PAULI_MATS = {
     "I": _read_only(np.eye(2, dtype=complex)),
     "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
@@ -94,7 +100,10 @@ _FSWAP = _read_only(np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0
                              dtype=complex))
 # Gate constants by id, for the channel cache; held here, their ids cannot be reused
 _CONSTANTS = {id(m): m for m in (_H, _X, _SDG, _CNOT, _CZ, _FSWAP)}
-_CHANNELS = {}  # (id of a constant, p) -> its channel, read-only
+# What each live noise model's runs reuse, read-only: a gate constant's channel
+# under (id of the constant, p), and under "tail" the last basis list measured
+# and its readout-tail map.  A model hashes by identity; its entries go with it.
+_KEPT = weakref.WeakKeyDictionary()
 # The rotation of a measured Pauli basis onto Z, per qubit: each gate in turn,
 # on the qubits whose letter is one it lists (X: H; Y: Sdg then H)
 _BASIS_GATES = ((_SDG, "Y"), (_H, "XY"))
@@ -322,7 +331,7 @@ def _rng_for(seed, *key):
         np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))))
 
 
-def _channel(u: np.ndarray, p: float) -> np.ndarray:
+def _channel(u: np.ndarray, p: float, kept=None) -> np.ndarray:
     """The gate matrix ``u`` then depolarizing noise p as one matrix on
     vec(local rho); nothing but the matrix is read.
     U rho U^dagger is S = kron(U, conj U), and as the d^2 - 1 non-identity
@@ -330,17 +339,18 @@ def _channel(u: np.ndarray, p: float) -> np.ndarray:
     e = vec(I_d), (1 - p) rho + p/(d^2 - 1) sum_P P rho P is S plus rank one.
     S is formed as ``np.kron`` forms it, one broadcast product
     S[(i, k), (j, l)] = U_ij conj(U_kl), without its shape handling.  A gate
-    constant's channel is kept per p; any other matrix's is built per call."""
-    key = id(u), p
-    if key in _CHANNELS:
-        return _CHANNELS[key]
+    constant's channel is kept per p in ``kept``, a model's entry of
+    ``_KEPT``; any other matrix's, or any without ``kept``, is built per call."""
+    keep = kept is not None and id(u) in _CONSTANTS
+    if keep and (id(u), p) in kept:
+        return kept[id(u), p]
     d = u.shape[0]
     s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
     e = np.eye(d).reshape(-1)
     w = p / (d * d - 1)
     s = (1 - p - w) * s + w * d * np.outer(e, e @ s)
-    if id(u) in _CONSTANTS:
-        _CHANNELS[key] = _read_only(s)
+    if keep:
+        kept[id(u), p] = s = _read_only(s)
     return s
 
 
@@ -348,12 +358,13 @@ def _evolve(rho, gates, model: NoiseModel):
     """Apply each gate and its noise as one ``_channel`` on vec(rho), a
     2n-qubit vector whose qubit q is column qubit q and qubit q + n row qubit
     q; the row qubits are listed first, matching kron(U, conj U)."""
-    n = model.n_qubits
+    n, kept = model.n_qubits, _KEPT.setdefault(model, {})
     vec = rho.reshape(1, -1)
     for gate in gates:
         p = model.p1 if len(gate.qubits) == 1 else model.p2
         rows = tuple(q + n for q in gate.qubits)
-        vec = _apply_gate_batch(vec, _channel(gate.matrix, p), rows + gate.qubits, 2 * n)
+        vec = _apply_gate_batch(vec, _channel(gate.matrix, p, kept), rows + gate.qubits,
+                                2 * n)
     return vec.reshape(rho.shape)
 
 
@@ -409,38 +420,79 @@ def basis_rotation(basis: str) -> Circuit:
 
 def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
     """Sample one circuit per measurement basis (the group bases of
-    ``qwc_groups``, as ``MeasurementSchedule.bases`` holds them).
+    ``qwc_groups``, as ``MeasurementSchedule.bases`` holds them), each
+    basis one letter X, Y or Z per qubit.
 
-    The noisy density matrix of ``circuit`` is evolved once and stacked as
-    one vec(rho) row per group.  Qubit by qubit, each gate of
-    ``_BASIS_GATES`` in turn passes the rows whose basis letter there it
-    lists, as its channel at p1: each row gets the gates of its
-    ``basis_rotation`` in their order.  The readout confusion folds
-    into the stack of diagonals one qubit at a time, and each group draws
-    its shots in one multinomial, so its counts have the bits of the tests'
-    ``oracles.apply_noise`` on its rotated circuit."""
+    The noisy density matrix of ``circuit`` is evolved once, and
+    ``_outcome_probabilities`` maps it through every basis's rotation and
+    readout at once.  One generator, seeded by ``seed``, draws every group's
+    shots in one multinomial over the stacked distributions, a row per
+    basis, so a basis listed twice gets two independent draws."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
-    model = _model_for(circuit, model)
-    n, groups = model.n_qubits, len(bases)
-    vecs = np.repeat(noisy_density_matrix(circuit, model).reshape(1, -1), groups, axis=0)
-    for q in range(n):
-        for gate, letters in _BASIS_GATES:
-            rows = np.array([basis[q] in letters for basis in bases])
-            if rows.any():
-                vecs[rows] = _apply_gate_batch(vecs[rows], _channel(gate, model.p1),
-                                               (q + n, q), 2 * n)
-    probs = vecs.reshape(groups, 1 << n, 1 << n).diagonal(axis1=1, axis2=2).real
-    for q, confusion in enumerate(model.readout):
-        probs = _apply_gate_batch(probs, confusion, (q,), n)
-    probs = np.clip(probs, 0.0, None)
-    draws = (_rng_for(_group_seed(seed, gi), 0).multinomial(shots, p / p.sum())
-             for gi, p in enumerate(probs))
+    probs = _outcome_probabilities(circuit, bases, _model_for(circuit, model))
+    draws = _rng_for(seed, 0).multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
     return [ShotTable(basis, counts, shots) for basis, counts in zip(bases, draws)]
 
 
-def _group_seed(seed, group_index):
-    return (int(seed) << 16) + group_index
+def _outcome_probabilities(circuit, bases, model):
+    """The (len(bases), 2^n) readout-confused outcome distributions of
+    ``circuit`` measured in each basis, negative rounding clipped to 0: one
+    product of the model's ``_readout_tail`` with vec(Re rho + Im rho)."""
+    tail = _readout_tail(model, bases)
+    rho = noisy_density_matrix(circuit, model)
+    return np.clip((tail @ (rho.real + rho.imag).reshape(-1)).reshape(len(bases), -1),
+                   0.0, None)
+
+
+def _readout_tail(model, bases):
+    """The real linear map from vec(Re rho + Im rho) of a density matrix rho
+    to every basis's outcome distribution after its rotation and the model's
+    readout confusion: one row per (basis, outcome).
+
+    Built when the model measures other bases than last time, and kept in
+    ``_KEPT``; the bases are checked here, so a kept map's evaluations pay
+    nothing.  A qubit's rotation is the ``_BASIS_GATES`` gates of its letter,
+    in order, each as its ``_channel`` at p1, so qubit q of a basis maps its
+    local vec(rho) to the confused distribution of its bit, a 2x4 factor
+    R_q D C_q (C_q the gates' channels in turn, D the diagonal, R_q the
+    confusion matrix).  A basis's map F, the tensor product of its qubits'
+    factors with the outcome, row and column bits of qubit q at place q,
+    gives real probabilities sum_rc F_orc rho_rc for every hermitian rho, so
+    each F_o is hermitian: its real part symmetric, its imaginary part
+    antisymmetric.  As rho's real part is symmetric and its imaginary part
+    antisymmetric too, sum_rc F_orc rho_rc is sum_rc (Re F - Im F)_orc
+    (Re rho + Im rho)_rc, and the map keeps Re F - Im F."""
+    kept = _KEPT.setdefault(model, {})
+    key = tuple(bases)
+    last = kept.get("tail")
+    if last is not None and last[0] == key:
+        return last[1]
+    n = model.n_qubits
+    if not key:
+        raise ValidationError("no measurement bases")
+    for basis in key:
+        if not (isinstance(basis, str) and len(basis) == n and set(basis) <= set("XYZ")):
+            raise ValidationError(f"a measured basis is one letter X, Y or Z per qubit "
+                                  f"({n}), got {basis!r}")
+    factors = {}
+    for q, confusion in enumerate(model.readout):
+        for letter in "XYZ":
+            local = np.eye(4, dtype=complex)  # vec(local rho) at 2 * row bit + column bit
+            for gate, letters in _BASIS_GATES:
+                if letter in letters:
+                    local = _channel(gate, model.p1, kept) @ local
+            factors[q, letter] = (confusion @ local[[0, 3]]).reshape(2, 2, 2)
+    tail = np.empty((len(key), 1 << n, 1 << 2 * n))
+    for g, basis in enumerate(key):
+        t = np.ones((1, 1, 1))  # (outcome, row, column) over the qubits so far
+        for q, letter in enumerate(basis):  # qubit q is the most significant bit so far
+            t = factors[q, letter][:, None, :, None, :, None] * t[None, :, None, :, None, :]
+            t = t.reshape(2 << q, 2 << q, 2 << q)
+        tail[g] = (t.real - t.imag).reshape(1 << n, -1)
+    tail = _read_only(tail.reshape(len(key) << n, -1))
+    kept["tail"] = key, tail
+    return tail
 
 
 def mitigate_readout(counts, model: NoiseModel):

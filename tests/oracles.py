@@ -36,11 +36,17 @@ operators, one full-register matrix product per operator.
 gathered through cached index tables: it reshapes the batch to one axis per
 qubit, moves the gate's axes to the front, contracts and moves them back;
 ``qsim._apply_gate_batch`` must return the same bits.
-``apply_noise`` is the package's channel for one circuit at a time, the
-reference ``qsim.measure_pauli_sets`` must match group by group, bit for bit:
-it evolves the whole circuit's noisy density matrix, and ``draw`` passes its
-diagonal through the readout confusion and draws every shot in one
-multinomial, as the package did for each group before it stacked them.
+``apply_noise`` is the package's channel for one circuit at a time: it
+evolves the whole circuit's noisy density matrix, and ``draw`` passes its
+diagonal through the readout confusion (``probabilities``) and draws every
+shot in one multinomial, as the package did for each group before it
+stacked them.  Since ``qsim.measure_pauli_sets`` draws every group from one
+generator, its counts no longer have these bits: each group must match this
+channel in distribution (a chi-square test), and its outcome probabilities
+must match ``probabilities`` to rounding.  ``tail_probabilities`` is the
+stacked form the package used before it compiled a readout-tail map: one
+noisy state per basis, each ``_BASIS_GATES`` gate run on the rows whose
+letter it lists, then the readout folded into the stack of diagonals.
 ``channel`` is one noisy gate's superoperator as the package formed it
 before its broadcast product, through ``np.kron`` with vec(I_d) rebuilt on
 every call; ``qsim._channel`` must return the same bits, kept or built.
@@ -302,14 +308,40 @@ def apply_noise(circuit, model, seed):
     return lambda shots: draw(rho, model, shots, seed)
 
 
-def draw(rho, model, shots, seed):
-    """One multinomial draw from the readout-confused Born distribution: the
-    diagonal of ``rho`` passes each qubit's confusion matrix in turn."""
+def probabilities(rho, model):
+    """The readout-confused Born distribution: the diagonal of ``rho``
+    passes each qubit's confusion matrix in turn."""
     probs = rho.diagonal().real[None, :]
     for q, confusion in enumerate(model.readout):
         probs = qsim._apply_gate_batch(probs, confusion, (q,), model.n_qubits)
-    probs = np.clip(probs[0], 0.0, None)
+    return np.clip(probs[0], 0.0, None)
+
+
+def draw(rho, model, shots, seed):
+    """One multinomial draw from ``probabilities(rho, model)``."""
+    probs = probabilities(rho, model)
     return qsim._rng_for(seed, 0).multinomial(shots, probs / probs.sum())
+
+
+def tail_probabilities(circuit, bases, model):
+    """Each basis's readout-confused outcome distribution after ``circuit``,
+    from one (len(bases), 4^n) stack of its noisy vec(rho): qubit by qubit,
+    each gate of ``qsim._BASIS_GATES`` runs, as its channel at p1, on the
+    rows whose basis letter there it lists; then each qubit's confusion
+    matrix folds into the stack of diagonals."""
+    model = qsim._model_for(circuit, model)
+    n, groups = model.n_qubits, len(bases)
+    vecs = np.repeat(qsim.noisy_density_matrix(circuit, model).reshape(1, -1), groups, axis=0)
+    for q in range(n):
+        for gate, letters in qsim._BASIS_GATES:
+            rows = np.array([basis[q] in letters for basis in bases])
+            if rows.any():
+                vecs[rows] = qsim._apply_gate_batch(vecs[rows], qsim._channel(gate, model.p1),
+                                                    (q + n, q), 2 * n)
+    probs = vecs.reshape(groups, 1 << n, 1 << n).diagonal(axis1=1, axis2=2).real
+    for q, confusion in enumerate(model.readout):
+        probs = qsim._apply_gate_batch(probs, confusion, (q,), n)
+    return np.clip(probs, 0.0, None)
 
 
 def channel(gate, p):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -261,39 +263,54 @@ def test_channel_matches_kron_oracle_bit_for_bit(p_kind):
 
 
 def test_kept_channels_have_fresh_bits_and_stay_bounded():
-    # a full sampled point keeps one channel per gate constant, at the p of
-    # its arity; each kept channel is read-only and has the bits of a fresh
-    # build, at either p; the channel of any other matrix, writeable (a
-    # Givens) or read-only (a Pauli that is no gate constant), is never kept
+    # a sampled point keeps, with its live model, one channel per gate
+    # constant at the p of its arity and one readout-tail map, for the bases
+    # it measured last; each kept channel is read-only and has the bits of a
+    # fresh build; the channel of any other matrix, writeable (a Givens) or
+    # read-only (a Pauli that is no gate constant), is never kept; and a
+    # dropped model's entries go with it
     model = NoiseModel()
     spec = vqe.ScanSpec(molecule="h2", geometries=[0.7], shots=64, noise=model,
                         optimizer=vqe.OptimizerSettings(maxfev=10))
-    qsim._CHANNELS.clear()
     vqe.run_point(spec, 0.7)
+    bases = tuple(rdm.build_schedule(4).bases)
     one, two = (qsim._H, qsim._X, qsim._SDG), (qsim._CNOT, qsim._CZ, qsim._FSWAP)
-    kept = {(id(c), model.p1) for c in one} | {(id(c), model.p2) for c in two}
-    assert set(qsim._CHANNELS) == kept
-    measure_pauli_sets(build_ansatz((0.9, -1.2, 2.5)), rdm.build_schedule(4).bases, 64,
-                       model=model, seed=1)
-    assert set(qsim._CHANNELS) == kept
-    for constant in one + two:
+    channels = {**{(id(c), model.p1): c for c in one}, **{(id(c), model.p2): c for c in two}}
+    kept = qsim._KEPT[model]
+    assert set(kept) == set(channels) | {"tail"} and kept["tail"][0] == bases
+    tail = kept["tail"][1]
+    measure_pauli_sets(build_ansatz((0.9, -1.2, 2.5)), bases, 64, model=model, seed=1)
+    assert kept["tail"][1] is tail and not tail.flags.writeable
+    measure_pauli_sets(build_ansatz((0.9, -1.2, 2.5)), ["XXYY", "ZZZZ"], 64, model=model)
+    assert set(kept) == set(channels) | {"tail"} and kept["tail"][0] == ("XXYY", "ZZZZ")
+    for (_, p), constant in channels.items():
         gate = qsim.Gate(tuple(range(len(constant) // 2)), constant)
-        for p in (model.p1, model.p2):
-            channel = qsim._channel(constant, p)
-            assert qsim._channel(constant, p) is channel and not channel.flags.writeable
-            assert same_bits(channel, oracles.channel(gate, p)), (constant, p)
-    assert len(qsim._CHANNELS) == 2 * len(kept)
+        channel = kept[id(constant), p]
+        assert qsim._channel(constant, p, kept) is channel and not channel.flags.writeable
+        assert same_bits(channel, oracles.channel(gate, p)), (constant, p)
+        fresh = qsim._channel(constant, p)  # no model: built per call
+        assert fresh is not channel and fresh.flags.writeable and same_bits(fresh, channel)
     givens = build_ansatz((0.3, 0.2, 0.1)).gates[4]
     assert givens.matrix.flags.writeable
-    channel = qsim._channel(givens.matrix, model.p2)
-    assert channel.flags.writeable and qsim._channel(givens.matrix, model.p2) is not channel
+    channel = qsim._channel(givens.matrix, model.p2, kept)
+    assert channel.flags.writeable and qsim._channel(givens.matrix, model.p2, kept) is not channel
     assert same_bits(channel, oracles.channel(givens, model.p2))
     y = qsim._PAULI_MATS["Y"]
     assert not y.flags.writeable and id(y) not in qsim._CONSTANTS
-    channel = qsim._channel(y, model.p1)
-    assert channel.flags.writeable and qsim._channel(y, model.p1) is not channel
+    channel = qsim._channel(y, model.p1, kept)
+    assert channel.flags.writeable and qsim._channel(y, model.p1, kept) is not channel
     assert same_bits(channel, oracles.channel(qsim.Gate((0,), y), model.p1))
-    assert len(qsim._CHANNELS) == 2 * len(kept)
+    assert set(kept) == set(channels) | {"tail"}
+    dropped = NoiseModel(p1=0.003, p2=0.03)
+    measure_pauli_sets(build_ansatz((0.9, -1.2, 2.5)), bases, 64, model=dropped, seed=1)
+    entries = [weakref.ref(c) for k, c in qsim._KEPT[dropped].items() if k != "tail"]
+    entries.append(weakref.ref(qsim._KEPT[dropped]["tail"][1]))
+    assert len(entries) == len(kept)
+    model_ref = weakref.ref(dropped)
+    del dropped
+    gc.collect()
+    assert model_ref() is None and all(e() is None for e in entries)
+    assert qsim._KEPT[model] is kept
 
 
 def test_shared_gate_matrices_are_read_only():
@@ -342,7 +359,7 @@ def test_gate_kernel_matches_moveaxis_oracle(batch):
 _ANGLE = st.floats(-np.pi, np.pi)
 _AXIS_ANGLE = st.one_of(_ANGLE, st.sampled_from([np.pi / 2, -np.pi / 2, np.pi, -np.pi]))
 # At theta = 0 and on the axes the outcome distributions hold exactly equal
-# pairs, where a one-ulp change flips a multinomial branch.
+# pairs, where a one-ulp change would flip a multinomial branch.
 _THETAS = st.one_of(
     st.tuples(_ANGLE, _ANGLE, _ANGLE), st.just((0.0, 0.0, 0.0)),
     st.builds(lambda axis, t: tuple(t if k == axis else 0.0 for k in range(3)),
@@ -364,23 +381,66 @@ _MODELS = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(theta=_THETAS, bases=_BASES, model=_MODELS, seed=st.integers(0, 1000))
-@example(theta=(0.0, 0.0, 0.0), bases=_SCHEDULE_BASES, model=None, seed=0)
-@example(theta=(0.0, 0.0, 0.0), bases=_SCHEDULE_BASES, model=NoiseModel(), seed=0)
-@example(theta=(0.5, -0.3, 0.8), bases=_SCHEDULE_BASES, model=NoiseModel(p1=0.004, p2=0.03),
-         seed=6)
-@example(theta=(0.5, -0.3, 0.8), bases=("YXZY", "XZZY", "ZZYX", "YYYY", "YXZY"),
-         model=NoiseModel(), seed=3)
-def test_shared_prefix_matches_per_circuit_channel(theta, bases, model, seed):
-    # each group's counts have the bits of its rotated circuit's own channel,
-    # evolved and read out one circuit at a time, whichever bases are measured
+@given(theta=_THETAS, prep=st.text(alphabet="XYZ", min_size=4, max_size=4), bases=_BASES,
+       model=_MODELS)
+@example(theta=(0.0, 0.0, 0.0), prep="ZZZZ", bases=_SCHEDULE_BASES, model=None)
+@example(theta=(0.0, 0.0, 0.0), prep="ZZZZ", bases=_SCHEDULE_BASES, model=NoiseModel())
+@example(theta=(0.5, -0.3, 0.8), prep="ZZZZ", bases=_SCHEDULE_BASES,
+         model=NoiseModel(p1=0.004, p2=0.03))
+@example(theta=(0.5, -0.3, 0.8), prep="YXZY", bases=("YXZY", "XZZY", "ZZYX", "YYYY", "YXZY"),
+         model=NoiseModel(readout=[[[0.9, 0.2], [0.1, 0.8]]] * 4))
+def test_compiled_probabilities_match_per_circuit_channel(theta, prep, bases, model):
+    # each basis's outcome distribution through the compiled readout-tail map
+    # is, to rounding, that of its rotated circuit's own channel, evolved and
+    # read out one circuit at a time, and that of the stacked tails the map
+    # replaced, whichever bases are measured, repeats included; the ansatz
+    # state is real, so the ``prep`` rotation (Sdg on a Y) makes it complex
+    circuit = Circuit(4, build_ansatz(theta).gates + basis_rotation(prep).gates)
+    probs = qsim._outcome_probabilities(circuit, bases, qsim._model_for(circuit, model))
+    assert probs.shape == (len(bases), 16)
+    assert np.abs(probs - oracles.tail_probabilities(circuit, bases, model)).max() <= 1e-14
+    for basis, row in zip(bases, probs):
+        rotated = Circuit(4, circuit.gates + basis_rotation(basis).gates)
+        alone = oracles.probabilities(noisy_density_matrix(rotated, model),
+                                      qsim._model_for(rotated, model))
+        assert np.abs(row - alone).max() <= 1e-14, basis
+
+
+@pytest.mark.parametrize("theta", [(0.7, -0.4, 0.3), (0.0, 0.0, 0.0)])
+def test_sampled_groups_match_per_circuit_channel_in_distribution(theta):
+    # two-sample chi-square, group by group, between the shared-generator
+    # draws and each rotated circuit's own channel, over all 16 outcomes; the
+    # gate holds the two thetas' 26 comparisons together at p > 0.01
+    # (Bonferroni: 30.58, one comparison's gate, would fail 23% of seeds)
     circuit = build_ansatz(theta)
-    tables = measure_pauli_sets(circuit, bases, 4096, model=model, seed=seed)
-    assert tuple(t.basis for t in tables) == bases
+    model = NoiseModel()
+    shots = 200_000
+    tables = measure_pauli_sets(circuit, _SCHEDULE_BASES, shots, model=model, seed=1)
     for gi, table in enumerate(tables):
         rotated = Circuit(4, circuit.gates + basis_rotation(table.basis).gates)
-        alone = apply_noise(rotated, model, qsim._group_seed(seed, gi))(4096)
-        assert same_bits(table.counts, alone), (gi, table.basis)
+        alone = apply_noise(rotated, model, seed=100 + gi)(shots)
+        both = table.counts + alone
+        seen = both > 0
+        chi2 = ((table.counts - alone)[seen] ** 2 / both[seen]).sum()
+        # at most 15 degrees of freedom; chi2 < 40.47 is p > 0.01 / 26
+        assert chi2 < 40.47, (table.basis, chi2)
+
+
+def test_repeated_bases_draw_independently_and_a_seed_reproduces():
+    # one generator draws every group in turn: a basis listed twice gets two
+    # independent draws, and the same seed gives the same counts again, under
+    # another model object with the same content too
+    circuit = build_ansatz((0.5, -0.3, 0.8))
+    bases = ("XXYY", "ZZZZ", "XXYY", "XXYY")
+    first = measure_pauli_sets(circuit, bases, 4096, model=NoiseModel(), seed=7)
+    again = measure_pauli_sets(circuit, bases, 4096, model=NoiseModel(), seed=7)
+    assert [t.basis for t in first] == list(bases)
+    assert all(same_bits(a.counts, b.counts) for a, b in zip(first, again))
+    assert all(t.counts.sum() == 4096 for t in first)
+    repeats = [t.counts for t in first if t.basis == "XXYY"]
+    assert not any(np.array_equal(a, b) for a, b in itertools.combinations(repeats, 2))
+    other = measure_pauli_sets(circuit, bases, 4096, model=NoiseModel(), seed=8)
+    assert not any(np.array_equal(a.counts, b.counts) for a, b in zip(first, other))
 
 
 @settings(max_examples=40, deadline=None)
@@ -496,6 +556,29 @@ def test_mitigation_keeps_row_totals_and_returns_distributions(data, n):
 def test_measure_pauli_sets_validates_shots():
     with pytest.raises(ValidationError):
         measure_pauli_sets(Circuit(2), ["ZZ"], 0)
+
+
+def test_measure_pauli_sets_rejects_no_bases():
+    model = NoiseModel()
+    with pytest.raises(ValidationError, match="no measurement bases"):
+        measure_pauli_sets(build_ansatz((0.1, 0.2, 0.3)), [], 64, model=model)
+    assert "tail" not in qsim._KEPT[model]
+
+
+@pytest.mark.parametrize("basis", ["ZZZ", "Z", "ZZZZZ", ""])
+def test_measure_pauli_sets_rejects_a_basis_of_the_wrong_length(basis):
+    model = NoiseModel()
+    with pytest.raises(ValidationError, match="one letter X, Y or Z per qubit"):
+        measure_pauli_sets(build_ansatz((0.1, 0.2, 0.3)), ["XXYY", basis], 64, model=model)
+    assert "tail" not in qsim._KEPT[model]
+
+
+@pytest.mark.parametrize("basis", ["xZZZ", "IZZZ", "ZZZA", ["Z", "Z", "Z", "Z"]])
+def test_measure_pauli_sets_rejects_a_letter_other_than_xyz(basis):
+    # a lower-case or identity letter is refused, not measured as Z
+    with pytest.raises(ValidationError, match="one letter X, Y or Z per qubit"):
+        measure_pauli_sets(build_ansatz((0.1, 0.2, 0.3)), ["XXYY", basis], 64,
+                           model=NoiseModel())
 
 
 def test_readout_confusion_biases_expectation():
