@@ -1,7 +1,8 @@
 """Qubit-register simulation: Jordan-Wigner operators, the 3-parameter
 ansatz, amplitude arrays for exact expectations, an exact density-matrix
-channel (depolarizing gate noise, readout confusion) that draws each
-circuit's shots in one multinomial, and readout mitigation.
+channel (depolarizing gate noise, readout confusion) compiled into a map of
+the ansatz angles that every measurement circuit's shots are drawn from,
+and readout mitigation.
 
 Qubit k hosts spin orbital k (alpha/beta interleaved).  Basis states are
 little-endian: bit k of the amplitude index, and of a count vector's
@@ -23,10 +24,16 @@ from its matrix alone, as one broadcast product, kron(U, conj U) without
 measured basis onto Z: ``basis_rotation`` builds its circuit from it, and
 ``_readout_tail`` compiles from it, with the readout confusion, one real
 linear map from vec(rho) to every basis's outcome distribution.
-``measure_pauli_sets`` evolves the circuit's noisy density matrix once,
-applies that map and draws every basis's shots from one generator.
 
-A model's gate-constant channels and its last readout-tail map are kept in
+``measure_pauli_sets`` evolves no density matrix.  Every angle of the ansatz
+drives Givens rotations, so every basis's outcome distribution is linear in
+45 trigonometric ``_features`` of the three angles; ``_trig_map`` compiles
+that linear map, once per model and basis list, from ``_evolve``'s noisy
+density matrices of ``build_ansatz`` at 45 grid angles through the readout
+tail.  An evaluation multiplies it by the angles' features and draws every
+basis's shots from one generator.
+
+A model's gate-constant channels and its last compiled map are kept in
 ``_KEPT``, weakly keyed by the model: they are reused for as long as the
 model lives and go with it.
 
@@ -39,6 +46,8 @@ qubit; and ``n_qubits``, an integer >= 1.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -101,8 +110,8 @@ _FSWAP = _read_only(np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0
 # Gate constants by id, for the channel cache; held here, their ids cannot be reused
 _CONSTANTS = {id(m): m for m in (_H, _X, _SDG, _CNOT, _CZ, _FSWAP)}
 # What each live noise model's runs reuse, read-only: a gate constant's channel
-# under (id of the constant, p), and under "tail" the last basis list measured
-# and its readout-tail map.  A model hashes by identity; its entries go with it.
+# under (id of the constant, p), and under "map" the last basis list measured
+# and its ``_trig_map``.  A model hashes by identity; its entries go with it.
 _KEPT = weakref.WeakKeyDictionary()
 # The rotation of a measured Pauli basis onto Z, per qubit: each gate in turn,
 # on the qubits whose letter is one it lists (X: H; Y: Sdg then H)
@@ -371,19 +380,21 @@ def _evolve(rho, gates, model: NoiseModel):
 _ideal_model = functools.cache(NoiseModel.ideal)  # frozen and read-only: safe to share
 
 
-def _model_for(circuit: Circuit, model) -> NoiseModel:
+def _model_for(n_qubits, model) -> NoiseModel:
+    """``model`` for a register of ``n_qubits``, refused if it is for another
+    size; None is the shared ideal model."""
     if model is None:
-        return _ideal_model(circuit.n_qubits)
-    if model.n_qubits != circuit.n_qubits:
+        return _ideal_model(n_qubits)
+    if model.n_qubits != n_qubits:
         raise ValidationError(f"noise model is for {model.n_qubits} qubits, "
-                              f"the circuit has {circuit.n_qubits}")
+                              f"the register has {n_qubits}")
     return model
 
 
 def noisy_density_matrix(circuit: Circuit, model: NoiseModel | None) -> np.ndarray:
     """The exact density matrix of ``circuit`` run from |0...0> under the
     model's gate noise (readout noise acts only on measurement)."""
-    model = _model_for(circuit, model)
+    model = _model_for(circuit.n_qubits, model)
     rho = np.zeros((1 << model.n_qubits,) * 2, dtype=complex)
     rho[0, 0] = 1.0
     return _evolve(rho, circuit.gates, model)
@@ -418,60 +429,101 @@ def basis_rotation(basis: str) -> Circuit:
     return c
 
 
-def measure_pauli_sets(circuit, bases, shots, model=None, seed=0):
-    """Sample one circuit per measurement basis (the group bases of
-    ``qwc_groups``, as ``MeasurementSchedule.bases`` holds them), each
-    basis one letter X, Y or Z per qubit.
+def measure_pauli_sets(params, bases, shots, model=None, seed=0):
+    """Sample the ansatz at the three angles ``params`` once per measurement
+    basis (the group bases of ``qwc_groups``, as ``MeasurementSchedule.bases``
+    holds them), each basis one letter X, Y or Z per qubit of the
+    ``ANSATZ_QUBITS`` register.
 
-    The noisy density matrix of ``circuit`` is evolved once, and
-    ``_outcome_probabilities`` maps it through every basis's rotation and
-    readout at once.  One generator, seeded by ``seed``, draws every group's
-    shots in one multinomial over the stacked distributions, a row per
-    basis, so a basis listed twice gets two independent draws."""
+    No circuit is built: the model's ``_trig_map`` for these bases, times the
+    45 ``_features`` of the angles, gives every basis's readout-confused
+    outcome distribution at once, negative rounding clipped to 0.  One
+    generator, seeded by ``seed``, draws every group's shots in one
+    multinomial over the stacked distributions, a row per basis, so a basis
+    listed twice gets two independent draws."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
-    probs = _outcome_probabilities(circuit, bases, _model_for(circuit, model))
+    model = _model_for(ANSATZ_QUBITS, model)
+    probs = np.clip((_trig_map(model, bases) @ _features(params)).reshape(len(bases), -1),
+                    0.0, None)
     draws = _rng_for(seed, 0).multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
     return [ShotTable(basis, counts, shots) for basis, counts in zip(bases, draws)]
 
 
-def _outcome_probabilities(circuit, bases, model):
-    """The (len(bases), 2^n) readout-confused outcome distributions of
-    ``circuit`` measured in each basis, negative rounding clipped to 0: one
-    product of the model's ``_readout_tail`` with vec(Re rho + Im rho)."""
-    tail = _readout_tail(model, bases)
-    rho = noisy_density_matrix(circuit, model)
-    return np.clip((tail @ (rho.real + rho.imag).reshape(-1)).reshape(len(bases), -1),
-                   0.0, None)
+def _features(params):
+    """The 45 trigonometric features of the ansatz angles,
+    [1, cos, sin, cos 2., sin 2.](theta0 / 2) x [1, cos, sin](theta1)
+    x [1, cos, sin](theta2), the last factor varying fastest.
+
+    A Givens rotation by phi mixes its pair's local states |01> and |10>, so
+    its channel's entries are products of two of 1, cos phi and sin phi.
+    Those of first order act only on coherences between the pair's even and
+    odd local parity, which the ansatz's noisy state never holds where a
+    Givens acts; the others lie in span{1, cos 2phi, sin 2phi}.  theta0
+    enters ``build_ansatz`` through two Givens rotations at -theta0/4, theta1
+    and theta2 through one at -theta/2 each: so every outcome probability of
+    the ansatz is linear in these features."""
+    theta0, theta1, theta2 = (float(t) for t in params)
+    half = theta0 / 2
+    f0 = np.array([1.0, math.cos(half), math.sin(half), math.cos(theta0), math.sin(theta0)])
+    f1 = np.array([1.0, math.cos(theta1), math.sin(theta1)])
+    f2 = np.array([1.0, math.cos(theta2), math.sin(theta2)])
+    return (f0[:, None, None] * f1[None, :, None] * f2[None, None, :]).reshape(-1)
+
+
+# The angles the map is compiled from: theta0 / 2 on 5 and theta1, theta2 on 3
+# equally spaced points of their periods, where the features are independent
+_GRID = tuple(itertools.product(4 * np.pi * np.arange(5) / 5, 2 * np.pi * np.arange(3) / 3,
+                                2 * np.pi * np.arange(3) / 3))
+
+
+def _trig_map(model, bases):
+    """The (len(bases) 2^n, 45) real map Q from the ``_features`` of the
+    ansatz angles to every basis's readout-confused outcome distribution,
+    one row per (basis, outcome).
+
+    Compiled when the model measures other bases than last time, and kept in
+    ``_KEPT``: ``_readout_tail`` checks the bases and maps the noisy density
+    matrix of ``build_ansatz`` at each of the 45 ``_GRID`` angles to a row
+    of P, and Q^T solves F Q^T = P, a row of F holding the features of that
+    angle (F's condition number is 2.83).  A kept map's evaluations pay one
+    (len(bases) 2^n, 45) product."""
+    kept = _KEPT.setdefault(model, {})
+    key = tuple(bases)
+    last = kept.get("map")
+    if last is not None and last[0] == key:
+        return last[1]
+    tail = _readout_tail(model, key)
+    states = np.array([noisy_density_matrix(build_ansatz(theta), model)
+                       for theta in _GRID])
+    probs = (states.real + states.imag).reshape(len(_GRID), -1) @ tail.T
+    features = np.array([_features(theta) for theta in _GRID])
+    q = _read_only(np.ascontiguousarray(np.linalg.solve(features, probs).T))
+    kept["map"] = key, q
+    return q
 
 
 def _readout_tail(model, bases):
     """The real linear map from vec(Re rho + Im rho) of a density matrix rho
     to every basis's outcome distribution after its rotation and the model's
-    readout confusion: one row per (basis, outcome).
+    readout confusion: one row per (basis, outcome).  The bases are checked
+    here, before ``_trig_map`` compiles anything.
 
-    Built when the model measures other bases than last time, and kept in
-    ``_KEPT``; the bases are checked here, so a kept map's evaluations pay
-    nothing.  A qubit's rotation is the ``_BASIS_GATES`` gates of its letter,
-    in order, each as its ``_channel`` at p1, so qubit q of a basis maps its
-    local vec(rho) to the confused distribution of its bit, a 2x4 factor
-    R_q D C_q (C_q the gates' channels in turn, D the diagonal, R_q the
-    confusion matrix).  A basis's map F, the tensor product of its qubits'
-    factors with the outcome, row and column bits of qubit q at place q,
-    gives real probabilities sum_rc F_orc rho_rc for every hermitian rho, so
-    each F_o is hermitian: its real part symmetric, its imaginary part
-    antisymmetric.  As rho's real part is symmetric and its imaginary part
-    antisymmetric too, sum_rc F_orc rho_rc is sum_rc (Re F - Im F)_orc
-    (Re rho + Im rho)_rc, and the map keeps Re F - Im F."""
-    kept = _KEPT.setdefault(model, {})
-    key = tuple(bases)
-    last = kept.get("tail")
-    if last is not None and last[0] == key:
-        return last[1]
-    n = model.n_qubits
-    if not key:
+    A qubit's rotation is the ``_BASIS_GATES`` gates of its letter, in order,
+    each as its ``_channel`` at p1, so qubit q of a basis maps its local
+    vec(rho) to the confused distribution of its bit, a 2x4 factor R_q D C_q
+    (C_q the gates' channels in turn, D the diagonal, R_q the confusion
+    matrix).  A basis's map F, the tensor product of its qubits' factors with
+    the outcome, row and column bits of qubit q at place q, gives real
+    probabilities sum_rc F_orc rho_rc for every hermitian rho, so each F_o is
+    hermitian: its real part symmetric, its imaginary part antisymmetric.  As
+    rho's real part is symmetric and its imaginary part antisymmetric too,
+    sum_rc F_orc rho_rc is sum_rc (Re F - Im F)_orc (Re rho + Im rho)_rc, and
+    the map keeps Re F - Im F."""
+    n, kept = model.n_qubits, _KEPT.setdefault(model, {})
+    if not bases:
         raise ValidationError("no measurement bases")
-    for basis in key:
+    for basis in bases:
         if not (isinstance(basis, str) and len(basis) == n and set(basis) <= set("XYZ")):
             raise ValidationError(f"a measured basis is one letter X, Y or Z per qubit "
                                   f"({n}), got {basis!r}")
@@ -483,16 +535,14 @@ def _readout_tail(model, bases):
                 if letter in letters:
                     local = _channel(gate, model.p1, kept) @ local
             factors[q, letter] = (confusion @ local[[0, 3]]).reshape(2, 2, 2)
-    tail = np.empty((len(key), 1 << n, 1 << 2 * n))
-    for g, basis in enumerate(key):
+    tail = np.empty((len(bases), 1 << n, 1 << 2 * n))
+    for g, basis in enumerate(bases):
         t = np.ones((1, 1, 1))  # (outcome, row, column) over the qubits so far
         for q, letter in enumerate(basis):  # qubit q is the most significant bit so far
             t = factors[q, letter][:, None, :, None, :, None] * t[None, :, None, :, None, :]
             t = t.reshape(2 << q, 2 << q, 2 << q)
         tail[g] = (t.real - t.imag).reshape(1 << n, -1)
-    tail = _read_only(tail.reshape(len(key) << n, -1))
-    kept["tail"] = key, tail
-    return tail
+    return tail.reshape(len(bases) << n, -1)
 
 
 def mitigate_readout(counts, model: NoiseModel):

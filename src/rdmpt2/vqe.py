@@ -357,14 +357,14 @@ class PointPipeline:
     def evaluate(self, params, tag: int):
         """Full chain for one parameter point; returns the iteration record
         and the raw tables (for bootstrap at the final point)."""
-        circuit = qsim.build_ansatz(params)
         if self.spec.shots is None:
-            raw = rdm.rdm_from_state(qsim.simulate(circuit), self.schedule)
+            raw = rdm.rdm_from_state(qsim.simulate(qsim.build_ansatz(params)),
+                                     self.schedule)
             tables = None
         else:
             seed = _eval_seed(self.spec.seed, tag)
             tables = qsim.measure_pauli_sets(
-                circuit, self.schedule.bases, self.spec.shots,
+                params, self.schedule.bases, self.spec.shots,
                 model=self.spec.noise, seed=seed)
             raw = rdm.rdm_from_shots(tables, self.schedule, model=self.spec.noise)
         rec = {"params": tuple(float(x) for x in params)}

@@ -46,7 +46,9 @@ channel in distribution (a chi-square test), and its outcome probabilities
 must match ``probabilities`` to rounding.  ``tail_probabilities`` is the
 stacked form the package used before it compiled a readout-tail map: one
 noisy state per basis, each ``_BASIS_GATES`` gate run on the rows whose
-letter it lists, then the readout folded into the stack of diagonals.
+letter it lists, then the readout folded into the stack of diagonals.  The
+package's readout tail, and its map of the ansatz angles compiled through
+that tail, must match it to rounding at any angles.
 ``channel`` is one noisy gate's superoperator as the package formed it
 before its broadcast product, through ``np.kron`` with vec(I_d) rebuilt on
 every call; ``qsim._channel`` must return the same bits, kept or built.
@@ -303,7 +305,7 @@ def apply_noise(circuit, model, seed):
     shots -> count vector draws from the readout-confused outcome
     distribution of its noisy density matrix (``model=None`` samples the
     exact Born distribution)."""
-    model = qsim._model_for(circuit, model)
+    model = qsim._model_for(circuit.n_qubits, model)
     rho = qsim.noisy_density_matrix(circuit, model)
     return lambda shots: draw(rho, model, shots, seed)
 
@@ -329,7 +331,7 @@ def tail_probabilities(circuit, bases, model):
     each gate of ``qsim._BASIS_GATES`` runs, as its channel at p1, on the
     rows whose basis letter there it lists; then each qubit's confusion
     matrix folds into the stack of diagonals."""
-    model = qsim._model_for(circuit, model)
+    model = qsim._model_for(circuit.n_qubits, model)
     n, groups = model.n_qubits, len(bases)
     vecs = np.repeat(qsim.noisy_density_matrix(circuit, model).reshape(1, -1), groups, axis=0)
     for q in range(n):

@@ -31,7 +31,7 @@ def noisy_pipelines():
 
 
 def noisy_symmetrized_rdm(pipe, theta, seed):
-    tables = qsim.measure_pauli_sets(qsim.build_ansatz(theta), pipe.schedule.bases,
+    tables = qsim.measure_pauli_sets(theta, pipe.schedule.bases,
                                      pipe.spec.shots, model=pipe.spec.noise, seed=seed)
     return rdm.symmetrize(rdm.rdm_from_shots(tables, pipe.schedule, model=pipe.spec.noise))
 

@@ -264,8 +264,8 @@ def test_channel_matches_kron_oracle_bit_for_bit(p_kind):
 
 def test_kept_channels_have_fresh_bits_and_stay_bounded():
     # a sampled point keeps, with its live model, one channel per gate
-    # constant at the p of its arity and one readout-tail map, for the bases
-    # it measured last; each kept channel is read-only and has the bits of a
+    # constant at the p of its arity and one compiled map, for the bases it
+    # measured last; each kept channel is read-only and has the bits of a
     # fresh build; the channel of any other matrix, writeable (a Givens) or
     # read-only (a Pauli that is no gate constant), is never kept; and a
     # dropped model's entries go with it
@@ -277,12 +277,16 @@ def test_kept_channels_have_fresh_bits_and_stay_bounded():
     one, two = (qsim._H, qsim._X, qsim._SDG), (qsim._CNOT, qsim._CZ, qsim._FSWAP)
     channels = {**{(id(c), model.p1): c for c in one}, **{(id(c), model.p2): c for c in two}}
     kept = qsim._KEPT[model]
-    assert set(kept) == set(channels) | {"tail"} and kept["tail"][0] == bases
-    tail = kept["tail"][1]
-    measure_pauli_sets(build_ansatz((0.9, -1.2, 2.5)), bases, 64, model=model, seed=1)
-    assert kept["tail"][1] is tail and not tail.flags.writeable
-    measure_pauli_sets(build_ansatz((0.9, -1.2, 2.5)), ["XXYY", "ZZZZ"], 64, model=model)
-    assert set(kept) == set(channels) | {"tail"} and kept["tail"][0] == ("XXYY", "ZZZZ")
+    assert set(kept) == set(channels) | {"map"} and kept["map"][0] == bases
+    compiled = kept["map"][1]
+    assert compiled.shape == (13 * 16, 45) and not compiled.flags.writeable
+    measure_pauli_sets((0.9, -1.2, 2.5), list(bases), 64, model=model, seed=1)
+    assert kept["map"][1] is compiled
+    measure_pauli_sets((0.9, -1.2, 2.5), ["XXYY", "ZZZZ"], 64, model=model)
+    assert set(kept) == set(channels) | {"map"} and kept["map"][0] == ("XXYY", "ZZZZ")
+    assert kept["map"][1].shape == (2 * 16, 45)
+    measure_pauli_sets((0.9, -1.2, 2.5), bases, 64, model=model, seed=1)
+    assert kept["map"][1] is not compiled and same_bits(kept["map"][1], compiled)
     for (_, p), constant in channels.items():
         gate = qsim.Gate(tuple(range(len(constant) // 2)), constant)
         channel = kept[id(constant), p]
@@ -300,11 +304,11 @@ def test_kept_channels_have_fresh_bits_and_stay_bounded():
     channel = qsim._channel(y, model.p1, kept)
     assert channel.flags.writeable and qsim._channel(y, model.p1, kept) is not channel
     assert same_bits(channel, oracles.channel(qsim.Gate((0,), y), model.p1))
-    assert set(kept) == set(channels) | {"tail"}
+    assert set(kept) == set(channels) | {"map"}
     dropped = NoiseModel(p1=0.003, p2=0.03)
-    measure_pauli_sets(build_ansatz((0.9, -1.2, 2.5)), bases, 64, model=dropped, seed=1)
-    entries = [weakref.ref(c) for k, c in qsim._KEPT[dropped].items() if k != "tail"]
-    entries.append(weakref.ref(qsim._KEPT[dropped]["tail"][1]))
+    measure_pauli_sets((0.9, -1.2, 2.5), bases, 64, model=dropped, seed=1)
+    entries = [weakref.ref(c) for k, c in qsim._KEPT[dropped].items() if k != "map"]
+    entries.append(weakref.ref(qsim._KEPT[dropped]["map"][1]))
     assert len(entries) == len(kept)
     model_ref = weakref.ref(dropped)
     del dropped
@@ -390,20 +394,56 @@ _MODELS = st.one_of(
 @example(theta=(0.5, -0.3, 0.8), prep="YXZY", bases=("YXZY", "XZZY", "ZZYX", "YYYY", "YXZY"),
          model=NoiseModel(readout=[[[0.9, 0.2], [0.1, 0.8]]] * 4))
 def test_compiled_probabilities_match_per_circuit_channel(theta, prep, bases, model):
-    # each basis's outcome distribution through the compiled readout-tail map
-    # is, to rounding, that of its rotated circuit's own channel, evolved and
-    # read out one circuit at a time, and that of the stacked tails the map
+    # each basis's outcome distribution through the readout-tail map is, to
+    # rounding, that of its rotated circuit's own channel, evolved and read
+    # out one circuit at a time, and that of the stacked tails the map
     # replaced, whichever bases are measured, repeats included; the ansatz
     # state is real, so the ``prep`` rotation (Sdg on a Y) makes it complex
     circuit = Circuit(4, build_ansatz(theta).gates + basis_rotation(prep).gates)
-    probs = qsim._outcome_probabilities(circuit, bases, qsim._model_for(circuit, model))
+    model = qsim._model_for(4, model)
+    rho = noisy_density_matrix(circuit, model)
+    tail = qsim._readout_tail(model, bases)
+    probs = np.clip((tail @ (rho.real + rho.imag).reshape(-1)).reshape(len(bases), -1),
+                    0.0, None)
     assert probs.shape == (len(bases), 16)
     assert np.abs(probs - oracles.tail_probabilities(circuit, bases, model)).max() <= 1e-14
     for basis, row in zip(bases, probs):
         rotated = Circuit(4, circuit.gates + basis_rotation(basis).gates)
-        alone = oracles.probabilities(noisy_density_matrix(rotated, model),
-                                      qsim._model_for(rotated, model))
+        alone = oracles.probabilities(noisy_density_matrix(rotated, model), model)
         assert np.abs(row - alone).max() <= 1e-14, basis
+
+
+_WIDE_ANGLE = st.floats(-4 * np.pi, 4 * np.pi)
+# A few models, each compiled once per basis list however many examples use it
+_MAP_MODELS = (NoiseModel(), NoiseModel.ideal(), NoiseModel(p1=0.004, p2=0.03),
+               NoiseModel(p1=0.01, p2=0.05, readout=[[[0.97, 0.05], [0.03, 0.95]]] * 4),
+               NoiseModel(p1=0.05, p2=0.1,
+                          readout=[[[0.9, 0.2], [0.1, 0.8]], [[0.99, 0.01], [0.01, 0.99]],
+                                   [[0.95, 0.0], [0.05, 1.0]], [[0.8, 0.3], [0.2, 0.7]]]))
+_MAP_BASES = (_SCHEDULE_BASES, ("YXZY", "XZZY", "ZZYX", "YYYY", "YXZY", "ZZZZ", "ZZZZ"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.one_of(st.tuples(_WIDE_ANGLE, _WIDE_ANGLE, _WIDE_ANGLE), _THETAS),
+       model=st.sampled_from(_MAP_MODELS), bases=st.sampled_from(_MAP_BASES))
+@example(theta=(4 * np.pi, -4 * np.pi, 4 * np.pi), model=_MAP_MODELS[0],
+         bases=_SCHEDULE_BASES)
+@example(theta=(2 * np.pi, np.pi, -np.pi), model=_MAP_MODELS[3], bases=_MAP_BASES[1])
+def test_trig_map_matches_tail_oracle(theta, model, bases):
+    # the map compiled from the 45-point grid gives, at any angles (periods
+    # included, theta0's 4 pi and the singles' 2 pi), each basis's outcome
+    # distribution of the ansatz circuit's own noisy channel to rounding,
+    # under every model and basis list, repeats included
+    probs = np.clip(qsim._trig_map(model, bases) @ qsim._features(theta), 0.0, None)
+    want = oracles.tail_probabilities(build_ansatz(theta), bases, model)
+    assert np.abs(probs.reshape(len(bases), 16) - want).max() <= 1e-14
+
+
+def test_trig_grid_features_are_well_conditioned():
+    # the grid's 45 x 45 feature matrix, the system every compile solves
+    features = np.array([qsim._features(theta) for theta in qsim._GRID])
+    assert features.shape == (45, 45)
+    assert np.linalg.cond(features) == pytest.approx(2 * np.sqrt(2), rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [(0.7, -0.4, 0.3), (0.0, 0.0, 0.0)])
@@ -415,7 +455,7 @@ def test_sampled_groups_match_per_circuit_channel_in_distribution(theta):
     circuit = build_ansatz(theta)
     model = NoiseModel()
     shots = 200_000
-    tables = measure_pauli_sets(circuit, _SCHEDULE_BASES, shots, model=model, seed=1)
+    tables = measure_pauli_sets(theta, _SCHEDULE_BASES, shots, model=model, seed=1)
     for gi, table in enumerate(tables):
         rotated = Circuit(4, circuit.gates + basis_rotation(table.basis).gates)
         alone = apply_noise(rotated, model, seed=100 + gi)(shots)
@@ -430,16 +470,16 @@ def test_repeated_bases_draw_independently_and_a_seed_reproduces():
     # one generator draws every group in turn: a basis listed twice gets two
     # independent draws, and the same seed gives the same counts again, under
     # another model object with the same content too
-    circuit = build_ansatz((0.5, -0.3, 0.8))
+    theta = (0.5, -0.3, 0.8)
     bases = ("XXYY", "ZZZZ", "XXYY", "XXYY")
-    first = measure_pauli_sets(circuit, bases, 4096, model=NoiseModel(), seed=7)
-    again = measure_pauli_sets(circuit, bases, 4096, model=NoiseModel(), seed=7)
+    first = measure_pauli_sets(theta, bases, 4096, model=NoiseModel(), seed=7)
+    again = measure_pauli_sets(theta, bases, 4096, model=NoiseModel(), seed=7)
     assert [t.basis for t in first] == list(bases)
     assert all(same_bits(a.counts, b.counts) for a, b in zip(first, again))
     assert all(t.counts.sum() == 4096 for t in first)
     repeats = [t.counts for t in first if t.basis == "XXYY"]
     assert not any(np.array_equal(a, b) for a, b in itertools.combinations(repeats, 2))
-    other = measure_pauli_sets(circuit, bases, 4096, model=NoiseModel(), seed=8)
+    other = measure_pauli_sets(theta, bases, 4096, model=NoiseModel(), seed=8)
     assert not any(np.array_equal(a.counts, b.counts) for a, b in zip(first, other))
 
 
@@ -469,9 +509,9 @@ def test_noisy_density_matrix_matches_kraus_sum(angles, basis, p1, p2):
 def test_ideal_model_is_built_once_per_register_size():
     # noise=None shares one ideal model per register size: it is frozen and
     # its arrays are read-only
-    ideal = qsim._model_for(build_ansatz((0.1, 0.2, 0.3)), None)
-    assert qsim._model_for(Circuit(4), None) is ideal
-    assert qsim._model_for(Circuit(2), None).n_qubits == 2
+    ideal = qsim._model_for(4, None)
+    assert qsim._model_for(build_ansatz((0.1, 0.2, 0.3)).n_qubits, None) is ideal
+    assert qsim._model_for(2, None).n_qubits == 2
     assert ideal.p1 == ideal.p2 == 0 and np.array_equal(ideal.readout_inverse, np.eye(16))
     assert not (ideal.readout.flags.writeable or ideal.readout_inverse.flags.writeable)
 
@@ -481,12 +521,23 @@ def test_channel_rejects_mismatched_register():
         apply_noise(build_ansatz((0.1, 0.2, 0.3)), NoiseModel(n_qubits=2), seed=0)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 5])
+def test_measure_pauli_sets_rejects_a_model_for_another_register(n_qubits):
+    # the ansatz register has 4 qubits: a model for any other size is refused
+    # before anything is compiled or kept for it
+    model = NoiseModel(n_qubits=n_qubits)
+    with pytest.raises(ValidationError, match=f"noise model is for {n_qubits} qubits, "
+                                              "the register has 4"):
+        measure_pauli_sets((0.1, 0.2, 0.3), ["Z" * n_qubits], 64, model=model)
+    assert model not in qsim._KEPT
+
+
 def test_shot_noise_scaling():
-    circuit = build_ansatz((0.5, 0.2, -0.1))
+    theta = (0.5, 0.2, -0.1)
     obs = "ZIII"
-    exact_val = expectation(simulate(circuit), obs).real
+    exact_val = expectation(simulate(build_ansatz(theta)), obs).real
     for shots in (1000, 10_000, 100_000):
-        tables = measure_pauli_sets(circuit, qwc_groups([obs])[0], shots, model=None,
+        tables = measure_pauli_sets(theta, qwc_groups([obs])[0], shots, model=None,
                                     seed=17)
         err = abs(table_expectation(tables[0], obs) - exact_val)
         assert err < 5.0 / np.sqrt(shots)
@@ -554,54 +605,59 @@ def test_mitigation_keeps_row_totals_and_returns_distributions(data, n):
 
 
 def test_measure_pauli_sets_validates_shots():
-    with pytest.raises(ValidationError):
-        measure_pauli_sets(Circuit(2), ["ZZ"], 0)
+    with pytest.raises(ValidationError, match="shots must be positive"):
+        measure_pauli_sets((0.1, 0.2, 0.3), ["ZZZZ"], 0)
 
 
 def test_measure_pauli_sets_rejects_no_bases():
     model = NoiseModel()
     with pytest.raises(ValidationError, match="no measurement bases"):
-        measure_pauli_sets(build_ansatz((0.1, 0.2, 0.3)), [], 64, model=model)
-    assert "tail" not in qsim._KEPT[model]
+        measure_pauli_sets((0.1, 0.2, 0.3), [], 64, model=model)
+    assert "map" not in qsim._KEPT[model]
 
 
 @pytest.mark.parametrize("basis", ["ZZZ", "Z", "ZZZZZ", ""])
 def test_measure_pauli_sets_rejects_a_basis_of_the_wrong_length(basis):
     model = NoiseModel()
     with pytest.raises(ValidationError, match="one letter X, Y or Z per qubit"):
-        measure_pauli_sets(build_ansatz((0.1, 0.2, 0.3)), ["XXYY", basis], 64, model=model)
-    assert "tail" not in qsim._KEPT[model]
+        measure_pauli_sets((0.1, 0.2, 0.3), ["XXYY", basis], 64, model=model)
+    assert "map" not in qsim._KEPT[model]
 
 
 @pytest.mark.parametrize("basis", ["xZZZ", "IZZZ", "ZZZA", ["Z", "Z", "Z", "Z"]])
 def test_measure_pauli_sets_rejects_a_letter_other_than_xyz(basis):
     # a lower-case or identity letter is refused, not measured as Z
     with pytest.raises(ValidationError, match="one letter X, Y or Z per qubit"):
-        measure_pauli_sets(build_ansatz((0.1, 0.2, 0.3)), ["XXYY", basis], 64,
-                           model=NoiseModel())
+        measure_pauli_sets((0.1, 0.2, 0.3), ["XXYY", basis], 64, model=NoiseModel())
 
 
 def test_readout_confusion_biases_expectation():
-    # <Z0> on |0> with symmetric flip 0.1 reads 0.8 before mitigation
-    circuit = Circuit(1)
-    readout = np.array([[[0.9, 0.1], [0.1, 0.9]]])
-    model = NoiseModel(p1=0.0, p2=0.0, readout=readout, n_qubits=1)
+    # the reference determinant |0011> holds qubits 0 and 1: with symmetric
+    # flip 0.1 each <Z_q> reads -0.8 there and 0.8 on the empty qubits 2 and
+    # 3 before mitigation, and -1 or 1 after it
+    model = NoiseModel(p1=0.0, p2=0.0, readout=0.1)
     shots = 200_000
-    tables = measure_pauli_sets(circuit, qwc_groups(["Z"])[0], shots,
+    tables = measure_pauli_sets((0.0, 0.0, 0.0), qwc_groups(["ZIII"])[0], shots,
                                 model=model, seed=1)
-    raw = table_expectation(tables[0], "Z")
-    assert abs(raw - 0.8) < 5 / np.sqrt(shots)
     fixed, _ = mitigate_readout(tables[0].counts, model)
-    assert abs(fixed @ z_parity_signs("Z") - 1.0) < 7 / np.sqrt(shots)
+    for q, sign in enumerate((-1, -1, 1, 1)):
+        word = "I" * q + "Z" + "I" * (3 - q)
+        assert abs(table_expectation(tables[0], word) - 0.8 * sign) < 5 / np.sqrt(shots)
+        assert abs(fixed @ z_parity_signs(word) - sign) < 7 / np.sqrt(shots)
 
 
 def test_asymmetric_readout_conditions_on_true_bit():
-    # readout[q][m, t] = P(measured m | true t): a prepared 1 reads 0 with 0.3
-    readout = np.array([[[0.9, 0.3], [0.1, 0.7]]])
-    model = NoiseModel(p1=0.0, p2=0.0, readout=readout, n_qubits=1)
+    # readout[q][m, t] = P(measured m | true t): on the reference |0011> the
+    # prepared 1s on qubits 0 and 1 read 0 with 0.3, the 0s on qubits 2 and 3
+    # read 1 with 0.1
+    model = NoiseModel(p1=0.0, p2=0.0, readout=[[[0.9, 0.3], [0.1, 0.7]]] * 4)
     shots = 100_000
-    counts = apply_noise(Circuit(1).x(0), model, seed=8)(shots)
-    assert abs(counts[0] / shots - 0.3) < 5 * np.sqrt(0.3 * 0.7 / shots)
+    counts = measure_pauli_sets((0.0, 0.0, 0.0), ["ZZZZ"], shots, model=model,
+                                seed=8)[0].counts
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    read_one = counts @ bits / shots
+    for q, p in enumerate((0.7, 0.7, 0.1, 0.1)):
+        assert abs(read_one[q] - p) < 5 * np.sqrt(p * (1 - p) / shots), q
 
 
 def test_mitigation_identity_confusion_is_noop():
@@ -649,10 +705,9 @@ def test_mitigation_recovers_modeled_readout():
     shots = 40_000
     for trial in range(10):
         th = rng.uniform(-np.pi, np.pi, 3)
-        circuit = build_ansatz(th)
         obs = "ZZII"
-        exact_val = expectation(simulate(circuit), obs).real
-        tables = measure_pauli_sets(circuit, qwc_groups([obs])[0], shots, model=model,
+        exact_val = expectation(simulate(build_ansatz(th)), obs).real
+        tables = measure_pauli_sets(th, qwc_groups([obs])[0], shots, model=model,
                                     seed=100 + trial)
         fixed, _ = mitigate_readout(tables[0].counts, model)
         # inverse confusion inflates variance by roughly (1 - 2 eps)^-2

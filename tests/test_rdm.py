@@ -92,9 +92,8 @@ def test_sampled_rdm_energy_within_shot_noise(h2, h2_fci):
     # optimal parameters: theta0 from the FCI pair amplitudes
     pair_exact = oracles.rdms_from_amplitudes(amps, basis)
     theta0 = 2 * np.arctan2(pair_exact.rho2[2, 3, 0, 1], pair_exact.rho2[0, 1, 0, 1])
-    circuit = build_ansatz((theta0, 0, 0))
     schedule = build_schedule(4)
-    tables = measure_pauli_sets(circuit, schedule.bases, 10**6,
+    tables = measure_pauli_sets((theta0, 0, 0), schedule.bases, 10**6,
                                 model=None, seed=5)
     pair = rdm_from_shots(tables, schedule)
     energy = hamio.energy_from_rdm(table, pair)
@@ -103,8 +102,7 @@ def test_sampled_rdm_energy_within_shot_noise(h2, h2_fci):
 
 def test_coverage_error_lists_missing():
     schedule = build_schedule(4)
-    circuit = build_ansatz((0.2, 0.0, 0.0))
-    tables = measure_pauli_sets(circuit, schedule.bases, 64,
+    tables = measure_pauli_sets((0.2, 0.0, 0.0), schedule.bases, 64,
                                 model=None, seed=1)
     dropped = tables[1:]
     with pytest.raises(CoverageError) as err:
@@ -162,7 +160,7 @@ def test_symmetrization_fixed_point_on_singlet(h2_fci):
 
 def test_bootstrap_single_resample_and_deterministic_pipeline():
     schedule = build_schedule(4)
-    tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.bases,
+    tables = measure_pauli_sets((0.3, 0.0, 0.0), schedule.bases,
                                 100, seed=0)
     ens = bootstrap(tables, schedule, 1, lambda raw: {"value": np.full(len(raw.rho1), 1.23)},
                     seed=0)
@@ -192,7 +190,7 @@ def test_bootstrap_counts_failed_resamples(failing):
     # KeyError, and one on a later resample left uninitialised memory in its
     # sample and so in the mean and std
     schedule = build_schedule(4)
-    tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.bases,
+    tables = measure_pauli_sets((0.3, 0.0, 0.0), schedule.bases,
                                 100, seed=0)
     blocks = []
 
@@ -216,7 +214,7 @@ def test_bootstrap_counts_failed_resamples(failing):
 
 def test_bootstrap_fails_a_name_a_block_leaves_out():
     schedule = build_schedule(4)
-    tables = measure_pauli_sets(build_ansatz((0.3, 0.0, 0.0)), schedule.bases,
+    tables = measure_pauli_sets((0.3, 0.0, 0.0), schedule.bases,
                                 100, seed=0)
     blocks = []
 
@@ -330,15 +328,14 @@ def test_raw_rdms_are_hermitian_and_antisymmetric(angles, seed):
     # also hold both traces at N = 2 and N(N-1) = 2; readout mitigation moves
     # the noisy traces, so only the structure is checked there
     schedule = build_schedule(4)
-    circuit = build_ansatz(angles)
-    exact_raw = rdm_from_state(simulate(circuit), schedule)
-    sampled = rdm_from_shots(measure_pauli_sets(circuit, schedule.bases, 256, seed=seed),
+    exact_raw = rdm_from_state(simulate(build_ansatz(angles)), schedule)
+    sampled = rdm_from_shots(measure_pauli_sets(angles, schedule.bases, 256, seed=seed),
                              schedule)
     for pair in (exact_raw, sampled):
         oracles.validate_pair(pair, 1e-12)
         assert oracles.traces(pair) == pytest.approx((2.0, 2.0), abs=1e-12)
     model = NoiseModel()
-    tables = measure_pauli_sets(circuit, schedule.bases, 256, model=model, seed=seed)
+    tables = measure_pauli_sets(angles, schedule.bases, 256, model=model, seed=seed)
     oracles.validate_pair(rdm_from_shots(tables, schedule, model=model), 1e-12)
 
 
@@ -352,7 +349,7 @@ def test_validate_tolerance_is_absolute():
 
 def test_coverage_error_names_missing_group_and_wrong_basis():
     schedule = build_schedule(4)
-    tables = measure_pauli_sets(build_ansatz((0.2, 0.1, 0.0)), schedule.bases,
+    tables = measure_pauli_sets((0.2, 0.1, 0.0), schedule.bases,
                                 64, seed=1)
     with pytest.raises(CoverageError) as err:
         rdm_from_shots(tables[:2] + tables[3:], schedule)
