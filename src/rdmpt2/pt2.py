@@ -7,8 +7,9 @@ two electrons); the denominators use transformed orbital energies obtained
 from the same RDMs.  On a determinant RDM everything collapses to textbook MP2.
 
 Everything here is array code over the occupied/virtual blocks of the
-reference: the numerators and transformed energies are block contractions,
-the denominators are broadcast sums, one comparison per excitation rank finds
+reference: the numerators and transformed energies are block contractions
+(or, with a two-electron reference, rows of one compiled affine map), the
+denominators are broadcast sums, one comparison per excitation rank finds
 a degenerate channel, and ``math.fsum`` adds the kept nonzero terms, so the
 sum does not depend on their order.  The scalar (per-element, loop) and
 dense einsum forms these were derived from are kept in the tests as oracles.
@@ -35,14 +36,27 @@ matmul of its pair alone.  The second-order sum stays per resample; a
 degenerate denominator is NaN for that resample of a stack, and raises for
 one pair.
 
+With a reference of two electrons there are no three-body terms, and the
+transformed energies and both numerator blocks are affine in the active
+blocks (r, r2).  Such a plan compiles them, on its first call, into one map
+out = c + v @ L (``_Plan.affine``): v is r then r2, flattened (16 + 256
+entries on four active spin orbitals), and out is eps_occ, eps_virt, fbar
+and gammabar (24 values there).  The contractions are the compiler: run once
+on a stack of the zero pair and every unit pair, they give c and the rows of
+L.  After that each call reads its rows from one (B, 1, m) @ (m, K) product,
+so each resample's rows are those of its pair alone.  Plans whose reference
+holds more than two electrons (full-space PT2 with a frozen core) compile
+nothing and contract on every call.
+
 What depends only on the integral table, the reference and the partition is
 computed once, on the first call, and kept while the table lives (the plans
 are weakly keyed by the table): one ``_Plan`` per (reference, partition)
 holds the index classes, the partition and reference checks, whether the
 three-body terms apply (the reference holds more than two electrons), the bare
 Fock diagonal, every block of h and g that is read (with the core's mean field
-and h plus it) and the masks of the channels the second-order sum keeps.  Per
-RDM there remain its active blocks, the embedded-form check and the
+and h plus it) and the masks of the channels the second-order sum keeps,
+and, once compiled, a two-electron plan's affine map.  Per RDM there remain
+its active blocks, the embedded-form check and the map's product or the
 contractions themselves, whose inputs and summation order are those of
 cutting the blocks on every call.
 """
@@ -157,6 +171,12 @@ class _Plan:
     A block is kept in the layout its first use reads: as cut (a view where
     every index is one run) for products and matmuls, C-contiguous where
     ``_dot`` would copy it into that layout anyway.
+
+    A plan without three-body terms (a two-electron reference) compiles, in
+    its first call, the affine map ``affine`` of its transformed energies
+    and numerators from these blocks, and ``energies`` and ``numerators``
+    read its rows from then on.  A three-body plan never compiles one: those
+    two contract the blocks on every call.
     """
 
     def __init__(self, table: IntegralTable, ref: ReferenceDeterminant,
@@ -235,6 +255,55 @@ class _Plan:
                           ~((act_o[:, None] & act_o)[:, :, None, None]
                             & (act_v[:, None] & act_v)))
 
+    @functools.cached_property
+    def affine(self):
+        """(c, L) of the two-electron map ``out = c + v @ L``, compiled on the
+        first read: v is r then r2, flattened (n^2 + n^4 entries over the n
+        active spin orbitals), and out is eps_occ, eps_virt (in the reference's
+        order), fbar and gammabar (in the plan's), flattened.
+
+        Without three-body terms all four are affine in (r, r2), so the
+        contraction form, run once on a stack of the zero pair (c) and the
+        m = n^2 + n^4 unit pairs (c plus a row of L each), is the whole map.
+        That stack holds (1 + m) m numbers: 0.6 MB for n = 4, but 34 GB for
+        n = 16, so the compile suits small active sets only."""
+        n = self.nao + self.nav
+        m = n * n + n ** 4
+        v = np.eye(1 + m, m, -1)
+        r, r2 = v[:, :n * n].reshape(-1, n, n), v[:, n * n:].reshape((-1,) + (n,) * 4)
+        s = _Split(self, r, r2)
+        rows = np.concatenate([x.reshape(1 + m, -1) for x in (
+            *_dressed_energies(self, r, r2), s.fbar, _gammabar_tensor(s))], axis=1)
+        return rows[0], rows[1:] - rows[0]
+
+    def _rows(self, r, r2, cols):
+        """Columns ``cols`` of the compiled map at a stack of active blocks:
+        one (B, 1, m) @ (m, K) product, so each resample's row is the one of
+        its pair alone."""
+        c, L = self.affine
+        v = np.concatenate((r.reshape(len(r), -1), r2.reshape(len(r2), -1)), axis=1)
+        return c[cols] + (v[:, None] @ L[:, cols])[:, 0]
+
+    def energies(self, r, r2):
+        """(eps_occ, eps_virt) of a stack of active blocks, in the reference's
+        order: the compiled rows, or the contraction with three-body terms."""
+        if self.three_body:
+            return _dressed_energies(self, r, r2)
+        no = len(self.occ)
+        rows = self._rows(r, r2, slice(no + len(self.virt)))
+        return rows[:, :no], rows[:, no:]
+
+    def numerators(self, r, r2):
+        """(fbar, gammabar) of a stack of active blocks, in the plan's order:
+        the compiled rows, or the contraction with three-body terms."""
+        if self.three_body:
+            s = _Split(self, r, r2)
+            return s.fbar, _gammabar_tensor(s)
+        no, nw = len(self.occ), len(self.virt)
+        rows = self._rows(r, r2, slice(no + nw, None))
+        return (rows[:, :no * nw].reshape(-1, no, nw),
+                rows[:, no * nw:].reshape(-1, no, no, nw, nw))
+
     def check_embedded(self, rho1):
         """The O(n^2) check that rho1 (one, or each of a stack) has
         ``embed_active_rdm``'s form."""
@@ -272,15 +341,13 @@ def _cut(rdm: RdmPair, p: _Plan, check=False):
 
 
 class _Split:
-    """One stack of RDMs' active blocks, read against the plan of (table,
-    ref, space): r = rho1 on A, rho2 on A^4 and the blocks ro, rv, t of r,
-    each with a leading resample axis (``_cut``)."""
+    """One stack of active blocks read against a plan: r = rho1 on A, r2 =
+    rho2 on A^4 (``_cut``) and the blocks ro, rv, t of r, each with a leading
+    resample axis."""
 
-    def __init__(self, rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
-                 space: ActiveSpaceSpec | None = None):
-        self.plan = plan = _plan(table, ref, space)
-        self.r, self.r2, self.stacked = _cut(rdm, plan)
-        nao, r = plan.nao, self.r
+    def __init__(self, plan: _Plan, r, r2):
+        self.plan, self.r, self.r2 = plan, r, r2
+        nao = plan.nao
         self.ro, self.rv, self.t = r[:, :, :nao], r[:, :, nao:], r[:, :nao, nao:]
 
     def occ_side(self, x_core, x_act):
@@ -457,6 +524,12 @@ def transformed_energies(rdm: RdmPair, table: IntegralTable,
     _check_pt2_input(rdm)
     p = _plan(table, ref, space)
     r, r2, stacked = _cut(rdm, p, check=True)
+    eps_occ, eps_virt = p.energies(r, r2)
+    return (eps_occ, eps_virt) if stacked else (eps_occ[0], eps_virt[0])
+
+
+def _dressed_energies(p: _Plan, r, r2):
+    """``transformed_energies`` of a stack of active blocks as contractions."""
     o, v = slice(p.nao), slice(p.nao, None)  # Ao and Av within A
     eps_occ, eps_virt = p.bare_occ[None].repeat(len(r), 0), p.bare_virt[None].repeat(len(r), 0)
     eps_occ[:, p.ao_pos] = (
@@ -465,7 +538,7 @@ def transformed_energies(rdm: RdmPair, table: IntegralTable,
     eps_virt[:, p.av_pos] = (
         p.bare_virt[p.av_pos] - (p.h_vo * r[:, o, v].transpose(0, 2, 1)).sum(axis=2)
         - 0.5 * (p.g_vvoo * r2[:, o, o, v, v].transpose(0, 3, 4, 1, 2)).sum(axis=(2, 3, 4)))
-    return (eps_occ, eps_virt) if stacked else (eps_occ[0], eps_virt[0])
+    return eps_occ, eps_virt
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +600,19 @@ def rdm_pt2(rdm: RdmPair, table: IntegralTable, ref: ReferenceDeterminant,
     denominator is degenerate.
     """
     eps_occ, eps_virt = transformed_energies(rdm, table, ref, space)  # checks the input
-    split = _Split(rdm, table, ref, space)
-    p = split.plan
-    if not split.stacked:
+    p = _plan(table, ref, space)
+    r, r2, stacked = _cut(rdm, p)
+    if not stacked:
         eps_occ, eps_virt = eps_occ[None], eps_virt[None]
     sums = []
-    for args in zip(eps_occ[:, p.o_pos], eps_virt[:, p.w_pos], split.fbar,
-                    _gammabar_tensor(split)):
+    for args in zip(eps_occ[:, p.o_pos], eps_virt[:, p.w_pos], *p.numerators(r, r2)):
         try:
             sums.append(_second_order_sum(*args, p.occ, p.virt, p.keeps))
         except DegenerateDenominatorError:
-            if not split.stacked:
+            if not stacked:
                 raise
             sums.append(np.nan)
-    return np.array(sums) if split.stacked else sums[0]
+    return np.array(sums) if stacked else sums[0]
 
 
 def embed_active_rdm(active_rdm: RdmPair, spec: ActiveSpaceSpec) -> RdmPair:

@@ -32,6 +32,12 @@ def exact_active_rdm(table, entry):
     return space, active, e_active, oracles.rdms_from_amplitudes(amps, basis)
 
 
+def contraction_split(rdm_, table, ref, space=None):
+    """The ``_Split`` of an RDM's active blocks, as the contraction form reads them."""
+    p = pt2._plan(table, ref, space)
+    return pt2._Split(p, *pt2._cut(rdm_, p)[:2])
+
+
 ANGLES = st.tuples(*[st.floats(-np.pi, np.pi)] * 3)
 
 
@@ -170,7 +176,7 @@ def test_scalar_and_batch_numerators_agree(lih):
     emb = embed_active_rdm(active_rdm, space)
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
-    split = pt2._Split(emb, table, ref, space)
+    split = contraction_split(emb, table, ref, space)
     fmat = split.fbar[0]
     gten = pt2._gammabar_tensor(split)[0]
     rng = np.random.default_rng(2)
@@ -192,7 +198,7 @@ def test_numerators_match_einsum_oracle_on_unphysical_rdm(molecule, r):
     ref = ReferenceDeterminant.aufbau(table)
     occ, virt = list(ref.occupied), list(ref.virtual)
     pair = random_rdm_pair(np.random.default_rng(4), table.n_so, table.n_electrons)
-    split = pt2._Split(pair, table, ref)
+    split = contraction_split(pair, table, ref)
     for got, want in ((split.fbar[0], oracles.fbar_matrix(pair, table, occ, virt)),
                       (pt2._gammabar_tensor(split)[0],
                        oracles.gammabar_tensor(pair, table, occ, virt))):
@@ -237,7 +243,7 @@ def test_numerators_match_commutator_oracle_on_embedded_state(lih):
                 out[ti] += sign * vec[ci]
         return out
 
-    gten = pt2._gammabar_tensor(pt2._Split(emb, table, ref, space))[0]
+    gten = pt2._gammabar_tensor(contraction_split(emb, table, ref, space))[0]
     rng = np.random.default_rng(3)
     active_set = set(space.active)
     checked = 0
@@ -290,7 +296,7 @@ def test_stationarity_at_fci(h2, h2_fci):
     ref = ReferenceDeterminant.aufbau(table)
     _, amps, basis = h2_fci
     pair = oracles.rdms_from_amplitudes(amps, basis)
-    split = pt2._Split(pair, table, ref)
+    split = contraction_split(pair, table, ref)
     assert np.abs(split.fbar).max() < 1e-6
     assert np.abs(pt2._gammabar_tensor(split)).max() < 1e-6
     assert abs(rdm_pt2(pair, table, ref)) < 1e-8
@@ -511,6 +517,45 @@ def test_full_space_pt2_reads_the_active_pair_as_its_embedding(pipelines, mol, t
     assert np.array_equal(rdm_pt2(stack, *args), [want, want])
 
 
+def two_electron_plans(pipelines):
+    """(pipeline, table, ref, space) of plans without three-body terms, each
+    read with a pair on four active spin orbitals: every pipeline's frozen
+    space, and LiH's full table under a two-electron reference with its other
+    virtuals frozen (the masks and the active pair's cut of a partition)."""
+    cases = [(pipe, pipe.table, pipe.ref, None) for pipe in pipelines.values()]
+    pipe = pipelines["lih"]
+    n_so = pipe.table_full.n_so
+    cases.append((pipe, pipe.table_full, ReferenceDeterminant((0, 1), n_so),
+                  ActiveSpaceSpec((), (0, 1, 2, 3), tuple(range(4, n_so)))))
+    return cases
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), theta=ANGLES)
+def test_compiled_two_electron_map_matches_contraction_form(pipelines, seed, theta):
+    # a two-electron plan's compiled eps, fbar and gammabar are its
+    # contractions to rounding, on unphysical pairs and purified ones, one
+    # pair or a stack; a stack's rows are its pairs' rows alone, bit for bit
+    rng = np.random.default_rng(seed)
+    for pipe, table, ref, space in two_electron_plans(pipelines):
+        pairs = [random_rdm_pair(rng), random_rdm_pair(rng), purified_rdm(pipe, theta)]
+        stack = RdmPair(np.array([q.rho1 for q in pairs]), np.array([q.rho2 for q in pairs]))
+        p = pt2._plan(table, ref, space)
+        assert not p.three_body
+        alone = []
+        for pair in pairs + [stack]:
+            r, r2, _ = pt2._cut(pair, p)
+            split = pt2._Split(p, r, r2)
+            got = (*p.energies(r, r2), *p.numerators(r, r2))
+            want = (*pt2._dressed_energies(p, r, r2), split.fbar, pt2._gammabar_tensor(split))
+            for x, y in zip(got, want, strict=True):
+                assert x.shape == y.shape and np.abs(x - y).max() <= 1e-13
+            alone.append(got)
+        *alone, stacked = alone
+        for i, rows in enumerate(alone):
+            assert all(same_bits(x[0], y[i]) for x, y in zip(rows, stacked, strict=True))
+
+
 @pytest.mark.parametrize("mol", ["h2", "lih", "nah"])
 @settings(max_examples=15, deadline=None)
 @given(theta=ANGLES)
@@ -586,13 +631,16 @@ def test_second_order_sum_without_zero_terms_is_bit_identical(pipelines):
         assert (gten == 0).any()
         assert hf_mp2(table, ref) == fsum_of_every_term(
             eps[occ], eps[virt], f[np.ix_(occ, virt)], gten, occ, virt), fixture
+    # the numerators rdm_pt2 sums: H2's plan (two electrons) reads them from
+    # its compiled map, the embedded full-space plans contract them
     for mol in ("h2", "lih", "nah"):
         rdm_, table, ref, space = pipeline_pt2_case(pipelines[mol], (0.3, -0.2, 0.1))
-        split = pt2._Split(rdm_, table, ref, space)
-        gten = pt2._gammabar_tensor(split)[0]
+        p = pt2._plan(table, ref, space)
+        assert p.three_body == (mol != "h2")
+        fbar, gten = (x[0] for x in p.numerators(*pt2._cut(rdm_, p)[:2]))
         assert (gten == 0).any()
         want = fsum_of_every_term(*transformed_energies(rdm_, table, ref),
-                                  split.fbar[0], gten, ref.occupied, ref.virtual,
+                                  fbar, gten, ref.occupied, ref.virtual,
                                   space.active if space is not None else ())
         assert rdm_pt2(rdm_, table, ref, space) == want, mol
 
@@ -732,7 +780,7 @@ def test_full_space_pt2_matches_einsum_oracle_on_unphysical_embedded_pair(molecu
     pair = random_rdm_pair(np.random.default_rng(6), 4, 2)
     pair.meta.provenance = "exact"
     emb = embed_active_rdm(pair, space)
-    assert (pt2._Split(emb, table, ref, space).plan.occ != ref.occupied) == reorder
+    assert (contraction_split(emb, table, ref, space).plan.occ != ref.occupied) == reorder
     assert rdm_pt2(emb, table, ref, space) == pytest.approx(
         oracles.rdm_pt2(emb, table, ref, space), rel=1e-12)
 
@@ -749,7 +797,7 @@ def test_pt2_in_plan_order_equals_sum_in_reference_order(molecule, r):
         pair = random_rdm_pair(np.random.default_rng(seed), 4, 2)
         pair.meta.provenance = "exact"
         emb = embed_active_rdm(pair, space)
-        split = pt2._Split(emb, table, ref, space)
+        split = contraction_split(emb, table, ref, space)
         p = split.plan
         assert p.occ != ref.occupied
         po = [p.occ.index(i) for i in ref.occupied]
@@ -846,8 +894,10 @@ def pipeline_corrections(pipe, thetas):
 THETAS = [(0.3, -0.2, 0.1), (1.1, 0.4, -0.7), (-2.0, 0.05, 0.3)]
 
 
-def same_bits(a, b):
-    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(a, b))
+def same_bits_each(a, b):
+    """Equal lengths and ``same_bits`` item by item (a float as a 0-d array)."""
+    return len(a) == len(b) and all(same_bits(np.asarray(x), np.asarray(y))
+                                    for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("mol", ["h2", "lih", "nah"])
@@ -857,10 +907,12 @@ def test_first_and_later_calls_return_the_same_bits(mol):
     first = pipeline_corrections(pipe, THETAS)
     assert pipe.table in pt2._PLANS
     for _ in range(2):
-        assert all(same_bits(a, b) for a, b in zip(pipeline_corrections(pipe, THETAS), first))
+        again = pipeline_corrections(pipe, THETAS)
+        assert len(again) == len(first)
+        assert all(same_bits_each(a, b) for a, b in zip(again, first))
     # each angle alone, on tables that have no plan yet
     for theta, want in zip(THETAS, first):
-        assert same_bits(pipeline_corrections(fresh_pipeline(mol), [theta])[0], want)
+        assert same_bits_each(pipeline_corrections(fresh_pipeline(mol), [theta])[0], want)
 
 
 def test_interleaved_tables_match_each_table_alone():
@@ -869,21 +921,37 @@ def test_interleaved_tables_match_each_table_alone():
     pipes = {mol: fresh_pipeline(mol) for mol in alone}
     for k, theta in enumerate(THETAS):
         for mol in ("nah", "h2", "lih") if k % 2 else ("lih", "nah", "h2"):
-            assert same_bits(pipeline_corrections(pipes[mol], [theta])[0], alone[mol][k]), mol
+            assert same_bits_each(pipeline_corrections(pipes[mol], [theta])[0], alone[mol][k]), mol
 
 
-def test_plans_are_dropped_with_their_table():
+def test_plans_are_dropped_with_their_table(monkeypatch):
+    # the two-electron plan (the frozen space's) contracts once, to compile its
+    # map in its first call, and never after; the three-body plans contract
+    # on every call
+    contracted = []
+    gammabar = pt2._gammabar_tensor
+    monkeypatch.setattr(pt2, "_gammabar_tensor",
+                        lambda s: contracted.append(id(s.plan)) or gammabar(s))
     pipe = fresh_pipeline("nah")
     pipeline_corrections(pipe, THETAS[:1])
+    frozen = pt2._PLANS[pipe.table][(pipe.ref, None)]
+    full = pt2._PLANS[pipe.table_full][(pipe.ref_full, pipe.space)]
+    compiled = frozen.affine
+    assert contracted == [id(frozen), id(full)]
+    pipeline_corrections(pipe, THETAS)
+    assert frozen.affine is compiled
+    assert contracted.count(id(frozen)) == 1 and contracted.count(id(full)) == 1 + len(THETAS)
     tables = [pipe.table, pipe.table_full]
-    plans = [weakref.ref(plan) for table in tables for plan in pt2._PLANS[table].values()]
+    plans = [plan for table in tables for plan in pt2._PLANS[table].values()]
     # one plan per (reference, partition) read: the frozen space's, and the full
-    # space's with and without the partition
-    assert len(plans) == 3
-    tables = [weakref.ref(table) for table in tables]
-    del pipe
+    # space's with and without the partition; only the first is compiled
+    assert [plan.three_body for plan in plans] == [False, True, True]
+    assert [("affine" in vars(plan)) for plan in plans] == [True, False, False]
+    assert compiled[1].shape == (4 ** 2 + 4 ** 4, 24)
+    held = [weakref.ref(x) for x in tables + plans + [compiled[1]]]
+    del pipe, frozen, full, compiled, plans, tables
     gc.collect()
-    assert all(ref() is None for ref in tables + plans)
+    assert all(ref() is None for ref in held)
 
 
 def test_bad_partition_raises_on_every_call_and_caches_nothing():
@@ -925,6 +993,6 @@ def test_transformed_energies_with_partition_match_full_read_bit_for_bit(pipelin
     for theta in THETAS:
         emb = embed_active_rdm(purified_rdm(pipe, theta), space)
         full = transformed_energies(emb, table, ref)
-        assert same_bits(transformed_energies(emb, table, ref, space), full)
+        assert same_bits_each(transformed_energies(emb, table, ref, space), full)
         emb.rho2[outside] = np.nan
-        assert same_bits(transformed_energies(emb, table, ref, space), full)
+        assert same_bits_each(transformed_energies(emb, table, ref, space), full)
