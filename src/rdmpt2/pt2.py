@@ -44,9 +44,12 @@ entries on four active spin orbitals), and out is eps_occ, eps_virt, fbar
 and gammabar (24 values there).  The contractions are the compiler: run once
 on a stack of the zero pair and every unit pair, they give c and the rows of
 L.  After that each call reads its rows from one (B, 1, m) @ (m, K) product,
-so each resample's rows are those of its pair alone.  Plans whose reference
-holds more than two electrons (full-space PT2 with a frozen core) compile
-nothing and contract on every call.
+so each resample's rows are those of its pair alone.  Over n active spin
+orbitals the compile's stack grows as n^8 and the product as n^6, so only
+plans on at most ``_COMPILED_ACTIVE`` (four) active spin orbitals compile: on
+six, one compile already costs more than a point's evaluations save.  Larger two-electron plans, and plans whose reference holds
+more than two electrons (full-space PT2 with a frozen core), compile nothing
+and contract on every call.
 
 What depends only on the integral table, the reference and the partition is
 computed once, on the first call, and kept while the table lives (the plans
@@ -74,6 +77,11 @@ from .hamio import IntegralTable, ReferenceDeterminant, ActiveSpaceSpec, Validat
 from .rdm import RdmPair
 
 DENOMINATOR_FLOOR = 1e-8
+# The most active spin orbitals a two-electron plan compiles its affine map on
+# (``_Plan.affine``): the map's unit stack holds (1 + m) m numbers, m = n^2 +
+# n^4, which is 0.6 MB and ~1 ms of compile at n = 4 but 14 MB and ~20 ms at
+# n = 6, where the warm call saves only ~50 us.
+_COMPILED_ACTIVE = 4
 
 
 class DegenerateDenominatorError(ArithmeticError):
@@ -172,11 +180,12 @@ class _Plan:
     every index is one run) for products and matmuls, C-contiguous where
     ``_dot`` would copy it into that layout anyway.
 
-    A plan without three-body terms (a two-electron reference) compiles, in
-    its first call, the affine map ``affine`` of its transformed energies
-    and numerators from these blocks, and ``energies`` and ``numerators``
-    read its rows from then on.  A three-body plan never compiles one: those
-    two contract the blocks on every call.
+    A plan without three-body terms (a two-electron reference) on at most
+    ``_COMPILED_ACTIVE`` active spin orbitals (``compiles``) compiles, in its
+    first call, the affine map ``affine`` of its transformed energies and
+    numerators from these blocks, and ``energies`` and ``numerators`` read
+    its rows from then on.  Any other plan never compiles one: those two
+    contract the blocks on every call.
     """
 
     def __init__(self, table: IntegralTable, ref: ReferenceDeterminant,
@@ -238,6 +247,9 @@ class _Plan:
         # a two-electron reference; x in A + W and j in C + A with the
         # three-body terms, which a reference of more electrons needs
         self.three_body = len(self.occ) > 2
+        # whether ``energies`` and ``numerators`` read the compiled ``affine``:
+        # a two-electron plan on at most _COMPILED_ACTIVE active spin orbitals
+        self.compiles = not self.three_body and nao + nav <= _COMPILED_ACTIVE
         x, j = (AW, CA) if self.three_body else (W, O)
         self.pair = (
             np.ascontiguousarray(_block(g, A, A, W, x)),
@@ -265,8 +277,8 @@ class _Plan:
         Without three-body terms all four are affine in (r, r2), so the
         contraction form, run once on a stack of the zero pair (c) and the
         m = n^2 + n^4 unit pairs (c plus a row of L each), is the whole map.
-        That stack holds (1 + m) m numbers: 0.6 MB for n = 4, but 34 GB for
-        n = 16, so the compile suits small active sets only."""
+        That stack holds (1 + m) m numbers, so only a plan that ``compiles``
+        (n <= ``_COMPILED_ACTIVE``) reads it."""
         n = self.nao + self.nav
         m = n * n + n ** 4
         v = np.eye(1 + m, m, -1)
@@ -286,8 +298,8 @@ class _Plan:
 
     def energies(self, r, r2):
         """(eps_occ, eps_virt) of a stack of active blocks, in the reference's
-        order: the compiled rows, or the contraction with three-body terms."""
-        if self.three_body:
+        order: the compiled rows, or the contractions if none is compiled."""
+        if not self.compiles:
             return _dressed_energies(self, r, r2)
         no = len(self.occ)
         rows = self._rows(r, r2, slice(no + len(self.virt)))
@@ -295,8 +307,8 @@ class _Plan:
 
     def numerators(self, r, r2):
         """(fbar, gammabar) of a stack of active blocks, in the plan's order:
-        the compiled rows, or the contraction with three-body terms."""
-        if self.three_body:
+        the compiled rows, or the contractions if none is compiled."""
+        if not self.compiles:
             s = _Split(self, r, r2)
             return s.fbar, _gammabar_tensor(s)
         no, nw = len(self.occ), len(self.virt)

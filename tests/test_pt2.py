@@ -556,6 +556,43 @@ def test_compiled_two_electron_map_matches_contraction_form(pipelines, seed, the
             assert all(same_bits(x[0], y[i]) for x, y in zip(rows, stacked, strict=True))
 
 
+def random_two_electron_table(rng, n_spatial):
+    """A two-electron table of random real spatial integrals, gapped on h's
+    diagonal so the aufbau reference has no degenerate channel."""
+    h = rng.normal(size=(n_spatial,) * 2)
+    h = 0.5 * (h + h.T) + np.diag(np.arange(n_spatial, dtype=float))
+    c = 0.05 * rng.normal(size=(n_spatial,) * 4)
+    c = c + c.transpose(1, 0, 2, 3)
+    c = c + c.transpose(0, 1, 3, 2)
+    c = c + c.transpose(2, 3, 0, 1)
+    h, g = hamio._spin_expand(h, c, n_spatial)
+    return IntegralTable(n_spatial=n_spatial, n_electrons=2, e_nuclear=0.0, h=h, g=g)
+
+
+def test_two_electron_plan_on_eight_active_spin_orbitals_contracts(monkeypatch):
+    # past _COMPILED_ACTIVE a two-electron plan compiles no map (its unit
+    # stack would hold ~17M numbers at n = 8) and contracts on every call,
+    # matching the loop oracle
+    monkeypatch.setattr(pt2._Plan, "affine", property(lambda p: pytest.fail("compiled")))
+    rng = np.random.default_rng(11)
+    table = random_two_electron_table(rng, 4)
+    ref = ReferenceDeterminant.aufbau(table)
+    pairs = [random_pure_2e_rdm(rng, 8) for _ in range(2)]
+    for pair in pairs:
+        pair.meta.provenance = "exact"
+        want_occ, want_virt = oracles.transformed_energies(pair, table, ref)
+        eps_occ, eps_virt = transformed_energies(pair, table, ref)
+        assert np.abs(eps_occ - [want_occ[i] for i in ref.occupied]).max() <= 1e-12
+        assert np.abs(eps_virt - [want_virt[a] for a in ref.virtual]).max() <= 1e-12
+        assert rdm_pt2(pair, table, ref) == pytest.approx(
+            oracles.rdm_pt2(pair, table, ref), rel=1e-12, abs=1e-12)
+    stack = RdmPair(np.array([q.rho1 for q in pairs]), np.array([q.rho2 for q in pairs]),
+                    pairs[0].meta)
+    assert same_bits(rdm_pt2(stack, table, ref), np.array([rdm_pt2(q, table, ref) for q in pairs]))
+    p = pt2._PLANS[table][(ref, None)]
+    assert not p.three_body and not p.compiles and p.nao + p.nav == 8
+
+
 @pytest.mark.parametrize("mol", ["h2", "lih", "nah"])
 @settings(max_examples=15, deadline=None)
 @given(theta=ANGLES)
