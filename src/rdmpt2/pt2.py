@@ -47,9 +47,10 @@ L.  After that each call reads its rows from one (B, 1, m) @ (m, K) product,
 so each resample's rows are those of its pair alone.  Over n active spin
 orbitals the compile's stack grows as n^8 and the product as n^6, so only
 plans on at most ``_COMPILED_ACTIVE`` (four) active spin orbitals compile: on
-six, one compile already costs more than a point's evaluations save.  Larger two-electron plans, and plans whose reference holds
-more than two electrons (full-space PT2 with a frozen core), compile nothing
-and contract on every call.
+six, one compile already costs more than a point's evaluations save.  Larger
+two-electron plans, and plans whose reference holds more than two electrons
+(full-space PT2 with a frozen core), compile nothing and contract on every
+call.
 
 What depends only on the integral table, the reference and the partition is
 computed once, on the first call, and kept while the table lives (the plans
