@@ -1,11 +1,11 @@
 """Qubit-register simulation: Jordan-Wigner operators, the 3-parameter
-ansatz, amplitude arrays for exact expectations, an exact density-matrix
-channel (depolarizing gate noise, readout confusion) compiled into a map of
-the ansatz angles that every measurement circuit's shots are drawn from,
-and readout mitigation.
+ansatz, an exact density-matrix channel (depolarizing gate noise, readout
+confusion) compiled into a map of the ansatz angles that gives every
+measurement basis's outcome distribution, exact or sampled, and readout
+mitigation.
 
 Qubit k hosts spin orbital k (alpha/beta interleaved).  Basis states are
-little-endian: bit k of the amplitude index, and of a count vector's
+little-endian: bit k of a basis-state index, and of a count vector's
 outcome index, is the occupation of qubit k.
 
 Operators are dense 2^n x 2^n matrices in that basis: ``jw_ladder`` gives
@@ -14,28 +14,26 @@ whose letter k (I, X, Y or Z) acts on qubit k; ``pauli_matrix`` gives its
 matrix and ``z_parity_signs`` its eigenvalue on each outcome after its
 basis rotation.
 
-One primitive, ``_apply_gate_batch``, applies every gate to amplitudes, every
-noisy gate (one superoperator) to vec(rho) and every confusion matrix.  It
-reads the gate's blocks through an index table cached per (qubits, register
-size), or as a strided view when the gate acts on the lowest qubits, and
-contracts them with one ``einsum``.  A noisy gate's superoperator is built
-from its matrix alone, as one broadcast product, kron(U, conj U) without
-``np.kron``'s shape handling.  One table, ``_BASIS_GATES``, rotates a
-measured basis onto Z: ``basis_rotation`` builds its circuit from it, and
+One primitive, ``_apply_gate_batch``, applies every noisy gate (one
+superoperator) to vec(rho) and every confusion matrix: it moves the gate's
+qubit axes to the front, contracts them with one ``einsum`` and moves them
+back.  A noisy gate's superoperator is built from its matrix alone, as one
+broadcast product, kron(U, conj U) without ``np.kron``'s shape handling.
+One table, ``_BASIS_GATES``, rotates a measured basis onto Z:
 ``_readout_tail`` compiles from it, with the readout confusion, one real
 linear map from vec(rho) to every basis's outcome distribution.
 
-``measure_pauli_sets`` evolves no density matrix.  Every angle of the ansatz
-drives Givens rotations, so every basis's outcome distribution is linear in
-45 trigonometric ``_features`` of the three angles; ``_trig_map`` compiles
-that linear map, once per model and basis list, from ``_evolve``'s noisy
-density matrices of ``build_ansatz`` at 45 grid angles through the readout
-tail.  An evaluation multiplies it by the angles' features and draws every
-basis's shots from one generator.
+No evaluation evolves a state.  Every angle of the ansatz drives Givens
+rotations, so every basis's outcome distribution is linear in 45
+trigonometric ``_features`` of the three angles; ``_trig_map`` compiles that
+linear map, once per model and basis list, from ``_evolve``'s noisy density
+matrices of ``build_ansatz`` at 45 grid angles through the readout tail.
+An evaluation multiplies it by the angles' features: ``simulate`` returns
+the shared ideal model's product as the exact distributions, and
+``measure_pauli_sets`` draws every basis's shots from its model's product.
 
-A model's gate-constant channels and its last compiled map are kept in
-``_KEPT``, weakly keyed by the model: they are reused for as long as the
-model lives and go with it.
+A model's last compiled map is kept in ``_KEPT``, weakly keyed by the model:
+it is reused for as long as the model lives and goes with it.
 
 A ``NoiseModel``'s fields are ``p1``/``p2``, the depolarizing probability
 after each one-/two-qubit gate (a real in [0, 1]); ``readout``, one flip
@@ -56,8 +54,8 @@ import numpy as np
 from .hamio import ValidationError, _is_count, _is_finite, _read_only, _reject_unknown
 
 # The gate constants are read-only: every ``Gate`` built from one holds the
-# constant itself (``Circuit.add`` does not copy it), and ``_channel`` keeps
-# one superoperator per (constant, p) with each noise model that uses it.
+# constant itself (``Circuit.add`` does not copy it), so one write would reach
+# every circuit built after it.
 _PAULI_MATS = {
     "I": _read_only(np.eye(2, dtype=complex)),
     "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
@@ -107,11 +105,8 @@ _CNOT = _read_only(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1,
 _CZ = _read_only(np.diag([1, 1, 1, -1]).astype(complex))
 _FSWAP = _read_only(np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
                              dtype=complex))
-# Gate constants by id, for the channel cache; held here, their ids cannot be reused
-_CONSTANTS = {id(m): m for m in (_H, _X, _SDG, _CNOT, _CZ, _FSWAP)}
-# What each live noise model's runs reuse, read-only: a gate constant's channel
-# under (id of the constant, p), and under "map" the last basis list measured
-# and its ``_trig_map``.  A model hashes by identity; its entries go with it.
+# What each live noise model's runs reuse: the last basis list measured and its
+# read-only ``_trig_map``.  A model hashes by identity; its entry goes with it.
 _KEPT = weakref.WeakKeyDictionary()
 # The rotation of a measured Pauli basis onto Z, per qubit: each gate in turn,
 # on the qubits whose letter is one it lists (X: H; Y: Sdg then H)
@@ -163,65 +158,19 @@ class Circuit:
     def givens(self, a, b, phi):
         return self.add((a, b), _givens(phi))
 
-    def unitary(self) -> np.ndarray:
-        rows = np.eye(1 << self.n_qubits, dtype=complex)  # row k evolves |k>
-        for gate in self.gates:
-            rows = _apply_gate_batch(rows, gate.matrix, gate.qubits, self.n_qubits)
-        return rows.T
-
-
-def simulate(circuit: Circuit) -> np.ndarray:
-    """The amplitudes of ``circuit`` run from |0...0>, over the 2^n
-    little-endian basis."""
-    amplitudes = np.zeros((1, 1 << circuit.n_qubits), dtype=complex)
-    amplitudes[0, 0] = 1.0
-    for gate in circuit.gates:
-        amplitudes = _apply_gate_batch(amplitudes, gate.matrix, gate.qubits,
-                                       circuit.n_qubits)
-    return amplitudes[0]
-
-
-@functools.cache
-def _gate_index(qubits, n_qubits):
-    """Where a gate on the m ``qubits`` of an n-qubit register finds its
-    (2^m, 2^(n-m)) blocks of basis indices, row j setting the gate's bits to
-    j (the first-listed qubit most significant) and column k the other
-    qubits' bits to k (the highest most significant).
-
-    None when the qubits are the lowest m, listed from the highest down: a
-    block is then a strided view of the batch.  Otherwise the table of
-    indices and its inverse permutation."""
-    m = len(qubits)
-    if qubits == tuple(range(m - 1, -1, -1)):
-        return None
-    axes = [n_qubits - 1 - q for q in qubits]  # axis of qubit q in a (2,) * n view
-    idx = np.moveaxis(np.arange(1 << n_qubits).reshape((2,) * n_qubits), axes,
-                      range(m)).reshape(1 << m, -1)
-    inverse = np.argsort(idx, axis=None)
-    idx.flags.writeable = inverse.flags.writeable = False  # shared by every call
-    return idx, inverse
-
 
 def _apply_gate_batch(states, matrix, qubits, n_qubits):
     """Apply a 2^m x 2^m matrix to ``qubits`` of a (batch, 2^n) array, the
-    first-listed qubit being the most significant local bit.
-
-    The amplitudes are read as (batch, 2^m, 2^(n-m)) blocks through
-    ``_gate_index``, contracted with one ``einsum`` and put back.  ``einsum``
-    picks its inner loop, and with it the rounding of its sums, from the
-    block's memory layout.  A gathered block is C-contiguous; on the lowest
-    qubits, whose bits vary fastest, the block is a strided view instead, as
-    in the moveaxis form of the tests' ``oracles.apply_gate_batch``, which
-    this matches bit for bit."""
-    batch = states.shape[0]
-    tables = _gate_index(tuple(qubits), n_qubits)
-    if tables is None:
-        block = states.reshape(batch, -1, matrix.shape[0]).transpose(0, 2, 1)
-        out = np.einsum("ij,bjk->bik", matrix, block)
-        return out.transpose(0, 2, 1).reshape(batch, -1)
-    idx, inverse = tables
-    out = np.einsum("ij,bjk->bik", matrix, states.take(idx, axis=1))
-    return out.reshape(batch, -1).take(inverse, axis=1)
+    first-listed qubit being the most significant local bit: the batch is
+    viewed with one axis per qubit, the gate's axes are moved to the front
+    and contracted with one ``einsum``, and moved back."""
+    batch, m = states.shape[0], len(qubits)
+    axes = [1 + (n_qubits - 1 - q) for q in qubits]  # axis of qubit q; 0 is the batch
+    t = np.moveaxis(states.reshape((batch,) + (2,) * n_qubits), axes, range(1, 1 + m))
+    lead = t.shape[1 + m:]
+    t = np.einsum("ij,bjk->bik", matrix, t.reshape(batch, 1 << m, -1))
+    t = np.moveaxis(t.reshape((batch,) + (2,) * m + lead), range(1, 1 + m), axes)
+    return t.reshape(batch, 1 << n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -340,40 +289,31 @@ def _rng_for(seed, *key):
         np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))))
 
 
-def _channel(u: np.ndarray, p: float, kept=None) -> np.ndarray:
+def _channel(u: np.ndarray, p: float) -> np.ndarray:
     """The gate matrix ``u`` then depolarizing noise p as one matrix on
     vec(local rho); nothing but the matrix is read.
     U rho U^dagger is S = kron(U, conj U), and as the d^2 - 1 non-identity
     Paulis sum to d (I x Tr_gate rho) - rho, with Tr_gate = <e| for
     e = vec(I_d), (1 - p) rho + p/(d^2 - 1) sum_P P rho P is S plus rank one.
     S is formed as ``np.kron`` forms it, one broadcast product
-    S[(i, k), (j, l)] = U_ij conj(U_kl), without its shape handling.  A gate
-    constant's channel is kept per p in ``kept``, a model's entry of
-    ``_KEPT``; any other matrix's, or any without ``kept``, is built per call."""
-    keep = kept is not None and id(u) in _CONSTANTS
-    if keep and (id(u), p) in kept:
-        return kept[id(u), p]
+    S[(i, k), (j, l)] = U_ij conj(U_kl), without its shape handling."""
     d = u.shape[0]
     s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
     e = np.eye(d).reshape(-1)
     w = p / (d * d - 1)
-    s = (1 - p - w) * s + w * d * np.outer(e, e @ s)
-    if keep:
-        kept[id(u), p] = s = _read_only(s)
-    return s
+    return (1 - p - w) * s + w * d * np.outer(e, e @ s)
 
 
 def _evolve(rho, gates, model: NoiseModel):
     """Apply each gate and its noise as one ``_channel`` on vec(rho), a
     2n-qubit vector whose qubit q is column qubit q and qubit q + n row qubit
     q; the row qubits are listed first, matching kron(U, conj U)."""
-    n, kept = model.n_qubits, _KEPT.setdefault(model, {})
+    n = model.n_qubits
     vec = rho.reshape(1, -1)
     for gate in gates:
         p = model.p1 if len(gate.qubits) == 1 else model.p2
         rows = tuple(q + n for q in gate.qubits)
-        vec = _apply_gate_batch(vec, _channel(gate.matrix, p, kept), rows + gate.qubits,
-                                2 * n)
+        vec = _apply_gate_batch(vec, _channel(gate.matrix, p), rows + gate.qubits, 2 * n)
     return vec.reshape(rho.shape)
 
 
@@ -419,14 +359,22 @@ def qwc_groups(words):
     return [b.replace("I", "Z") for b in bases], assignment
 
 
-def basis_rotation(basis: str) -> Circuit:
-    """Gates mapping the given per-qubit Pauli basis onto Z measurements."""
-    c = Circuit(len(basis))
-    for q, b in enumerate(basis):
-        for gate, letters in _BASIS_GATES:
-            if b in letters:
-                c.add((q,), gate)
-    return c
+def simulate(params, bases) -> np.ndarray:
+    """The exact outcome distribution of the noiseless ansatz at the three
+    angles ``params`` in every measurement basis of ``bases`` (as
+    ``measure_pauli_sets`` takes them), one row of 2^n per basis: the shared
+    ideal model's ``_trig_map`` times the angles' ``_features``, negative
+    rounding clipped to 0."""
+    return _distributions(params, bases, _model_for(ANSATZ_QUBITS, None))
+
+
+def _distributions(params, bases, model):
+    """Every basis's readout-confused outcome distribution under ``model``,
+    a row per basis, from the model's kept ``_trig_map``.  The sampler calls
+    this, not ``simulate``, so a span traced on ``simulate`` times the exact
+    path alone."""
+    probs = (_trig_map(model, bases) @ _features(params)).reshape(len(bases), -1)
+    return np.clip(probs, 0.0, None)
 
 
 def measure_pauli_sets(params, bases, shots, model=None, seed=0):
@@ -437,15 +385,14 @@ def measure_pauli_sets(params, bases, shots, model=None, seed=0):
 
     No circuit is built: the model's ``_trig_map`` for these bases, times the
     45 ``_features`` of the angles, gives every basis's readout-confused
-    outcome distribution at once, negative rounding clipped to 0.  One
-    generator, seeded by ``seed``, draws every group's shots in one
-    multinomial over the stacked distributions, a row per basis, so a basis
-    listed twice gets two independent draws."""
+    outcome distribution at once, negative rounding clipped to 0, as
+    ``simulate`` gives the ideal model's.  One generator, seeded by ``seed``,
+    draws every group's shots in one multinomial over the stacked
+    distributions, a row per basis, so a basis listed twice gets two
+    independent draws."""
     if shots <= 0:
         raise ValidationError("shots must be positive")
-    model = _model_for(ANSATZ_QUBITS, model)
-    probs = np.clip((_trig_map(model, bases) @ _features(params)).reshape(len(bases), -1),
-                    0.0, None)
+    probs = _distributions(params, bases, _model_for(ANSATZ_QUBITS, model))
     draws = _rng_for(seed, 0).multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
     return [ShotTable(basis, counts, shots) for basis, counts in zip(bases, draws)]
 
@@ -488,9 +435,8 @@ def _trig_map(model, bases):
     of P, and Q^T solves F Q^T = P, a row of F holding the features of that
     angle (F's condition number is 2.83).  A kept map's evaluations pay one
     (len(bases) 2^n, 45) product."""
-    kept = _KEPT.setdefault(model, {})
     key = tuple(bases)
-    last = kept.get("map")
+    last = _KEPT.get(model)
     if last is not None and last[0] == key:
         return last[1]
     tail = _readout_tail(model, key)
@@ -499,7 +445,7 @@ def _trig_map(model, bases):
     probs = (states.real + states.imag).reshape(len(_GRID), -1) @ tail.T
     features = np.array([_features(theta) for theta in _GRID])
     q = _read_only(np.ascontiguousarray(np.linalg.solve(features, probs).T))
-    kept["map"] = key, q
+    _KEPT[model] = key, q
     return q
 
 
@@ -520,7 +466,7 @@ def _readout_tail(model, bases):
     rho's real part is symmetric and its imaginary part antisymmetric too,
     sum_rc F_orc rho_rc is sum_rc (Re F - Im F)_orc (Re rho + Im rho)_rc, and
     the map keeps Re F - Im F."""
-    n, kept = model.n_qubits, _KEPT.setdefault(model, {})
+    n = model.n_qubits
     if not bases:
         raise ValidationError("no measurement bases")
     for basis in bases:
@@ -533,7 +479,7 @@ def _readout_tail(model, bases):
             local = np.eye(4, dtype=complex)  # vec(local rho) at 2 * row bit + column bit
             for gate, letters in _BASIS_GATES:
                 if letter in letters:
-                    local = _channel(gate, model.p1, kept) @ local
+                    local = _channel(gate, model.p1) @ local
             factors[q, letter] = (confusion @ local[[0, 3]]).reshape(2, 2, 2)
     tail = np.empty((len(bases), 1 << n, 1 << 2 * n))
     for g, basis in enumerate(bases):

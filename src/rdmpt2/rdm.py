@@ -19,8 +19,8 @@ O = (A + A+)/2 has c_w = Tr(P_w O) / 2^n on word w (k0 holds c_I).
 raw is rho1.ravel() followed by rho2.ravel() (16 + 256 entries); each
 position reads its element with the antisymmetry sign, and a vanishing
 (Sz-changing or p = q) position has sign 0.
-Sampled counts reach P through readout mitigation or normalisation, the
-amplitudes psi of ``qsim.simulate`` as P[g] = |R_g psi|^2.
+Sampled counts reach P through readout mitigation or normalisation; the
+exact distributions of ``qsim.simulate`` are P itself.
 
 The bootstrap resamples the counts and runs its pipeline on stacks of
 resamples: a block's raw pairs form one RdmPair whose rho1 and rho2 lead
@@ -117,11 +117,11 @@ def _reflection(n_so):
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSchedule:
-    """The measurement circuits and the compiled measurement map.
+    """The measurement groups and the compiled measurement map.
 
-    Group g measures ``words[g]`` in basis ``bases[g]``, after the basis
-    rotation whose unitary is ``rotations[g]``; ``k0``, ``K``, ``index`` and
-    ``sign`` map the group probabilities to the raw RDMs (module docstring).
+    Group g measures ``words[g]`` in basis ``bases[g]``; ``k0``, ``K``,
+    ``index`` and ``sign`` map the group probabilities to the raw RDMs
+    (module docstring).
     Compared and hashed by identity: ``build_schedule`` returns one object
     per key.
     """
@@ -129,7 +129,6 @@ class MeasurementSchedule:
     n_so: int
     bases: tuple
     words: tuple
-    rotations: np.ndarray
     k0: np.ndarray
     K: np.ndarray
     index: np.ndarray
@@ -214,7 +213,6 @@ def build_schedule(n_so) -> MeasurementSchedule:
     return MeasurementSchedule(
         n_so=n_so, bases=tuple(bases),
         words=tuple(tuple(w for w in words if group[w] == g) for g in range(len(bases))),
-        rotations=np.array([qsim.basis_rotation(b).unitary() for b in bases]),
         k0=k0, K=K, index=index, sign=sign)
 
 
@@ -267,10 +265,10 @@ def rdm_from_shots(tables, schedule: MeasurementSchedule, model=None) -> RdmPair
     return _pair(schedule, _assemble(schedule, probs), RdmMeta(readout_clipped=clipped))
 
 
-def rdm_from_state(amplitudes, schedule: MeasurementSchedule) -> RdmPair:
-    """Infinite-shot (exact expectation) assembly from the amplitude array
-    psi of ``qsim.simulate``: P[g] = |R_g psi|^2."""
-    probs = np.abs(schedule.rotations @ amplitudes) ** 2
+def rdm_from_state(probs, schedule: MeasurementSchedule) -> RdmPair:
+    """Infinite-shot (exact expectation) assembly from the exact group
+    distributions of ``qsim.simulate``, one row per group of
+    ``schedule.bases``, as ``rdm_from_shots`` assembles mitigated ones."""
     return _pair(schedule, _assemble(schedule, probs), RdmMeta())
 
 

@@ -358,7 +358,7 @@ class PointPipeline:
         """Full chain for one parameter point; returns the iteration record
         and the raw tables (for bootstrap at the final point)."""
         if self.spec.shots is None:
-            raw = rdm.rdm_from_state(qsim.simulate(qsim.build_ansatz(params)),
+            raw = rdm.rdm_from_state(qsim.simulate(params, self.schedule.bases),
                                      self.schedule)
             tables = None
         else:

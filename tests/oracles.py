@@ -32,10 +32,17 @@ through the readout confusion matrix.  Its shot distribution is the one the
 density-matrix channel must reproduce.  ``kraus_density_matrix`` is that
 channel's density matrix as an explicit sum over dense Pauli-error Kraus
 operators, one full-register matrix product per operator.
-``apply_gate_batch`` is the gate primitive as it stood before the package
-gathered through cached index tables: it reshapes the batch to one axis per
-qubit, moves the gate's axes to the front, contracts and moves them back;
-``qsim._apply_gate_batch`` must return the same bits.
+``apply_gate_batch`` is the moveaxis gate primitive: it reshapes the batch
+to one axis per qubit, moves the gate's axes to the front, contracts and
+moves them back; ``qsim._apply_gate_batch``, which has the same form, must
+return the same bits, and both must match ``expand_matrix``'s dense
+full-register matrix to rounding.
+``simulate``, ``unitary`` and ``basis_rotation`` are the state-vector
+simulator the package ran on every exact evaluation before its exact
+distributions came from the compiled map of the ansatz angles: the
+amplitudes of a circuit run from |0...0>, a circuit's unitary, and the
+circuit of a basis's ``qsim._BASIS_GATES`` rotation onto Z.  The package's
+exact distributions must match |R psi|^2 of their amplitudes to rounding.
 ``apply_noise`` is the package's channel for one circuit at a time: it
 evolves the whole circuit's noisy density matrix, and ``draw`` passes its
 diagonal through the readout confusion (``probabilities``) and draws every
@@ -51,7 +58,7 @@ package's readout tail, and its map of the ansatz angles compiled through
 that tail, must match it to rounding at any angles.
 ``channel`` is one noisy gate's superoperator as the package formed it
 before its broadcast product, through ``np.kron`` with vec(I_d) rebuilt on
-every call; ``qsim._channel`` must return the same bits, kept or built.
+every call; ``qsim._channel`` must return the same bits.
 ``qwc_groups`` is the greedy qubit-wise commuting grouping as it stood
 before the package's ``for ... else`` loop over strings: it merges each
 word into a letter list under a flag; ``qsim.qwc_groups`` must return the
@@ -281,6 +288,34 @@ def apply_gate_batch(states, matrix, qubits, n_qubits):
     t = t.reshape((batch,) + (2,) * m + lead)
     t = np.moveaxis(t, range(1, 1 + m), axes)
     return t.reshape(batch, 1 << n_qubits)
+
+
+def simulate(circuit):
+    """The amplitudes of ``circuit`` run from |0...0>, over the 2^n
+    little-endian basis."""
+    amplitudes = np.zeros((1, 1 << circuit.n_qubits), dtype=complex)
+    amplitudes[0, 0] = 1.0
+    for gate in circuit.gates:
+        amplitudes = apply_gate_batch(amplitudes, gate.matrix, gate.qubits, circuit.n_qubits)
+    return amplitudes[0]
+
+
+def unitary(circuit):
+    """The 2^n x 2^n unitary of ``circuit``, column k the evolved |k>."""
+    rows = np.eye(1 << circuit.n_qubits, dtype=complex)  # row k evolves |k>
+    for gate in circuit.gates:
+        rows = apply_gate_batch(rows, gate.matrix, gate.qubits, circuit.n_qubits)
+    return rows.T
+
+
+def basis_rotation(basis):
+    """Gates mapping the given per-qubit Pauli basis onto Z measurements."""
+    c = qsim.Circuit(len(basis))
+    for q, b in enumerate(basis):
+        for gate, letters in qsim._BASIS_GATES:
+            if b in letters:
+                c.add((q,), gate)
+    return c
 
 
 def kraus_density_matrix(circuit, model):

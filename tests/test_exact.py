@@ -71,8 +71,8 @@ def test_variational_bound_of_ansatz_states(h2, h2_fci):
     sched = rdm.build_schedule(4)
     rng = np.random.default_rng(9)
     for _ in range(10):
-        sv = qsim.simulate(qsim.build_ansatz(rng.uniform(-np.pi, np.pi, 3)))
-        pair = rdm.rdm_from_state(sv, sched)
+        probs = qsim.simulate(rng.uniform(-np.pi, np.pi, 3), sched.bases)
+        pair = rdm.rdm_from_state(probs, sched)
         assert hamio.energy_from_rdm(table, pair) >= e_fci - 1e-9
 
 

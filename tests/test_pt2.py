@@ -48,7 +48,7 @@ def pipelines():
 
 
 def purified_rdm(pipe, theta):
-    raw = rdm.rdm_from_state(qsim.simulate(qsim.build_ansatz(theta)), pipe.schedule)
+    raw = rdm.rdm_from_state(qsim.simulate(theta, pipe.schedule.bases), pipe.schedule)
     try:
         return purify.purify_rdm(rdm.symmetrize(raw))
     except purify.PurificationError:
@@ -77,7 +77,7 @@ def diagonal_table(h_spatial, n_electrons):
 
 def state_rdm(theta, provenance="exact"):
     sched = rdm.build_schedule(4)
-    pair = rdm.rdm_from_state(qsim.simulate(qsim.build_ansatz(theta)), sched)
+    pair = rdm.rdm_from_state(qsim.simulate(theta, sched.bases), sched)
     pair.meta.provenance = provenance
     return pair
 
@@ -269,8 +269,8 @@ def test_gradient_equivalence_finite_differences(h2):
     sched = rdm.build_schedule(4)
 
     def energy(th):
-        sv = qsim.simulate(qsim.build_ansatz(th))
-        return hamio.energy_from_rdm(table, rdm.rdm_from_state(sv, sched))
+        probs = qsim.simulate(th, sched.bases)
+        return hamio.energy_from_rdm(table, rdm.rdm_from_state(probs, sched))
 
     rng = np.random.default_rng(7)
     h = 1e-4
@@ -916,7 +916,7 @@ def pipeline_corrections(pipe, thetas):
     out = []
     for theta in thetas:
         pure = purify.purify_rdm(rdm.symmetrize(rdm.rdm_from_state(
-            qsim.simulate(qsim.build_ansatz(theta)), pipe.schedule)))
+            qsim.simulate(theta, pipe.schedule.bases), pipe.schedule)))
         row = [rdm_pt2(pure, pipe.table, pipe.ref),
                *transformed_energies(pure, pipe.table, pipe.ref)]
         if pipe.has_frozen:

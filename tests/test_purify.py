@@ -37,8 +37,8 @@ def noisy_symmetrized_rdm(pipe, theta, seed):
 
 
 def exact_symmetrized_rdm(theta):
-    sv = qsim.simulate(qsim.build_ansatz(theta))
-    return rdm.symmetrize(rdm.rdm_from_state(sv, rdm.build_schedule(4)))
+    schedule = rdm.build_schedule(4)
+    return rdm.symmetrize(rdm.rdm_from_state(qsim.simulate(theta, schedule.bases), schedule))
 
 
 def outcome(purify, pair, table):

@@ -11,14 +11,14 @@ from scipy.linalg import expm
 
 from rdmpt2 import qsim, rdm, vqe
 from rdmpt2.hamio import ValidationError
-from rdmpt2.qsim import (Circuit, NoiseModel, basis_rotation, build_ansatz, jw_ladder,
-                         measure_pauli_sets, mitigate_readout, noisy_density_matrix,
-                         pauli_matrix, qwc_groups, simulate, z_parity_signs)
+from rdmpt2.qsim import (Circuit, NoiseModel, build_ansatz, jw_ladder, measure_pauli_sets,
+                         mitigate_readout, noisy_density_matrix, pauli_matrix, qwc_groups,
+                         z_parity_signs)
 
 import oracles
 from conftest import same_bits
-from oracles import (apply_gate_batch, apply_noise, expectation, kraus_density_matrix,
-                     table_expectation, trajectory_counts)
+from oracles import (apply_gate_batch, apply_noise, basis_rotation, expand_matrix, expectation,
+                     kraus_density_matrix, table_expectation, trajectory_counts, unitary)
 
 
 def ladder_matrix(p, n, dagger):
@@ -117,13 +117,16 @@ SECTOR = [0b0011, 0b1100, 0b0110, 0b1001]  # N=2, Sz=0 basis indices
 HF_INDEX = 0b0011  # qubits 0 and 1 occupied
 
 
+# The amplitude tests run the package's ansatz gates through the tests' state
+# vector simulator, ``oracles.simulate``.
+
 def test_ansatz_reference_state():
-    psi = simulate(build_ansatz((0.0, 0.0, 0.0)))
+    psi = oracles.simulate(build_ansatz((0.0, 0.0, 0.0)))
     assert abs(psi[HF_INDEX] - 1.0) < 1e-12
 
 
 def test_ansatz_full_double_transfer():
-    psi = simulate(build_ansatz((np.pi, 0.0, 0.0)))
+    psi = oracles.simulate(build_ansatz((np.pi, 0.0, 0.0)))
     assert abs(psi[0b1100] - 1.0) < 1e-12
 
 
@@ -132,7 +135,7 @@ def test_ansatz_matches_generator_exponentials_on_sector():
     for _ in range(5):
         th = rng.uniform(-np.pi, np.pi, 3)
         circuit = build_ansatz(th)
-        u_circ = Circuit(4, circuit.gates[2:]).unitary()  # strip the X prep
+        u_circ = unitary(Circuit(4, circuit.gates[2:]))  # strip the X prep
         u_exact = exact_ansatz_unitary(*th)
         blk_c = u_circ[np.ix_(SECTOR, SECTOR)]
         blk_e = u_exact[np.ix_(SECTOR, SECTOR)]
@@ -147,7 +150,7 @@ def test_ansatz_conserves_n_and_sz():
     sz_op = 0.5 * sum((1 if p % 2 == 0 else -1) * ad[p] @ a[p] for p in range(n))
     rng = np.random.default_rng(11)
     for _ in range(5):
-        psi = simulate(build_ansatz(rng.uniform(-np.pi, np.pi, 3)))
+        psi = oracles.simulate(build_ansatz(rng.uniform(-np.pi, np.pi, 3)))
         assert abs((psi.conj() @ n_op @ psi).real - 2.0) < 1e-12
         assert abs((psi.conj() @ sz_op @ psi).real) < 1e-12
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
@@ -155,7 +158,7 @@ def test_ansatz_conserves_n_and_sz():
 
 def test_ansatz_sector_golden_values():
     # sign conventions pinned: amplitudes of the state at fixed parameters
-    amplitudes = simulate(build_ansatz((0.6, 0.4, -0.8)))
+    amplitudes = oracles.simulate(build_ansatz((0.6, 0.4, -0.8)))
     golden = {}
     u = exact_ansatz_unitary(0.6, 0.4, -0.8)
     psi = u[:, HF_INDEX]
@@ -163,7 +166,7 @@ def test_ansatz_sector_golden_values():
         golden[idx] = psi[idx]
         assert abs(amplitudes[idx] - golden[idx]) < 1e-12
     # the doubly excited amplitude is positive for positive theta0
-    psi2 = simulate(build_ansatz((0.6, 0.0, 0.0)))
+    psi2 = oracles.simulate(build_ansatz((0.6, 0.0, 0.0)))
     assert psi2[0b1100].real > 0
 
 
@@ -173,7 +176,7 @@ def test_ansatz_sector_golden_values():
 
 def test_noiseless_channel_matches_born():
     circuit = build_ansatz((0.4, 0.1, -0.2))
-    probs = np.abs(simulate(circuit)) ** 2
+    probs = np.abs(oracles.simulate(circuit)) ** 2
     counts = apply_noise(circuit, NoiseModel.ideal(), seed=3)(200_000)
     total = counts.sum()
     for i in np.nonzero(counts)[0]:
@@ -262,64 +265,72 @@ def test_channel_matches_kron_oracle_bit_for_bit(p_kind):
         assert same_bits(qsim._channel(gate.matrix, p), oracles.channel(gate, p)), (gate, p)
 
 
-def test_kept_channels_have_fresh_bits_and_stay_bounded():
-    # a sampled point keeps, with its live model, one channel per gate
-    # constant at the p of its arity and one compiled map, for the bases it
-    # measured last; each kept channel is read-only and has the bits of a
-    # fresh build; the channel of any other matrix, writeable (a Givens) or
-    # read-only (a Pauli that is no gate constant), is never kept; and a
-    # dropped model's entries go with it
+def test_kept_map_has_fresh_bits_and_stays_bounded():
+    # a sampled point keeps, with its live model, one read-only compiled map,
+    # for the bases it measured last, and nothing else; other bases compile
+    # their own map in its place, and measuring the first bases again
+    # compiles a new map with the same bits, as does another model with the
+    # same content; a dropped model's map goes with it
     model = NoiseModel()
     spec = vqe.ScanSpec(molecule="h2", geometries=[0.7], shots=64, noise=model,
                         optimizer=vqe.OptimizerSettings(maxfev=10))
     vqe.run_point(spec, 0.7)
     bases = tuple(rdm.build_schedule(4).bases)
-    one, two = (qsim._H, qsim._X, qsim._SDG), (qsim._CNOT, qsim._CZ, qsim._FSWAP)
-    channels = {**{(id(c), model.p1): c for c in one}, **{(id(c), model.p2): c for c in two}}
-    kept = qsim._KEPT[model]
-    assert set(kept) == set(channels) | {"map"} and kept["map"][0] == bases
-    compiled = kept["map"][1]
+    key, compiled = qsim._KEPT[model]
+    assert key == bases
     assert compiled.shape == (13 * 16, 45) and not compiled.flags.writeable
     measure_pauli_sets((0.9, -1.2, 2.5), list(bases), 64, model=model, seed=1)
-    assert kept["map"][1] is compiled
+    assert qsim._KEPT[model][1] is compiled
     measure_pauli_sets((0.9, -1.2, 2.5), ["XXYY", "ZZZZ"], 64, model=model)
-    assert set(kept) == set(channels) | {"map"} and kept["map"][0] == ("XXYY", "ZZZZ")
-    assert kept["map"][1].shape == (2 * 16, 45)
+    key, other = qsim._KEPT[model]
+    assert key == ("XXYY", "ZZZZ") and other.shape == (2 * 16, 45)
     measure_pauli_sets((0.9, -1.2, 2.5), bases, 64, model=model, seed=1)
-    assert kept["map"][1] is not compiled and same_bits(kept["map"][1], compiled)
-    for (_, p), constant in channels.items():
-        gate = qsim.Gate(tuple(range(len(constant) // 2)), constant)
-        channel = kept[id(constant), p]
-        assert qsim._channel(constant, p, kept) is channel and not channel.flags.writeable
-        assert same_bits(channel, oracles.channel(gate, p)), (constant, p)
-        fresh = qsim._channel(constant, p)  # no model: built per call
-        assert fresh is not channel and fresh.flags.writeable and same_bits(fresh, channel)
-    givens = build_ansatz((0.3, 0.2, 0.1)).gates[4]
-    assert givens.matrix.flags.writeable
-    channel = qsim._channel(givens.matrix, model.p2, kept)
-    assert channel.flags.writeable and qsim._channel(givens.matrix, model.p2, kept) is not channel
-    assert same_bits(channel, oracles.channel(givens, model.p2))
-    y = qsim._PAULI_MATS["Y"]
-    assert not y.flags.writeable and id(y) not in qsim._CONSTANTS
-    channel = qsim._channel(y, model.p1, kept)
-    assert channel.flags.writeable and qsim._channel(y, model.p1, kept) is not channel
-    assert same_bits(channel, oracles.channel(qsim.Gate((0,), y), model.p1))
-    assert set(kept) == set(channels) | {"map"}
+    key, again = qsim._KEPT[model]
+    assert key == bases and again is not compiled and same_bits(again, compiled)
+    assert same_bits(qsim._trig_map(NoiseModel(), bases), compiled)
     dropped = NoiseModel(p1=0.003, p2=0.03)
     measure_pauli_sets((0.9, -1.2, 2.5), bases, 64, model=dropped, seed=1)
-    entries = [weakref.ref(c) for k, c in qsim._KEPT[dropped].items() if k != "map"]
-    entries.append(weakref.ref(qsim._KEPT[dropped]["map"][1]))
-    assert len(entries) == len(kept)
+    entry = weakref.ref(qsim._KEPT[dropped][1])
     model_ref = weakref.ref(dropped)
     del dropped
     gc.collect()
-    assert model_ref() is None and all(e() is None for e in entries)
-    assert qsim._KEPT[model] is kept
+    assert model_ref() is None and entry() is None
+    assert qsim._KEPT[model][1] is again
+
+
+def test_exact_and_noiseless_sampled_paths_read_one_kept_map(monkeypatch):
+    # ``simulate`` reads the shared ideal model's kept map, and a sampled run
+    # without a model reads that same object, never through ``simulate``
+    # (whose name a tracer may patch); the exact distributions are the map
+    # times the angles' features, clipped
+    bases = tuple(rdm.build_schedule(4).bases)
+    theta = (0.9, -1.2, 2.5)
+    ideal = qsim._model_for(4, None)
+    probs = qsim.simulate(theta, bases)
+    key, compiled = qsim._KEPT[ideal]
+    assert key == bases and probs.shape == (13, 16)
+    want = np.clip((compiled @ qsim._features(theta)).reshape(13, 16), 0.0, None)
+    assert same_bits(probs, want)
+    read, trig_map = [], qsim._trig_map
+
+    def reading(*args):
+        read.append(trig_map(*args))
+        return read[-1]
+
+    def no_simulate(*args):
+        raise AssertionError("the sampled path called simulate")
+
+    monkeypatch.setattr(qsim, "_trig_map", reading)
+    monkeypatch.setattr(qsim, "simulate", no_simulate)
+    tables = measure_pauli_sets(theta, bases, 64, model=None, seed=1)
+    assert [t.counts.sum() for t in tables] == [64] * 13
+    assert len(read) == 1 and read[0] is compiled
+    assert qsim._KEPT[ideal][1] is compiled
 
 
 def test_shared_gate_matrices_are_read_only():
     # Circuit.add keeps a gate constant itself, not a copy, so one write into
-    # a built gate's matrix would reach every later circuit and kept channel
+    # a built gate's matrix would reach every later circuit
     constants = [qsim._H, qsim._X, qsim._SDG, qsim._CNOT, qsim._CZ, qsim._FSWAP,
                  *qsim._PAULI_MATS.values()]
     assert not any(m.flags.writeable for m in constants)
@@ -344,11 +355,16 @@ def gate_cases():
 
 @pytest.mark.parametrize("batch", [1, 3])
 def test_gate_kernel_matches_moveaxis_oracle(batch):
+    # bit for bit against the tests' moveaxis form, and to rounding against
+    # the dense matrix of an independent embedding
     rng = np.random.default_rng(batch)
     for qubits, n in gate_cases():
         shape, dim = (batch, 1 << n), 1 << len(qubits)
         states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        # unit rows and a unit-norm gate: the dense product rounds at ~1e-16
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        matrix /= np.linalg.norm(matrix, 2)
         strided = np.stack([states.real, states.imag], axis=-1)[..., 0]  # as a diagonal
         assert not strided.flags.c_contiguous
         for s, mat, dtype in ((states, matrix, complex), (states.real.copy(), matrix, complex),
@@ -358,6 +374,9 @@ def test_gate_kernel_matches_moveaxis_oracle(batch):
             want = apply_gate_batch(s, mat, qubits, n)
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want), (qubits, n, dtype)
+            # the moveaxis form against the gate's dense full-register matrix
+            dense = s @ expand_matrix(mat, qubits, n).T
+            assert np.abs(got - dense).max() <= 1e-15, (qubits, n, dtype)
 
 
 _ANGLE = st.floats(-np.pi, np.pi)
@@ -535,7 +554,7 @@ def test_measure_pauli_sets_rejects_a_model_for_another_register(n_qubits):
 def test_shot_noise_scaling():
     theta = (0.5, 0.2, -0.1)
     obs = "ZIII"
-    exact_val = expectation(simulate(build_ansatz(theta)), obs).real
+    exact_val = expectation(oracles.simulate(build_ansatz(theta)), obs).real
     for shots in (1000, 10_000, 100_000):
         tables = measure_pauli_sets(theta, qwc_groups([obs])[0], shots, model=None,
                                     seed=17)
@@ -573,14 +592,24 @@ def test_basis_rotation_diagonalizes_every_measured_word():
     # R P_w R^dagger is diagonal, with the word's sign on each outcome, for
     # every basis and every word it measures (each letter I or the basis's)
     for basis in map("".join, itertools.product("XYZ", repeat=4)):
-        rotation = basis_rotation(basis).unitary()
+        rotation = unitary(basis_rotation(basis))
         for word in map("".join, itertools.product(*(("I", b) for b in basis))):
             rotated = rotation @ pauli_matrix(word) @ rotation.conj().T
             assert np.abs(rotated - np.diag(z_parity_signs(word))).max() < 1e-12, (basis, word)
+    # the ideal model's readout tail, which the exact distributions are read
+    # through, takes a pure state psi to |R psi|^2 for each of the
+    # schedule's 13 bases, R the basis's rotation
     schedule = rdm.build_schedule(4)
     assert len(schedule.bases) == 13
-    assert same_bits(schedule.rotations,
-                     np.array([basis_rotation(b).unitary() for b in schedule.bases]))
+    rotations = np.array([unitary(basis_rotation(b)) for b in schedule.bases])
+    tail = qsim._readout_tail(qsim._model_for(4, None), schedule.bases)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi /= np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+        probs = tail @ (rho.real + rho.imag).reshape(-1)
+        assert np.abs(probs.reshape(13, 16) - np.abs(rotations @ psi) ** 2).max() < 1e-15
 
 
 @settings(max_examples=60, deadline=None)
@@ -613,7 +642,7 @@ def test_measure_pauli_sets_rejects_no_bases():
     model = NoiseModel()
     with pytest.raises(ValidationError, match="no measurement bases"):
         measure_pauli_sets((0.1, 0.2, 0.3), [], 64, model=model)
-    assert "map" not in qsim._KEPT[model]
+    assert model not in qsim._KEPT
 
 
 @pytest.mark.parametrize("basis", ["ZZZ", "Z", "ZZZZZ", ""])
@@ -621,7 +650,7 @@ def test_measure_pauli_sets_rejects_a_basis_of_the_wrong_length(basis):
     model = NoiseModel()
     with pytest.raises(ValidationError, match="one letter X, Y or Z per qubit"):
         measure_pauli_sets((0.1, 0.2, 0.3), ["XXYY", basis], 64, model=model)
-    assert "map" not in qsim._KEPT[model]
+    assert model not in qsim._KEPT
 
 
 @pytest.mark.parametrize("basis", ["xZZZ", "IZZZ", "ZZZA", ["Z", "Z", "Z", "Z"]])
@@ -706,7 +735,7 @@ def test_mitigation_recovers_modeled_readout():
     for trial in range(10):
         th = rng.uniform(-np.pi, np.pi, 3)
         obs = "ZZII"
-        exact_val = expectation(simulate(build_ansatz(th)), obs).real
+        exact_val = expectation(oracles.simulate(build_ansatz(th)), obs).real
         tables = measure_pauli_sets(th, qwc_groups([obs])[0], shots, model=model,
                                     seed=100 + trial)
         fixed, _ = mitigate_readout(tables[0].counts, model)
@@ -716,10 +745,11 @@ def test_mitigation_recovers_modeled_readout():
 
 
 def test_statevector_norm_preserved():
-    # the amplitudes stay normalized after every gate
+    # the amplitudes stay normalized after every gate of the ansatz and of a
+    # basis rotation
     gates = build_ansatz((1.1, -0.7, 0.3)).gates + basis_rotation("XYZY").gates
     for k in range(1, len(gates) + 1):
-        assert abs(np.linalg.norm(simulate(Circuit(4, gates[:k]))) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(oracles.simulate(Circuit(4, gates[:k]))) - 1.0) < 1e-12
 
 
 def test_noise_model_config_round_trip(tmp_path):

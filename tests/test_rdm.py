@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -38,14 +38,14 @@ def test_determinant_rdm_traces():
 
 
 def test_assembled_rdm_matches_dense_oracle():
-    # statevector-assembled RDMs equal the dense contraction to 1e-12
+    # exactly assembled RDMs equal the dense contraction over the oracle
+    # state vector's amplitudes to 1e-12
     rng = np.random.default_rng(2)
     schedule = build_schedule(4)
     for _ in range(3):
         th = rng.uniform(-np.pi, np.pi, 3)
-        psi = simulate(build_ansatz(th))
-        pair = rdm_from_state(psi, schedule)
-        rho1_o, rho2_o = dense_rdm_oracle(psi)
+        pair = rdm_from_state(simulate(th, schedule.bases), schedule)
+        rho1_o, rho2_o = dense_rdm_oracle(oracles.simulate(build_ansatz(th)))
         assert np.abs(pair.rho1 - rho1_o).max() < 1e-12
         assert np.abs(pair.rho2 - rho2_o).max() < 1e-12
         oracles.validate_pair(pair, 1e-10)
@@ -80,7 +80,7 @@ def test_pauli_coefficients_rebuild_every_measured_element():
 
 def test_hf_rdm_from_exact_state():
     schedule = build_schedule(4)
-    pair = rdm_from_state(simulate(build_ansatz((0, 0, 0))), schedule)
+    pair = rdm_from_state(simulate((0, 0, 0), schedule.bases), schedule)
     assert np.allclose(pair.rho1, np.diag([1, 1, 0, 0]), atol=1e-12)
     det = determinant_rdm((0, 1), 4)
     assert np.abs(pair.rho2 - det.rho2).max() < 1e-12
@@ -310,15 +310,30 @@ def test_map_matches_dict_assembly_on_counts(seed, zero_fraction, noisy):
     assert np.abs(pair.rho2 - rho2).max() < 1e-12
 
 
+_WIDE_ANGLE = st.floats(-4 * np.pi, 4 * np.pi)
+_AXIS_ANGLE = st.one_of(_WIDE_ANGLE, st.sampled_from([k * np.pi / 2 for k in range(-8, 9)]))
+
+
 @settings(max_examples=30, deadline=None)
-@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3))
+@given(angles=st.one_of(
+    st.tuples(_WIDE_ANGLE, _WIDE_ANGLE, _WIDE_ANGLE), st.just((0.0, 0.0, 0.0)),
+    st.builds(lambda axis, t: tuple(t if k == axis else 0.0 for k in range(3)),
+              st.integers(0, 2), _AXIS_ANGLE)))
+@example(angles=(0.0, 0.0, 0.0))
+@example(angles=(np.pi, 0.0, 0.0))
+@example(angles=(0.0, 0.0, np.pi))
+@example(angles=(4 * np.pi, -4 * np.pi, 4 * np.pi))
 def test_map_matches_dict_assembly_on_states(angles):
+    # the exact RDMs read from the ideal model's compiled map equal, within
+    # 1e-14, the element-by-element assembly over the amplitudes of a state
+    # vector evolved through the ansatz's gates, at any angles (periods
+    # included: theta0's 4 pi and the singles' 2 pi), at theta = 0 and on
+    # each axis
     schedule = build_schedule(4)
-    psi = simulate(build_ansatz(angles))
-    pair = rdm_from_state(psi, schedule)
-    rho1, rho2 = oracles.rdm_from_state(psi, schedule)
-    assert np.abs(pair.rho1 - rho1).max() < 1e-12
-    assert np.abs(pair.rho2 - rho2).max() < 1e-12
+    pair = rdm_from_state(simulate(angles, schedule.bases), schedule)
+    rho1, rho2 = oracles.rdm_from_state(oracles.simulate(build_ansatz(angles)), schedule)
+    assert np.abs(pair.rho1 - rho1).max() <= 1e-14
+    assert np.abs(pair.rho2 - rho2).max() <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -328,7 +343,7 @@ def test_raw_rdms_are_hermitian_and_antisymmetric(angles, seed):
     # also hold both traces at N = 2 and N(N-1) = 2; readout mitigation moves
     # the noisy traces, so only the structure is checked there
     schedule = build_schedule(4)
-    exact_raw = rdm_from_state(simulate(build_ansatz(angles)), schedule)
+    exact_raw = rdm_from_state(simulate(angles, schedule.bases), schedule)
     sampled = rdm_from_shots(measure_pauli_sets(angles, schedule.bases, 256, seed=seed),
                              schedule)
     for pair in (exact_raw, sampled):
