@@ -491,13 +491,17 @@ def _readout_tail(model, bases):
     return tail.reshape(len(bases) << n, -1)
 
 
-def mitigate_readout(counts, model: NoiseModel):
-    """Invert the per-qubit confusion matrices on a (..., 2^n) stack of counts.
+def mitigate_readout(counts, model: NoiseModel | None):
+    """The outcome probabilities of a (..., 2^n) stack of counts, with
+    ``model``'s per-qubit confusion matrices inverted.
 
     One matmul with ``model.readout_inverse``, the Kronecker product of the
     inverses, gives every row's quasi-counts; negative ones are clipped to
     zero and each row is renormalized to probabilities.  Returns those and,
     per row, the clipped negative mass as a fraction of the row's total.
+    A ``model`` of None means there is no confusion to invert: the rows are
+    the counts over their totals, and no mass is clipped.  A row whose total is
+    not positive raises, with or without a model.
 
     No row can lose all its mass to clipping: the model makes each confusion
     matrix column-stochastic, so the columns of the inverse sum to 1 as well,
@@ -508,6 +512,8 @@ def mitigate_readout(counts, model: NoiseModel):
     total = counts.sum(axis=-1)
     if (total <= 0).any():
         raise ValidationError("empty shot table")
+    if model is None:
+        return counts / total[..., None], np.zeros(total.shape)
     quasi = counts @ model.readout_inverse.T
     kept = np.clip(quasi, 0.0, None)
     return kept / kept.sum(axis=-1, keepdims=True), (kept - quasi).sum(axis=-1) / total

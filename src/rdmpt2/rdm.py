@@ -19,8 +19,9 @@ O = (A + A+)/2 has c_w = Tr(P_w O) / 2^n on word w (k0 holds c_I).
 raw is rho1.ravel() followed by rho2.ravel() (16 + 256 entries); each
 position reads its element with the antisymmetry sign, and a vanishing
 (Sz-changing or p = q) position has sign 0.
-Sampled counts reach P through readout mitigation or normalisation; the
-exact distributions of ``qsim.simulate`` are P itself.
+Sampled counts reach P through ``qsim.mitigate_readout``, which inverts the
+readout confusion under a noise model and divides by the row totals without
+one; the exact distributions of ``qsim.simulate`` are P itself.
 
 The bootstrap resamples the counts and runs its pipeline on stacks of
 resamples: a block's raw pairs form one RdmPair whose rho1 and rho2 lead
@@ -240,29 +241,18 @@ def _group_tables(tables, schedule: MeasurementSchedule) -> list:
     return [by_basis[b] for b in schedule.bases]
 
 
-def _probabilities(counts, model):
-    """Per-row outcome probabilities, readout-mitigated when ``model`` is
-    given, and the largest clipped fraction of any row (0 without a model)."""
-    if model is not None:
-        probs, clipped = qsim.mitigate_readout(counts, model)
-        return probs, float(clipped.max())
-    total = counts.sum(axis=-1, keepdims=True)
-    if (total <= 0).any():
-        raise ValidationError("empty shot table")
-    return counts / total, 0.0
-
-
 def rdm_from_shots(tables, schedule: MeasurementSchedule, model=None) -> RdmPair:
-    """Assemble the raw RDMs from measured shot tables, inverting ``model``'s
-    readout confusion first when one is given.
+    """Assemble the raw RDMs from measured shot tables, their counts turned
+    into probabilities by ``qsim.mitigate_readout`` under ``model`` (None:
+    the counts over their totals).
 
     Every group of the schedule needs a table in its basis; otherwise a
     CoverageError lists the words of the uncovered groups.
     """
     tables = _group_tables(tables, schedule)
-    counts = np.array([t.counts for t in tables], dtype=float)
-    probs, clipped = _probabilities(counts, model)
-    return _pair(schedule, _assemble(schedule, probs), RdmMeta(readout_clipped=clipped))
+    probs, clipped = qsim.mitigate_readout([t.counts for t in tables], model)
+    return _pair(schedule, _assemble(schedule, probs),
+                 RdmMeta(readout_clipped=float(clipped.max())))
 
 
 def rdm_from_state(probs, schedule: MeasurementSchedule) -> RdmPair:
@@ -323,10 +313,12 @@ def bootstrap(tables, schedule: MeasurementSchedule, n, pipeline, model=None,
     """Resample each circuit's counts n times and rerun the pipeline
     (Efron & Tibshirani, An Introduction to the Bootstrap, 1993).
 
-    Resample i draws every circuit in one multinomial from its own
-    generator.  Blocks of ``_BOOTSTRAP_BLOCK`` resamples are mitigated (with
-    ``model``) and assembled in one call each, and ``pipeline`` takes a
-    block as one stacked raw RdmPair (rho1 of shape (B, n, n), rho2 of
+    Resample i draws every circuit in one multinomial, over the circuit's
+    observed frequencies, from its own generator.  Blocks of
+    ``_BOOTSTRAP_BLOCK`` resamples pass through ``qsim.mitigate_readout``
+    (with ``model``, or None: the counts over their totals) and the
+    assembly in one call each, and ``pipeline`` takes a block as one
+    stacked raw RdmPair (rho1 of shape (B, n, n), rho2 of
     shape (B, n, n, n, n)) and returns a dict mapping each scalar name to an
     array of B values, NaN where that resample failed; a name the dict
     leaves out fails the whole block.  Summary statistics use the
@@ -339,13 +331,13 @@ def bootstrap(tables, schedule: MeasurementSchedule, n, pipeline, model=None,
             raise ValidationError("every table needs at least one shot")
     tables = _group_tables(tables, schedule)
     shots = [t.shots for t in tables]
-    probs, _ = _probabilities(np.array([t.counts for t in tables], dtype=float), None)
+    probs, _ = qsim.mitigate_readout([t.counts for t in tables], None)
     out = {}
     for start in range(0, n, _BOOTSTRAP_BLOCK):
         block = range(start, min(n, start + _BOOTSTRAP_BLOCK))
         draws = np.array([qsim._rng_for(seed, 1, i).multinomial(shots, probs)
                           for i in block], dtype=float)
-        raw = _assemble(schedule, _probabilities(draws, model)[0])
+        raw = _assemble(schedule, qsim.mitigate_readout(draws, model)[0])
         for k, v in pipeline(_pair(schedule, raw, RdmMeta())).items():
             out.setdefault(k, np.full(n, np.nan))[start:block.stop] = v
     kept = {k: v[~np.isnan(v)] for k, v in out.items()}

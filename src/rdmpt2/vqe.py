@@ -354,24 +354,29 @@ class PointPipeline:
         return refs
 
     # -- one objective evaluation ----------------------------------------
-    def evaluate(self, params, tag: int):
-        """Full chain for one parameter point; returns the iteration record
-        and the raw tables (for bootstrap at the final point)."""
+    def measure(self, params, tag: int) -> list:
+        """The shot tables of the schedule's circuits at ``params``, drawn
+        from the stream of evaluation ``tag``: the same tag gives the same
+        tables, bit for bit."""
+        return qsim.measure_pauli_sets(params, self.schedule.bases, self.spec.shots,
+                                       model=self.spec.noise,
+                                       seed=_eval_seed(self.spec.seed, tag))
+
+    def evaluate(self, params, tag: int) -> dict:
+        """The iteration record of one parameter point: the exact
+        distributions, or the tables of ``measure(params, tag)``, through
+        the whole chain."""
         if self.spec.shots is None:
             raw = rdm.rdm_from_state(qsim.simulate(params, self.schedule.bases),
                                      self.schedule)
-            tables = None
         else:
-            seed = _eval_seed(self.spec.seed, tag)
-            tables = qsim.measure_pauli_sets(
-                params, self.schedule.bases, self.spec.shots,
-                model=self.spec.noise, seed=seed)
-            raw = rdm.rdm_from_shots(tables, self.schedule, model=self.spec.noise)
+            raw = rdm.rdm_from_shots(self.measure(params, tag), self.schedule,
+                                     model=self.spec.noise)
         rec = {"params": tuple(float(x) for x in params)}
         rec.update(self._energies(raw))
         if self.spec.noise is not None:
             rec["readout_clipped"] = raw.meta.readout_clipped
-        return rec, tables
+        return rec
 
     def _energies(self, raw: rdm.RdmPair) -> dict:
         out = {"e_raw": hamio.energy_from_rdm(self.table, raw)}
@@ -403,24 +408,19 @@ class PointPipeline:
 
     def bootstrap_pipeline(self, raw: rdm.RdmPair) -> dict:
         """Every energy of ``ENERGY_KEYS`` for a stack of raw pairs, one
-        array each, NaN where the chain failed for that resample: the chain
-        of ``_energies`` run as one stack, each resample's energies equal to
-        its own pair's.  PT2 runs on the resamples that purified, the
-        full-space one on their active pair."""
+        array each: the chain of ``_energies`` run once on the whole stack,
+        each resample's energies equal to its own pair's.  A resample that
+        fails purification leaves ``purify_rdm`` as NaN rows, which every
+        later step carries through on their own, so its energies after
+        e_raw are NaN; a degenerate PT2 denominator is NaN in that
+        correction.  Full-space PT2 reads the active pair."""
         out = {"e_raw": hamio.energy_from_rdm(self.table, raw)}
         pure = purify.purify_rdm(rdm.symmetrize(raw))
-        ok = np.array([f is None for f in pure.meta.purification["failed"]])
-        for key in ENERGY_KEYS[1:]:
-            out[key] = np.full(len(ok), np.nan)
-        if ok.any():
-            pure = rdm.RdmPair(pure.rho1[ok], pure.rho2[ok], pure.meta)
-            e_pure = out["e_pure"][ok] = hamio.energy_from_rdm(self.table, pure)
-            out["e_pt2_frozen"][ok] = e_pure + pt2.rdm_pt2(pure, self.table, self.ref)
-            if self.has_frozen:
-                out["e_pt2_full"][ok] = e_pure + pt2.rdm_pt2(
-                    pure, self.table_full, self.ref_full, space=self.space)
-        if not self.has_frozen:
-            out["e_pt2_full"] = out["e_pt2_frozen"]
+        e_pure = out["e_pure"] = hamio.energy_from_rdm(self.table, pure)
+        out["e_pt2_frozen"] = e_pure + pt2.rdm_pt2(pure, self.table, self.ref)
+        out["e_pt2_full"] = (e_pure + pt2.rdm_pt2(pure, self.table_full, self.ref_full,
+                                                  space=self.space)
+                             if self.has_frozen else out["e_pt2_frozen"])
         return out
 
 
@@ -445,7 +445,7 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
                                  "start": list(spec.start)})
 
     def objective(params):
-        rec, _ = pipe.evaluate(params, len(record.iterations))
+        rec = pipe.evaluate(params, len(record.iterations))
         record.iterations.append(rec)
         if rec.get("e_pure") is None:
             raise RuntimeError(
@@ -459,7 +459,7 @@ def run_point(spec: ScanSpec, geometry: float) -> RunRecord:
     record.converged = trace.converged
     boot = None
     if spec.bootstrap_resamples:
-        _, tables = pipe.evaluate(trace.best_params, len(record.iterations))
+        tables = pipe.measure(trace.best_params, len(record.iterations))
         ens = rdm.bootstrap(tables, pipe.schedule, spec.bootstrap_resamples,
                             pipe.bootstrap_pipeline, model=spec.noise, seed=spec.seed)
         boot = {k: {"failed": failed} for k, failed in ens.failed.items()}

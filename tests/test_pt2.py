@@ -460,8 +460,10 @@ def test_stacked_chain_matches_per_pair_calls(degenerate_table, data, seed):
     # each resample of a stack goes through energy, symmetrize, purify and
     # PT2 as its own pair does, bit for bit; a resample that fails fails
     # alone, with its pair's error message (purification) or as NaN (a
-    # degenerate PT2 denominator), and never raises for the stack.  Every
-    # stack holds each kind of case at least once, in a drawn order.
+    # degenerate PT2 denominator), and never raises for the stack.  The
+    # NaN rows of failed purifications go through the energy and PT2 with
+    # the rest and come out NaN.  Every stack holds each kind of case at
+    # least once, in a drawn order.
     extra = data.draw(st.lists(st.sampled_from(CHAIN_CASES), max_size=6))
     kinds = data.draw(st.permutations(CHAIN_CASES + ["random"] + extra))
     table, rng = degenerate_table, np.random.default_rng(seed)
@@ -471,11 +473,8 @@ def test_stacked_chain_matches_per_pair_calls(degenerate_table, data, seed):
     e_raw = hamio.energy_from_rdm(table, stack)
     pure = purify.purify_rdm(rdm.symmetrize(stack))
     failed = pure.meta.purification["failed"]
-    ok = np.array([f is None for f in failed])
-    kept = RdmPair(pure.rho1[ok], pure.rho2[ok], pure.meta)
-    e_pure, e_pt2 = hamio.energy_from_rdm(table, kept), rdm_pt2(kept, table, ref)
+    e_pure, e_pt2 = hamio.energy_from_rdm(table, pure), rdm_pt2(pure, table, ref)
     assert len(failed) == len(pairs)
-    j = 0
     for i, pair in enumerate(pairs):
         assert hamio.energy_from_rdm(table, pair) == e_raw[i]
         try:
@@ -483,20 +482,19 @@ def test_stacked_chain_matches_per_pair_calls(degenerate_table, data, seed):
         except (purify.PurificationError, ValidationError) as exc:
             assert failed[i] == str(exc), (i, kinds[i])
             assert np.isnan(pure.rho1[i]).all() and np.isnan(pure.rho2[i]).all()
+            assert math.isnan(e_pure[i]) and math.isnan(e_pt2[i]), (i, kinds[i])
             continue
         assert failed[i] is None, (i, kinds[i], failed[i])
         assert same_bits(one.rho1, pure.rho1[i]) and same_bits(one.rho2, pure.rho2[i])
-        assert hamio.energy_from_rdm(table, one) == e_pure[j]
+        assert hamio.energy_from_rdm(table, one) == e_pure[i]
         try:
-            assert rdm_pt2(one, table, ref) == e_pt2[j], (i, kinds[i])
+            assert rdm_pt2(one, table, ref) == e_pt2[i], (i, kinds[i])
         except DegenerateDenominatorError:
-            assert math.isnan(e_pt2[j]), (i, kinds[i])
-        j += 1
-    assert j == ok.sum()
+            assert math.isnan(e_pt2[i]), (i, kinds[i])
     expected_failures = {"zero", "midpoint", "unantisymmetric"}
     assert all(failed[i] is not None for i, k in enumerate(kinds) if k in expected_failures)
-    assert all(failed[i] is None for i, k in enumerate(kinds) if k == "determinant")
-    assert np.isnan(e_pt2).sum() >= kinds.count("determinant")
+    assert all(failed[i] is None and math.isnan(e_pt2[i])
+               for i, k in enumerate(kinds) if k == "determinant")
 
 
 @pytest.mark.parametrize("mol", ["lih", "nah"])

@@ -340,7 +340,7 @@ def test_open_shell_determinant_raises_named_midpoint(theta):
 def test_pipeline_records_failed_purification(theta):
     spec = vqe.ScanSpec(molecule="h2", geometries=[0.7], shots=None)
     pipe = vqe.PointPipeline(spec, 0.7)
-    rec, _ = pipe.evaluate(theta, 0)
+    rec = pipe.evaluate(theta, 0)
     assert rec["e_pure"] is None
     assert rec["note"].startswith("purification failed: pair-matrix eigenvalue 0.5 ")
     assert "e_raw" in rec and "e_pt2_frozen" not in rec

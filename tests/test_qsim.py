@@ -690,11 +690,18 @@ def test_asymmetric_readout_conditions_on_true_bit():
 
 
 def test_mitigation_identity_confusion_is_noop():
-    counts = np.zeros(16)
-    counts[0b1100], counts[0b0011] = 70, 30  # bitstrings 0011 and 1100
-    probs, clipped = mitigate_readout(counts, NoiseModel.ideal())
-    assert probs == pytest.approx(counts / 100)
-    assert clipped == 0.0
+    # the identity confusion and None (no confusion to invert) give each
+    # row's counts over its total, bit for bit, with no clipped mass; an
+    # empty row raises either way
+    counts = np.zeros((2, 16))
+    counts[0, 0b1100], counts[0, 0b0011] = 70, 30  # bitstrings 0011 and 1100
+    counts[1] = np.arange(16)
+    for model in (NoiseModel.ideal(), None):
+        probs, clipped = mitigate_readout(counts, model)
+        assert np.array_equal(probs, counts / counts.sum(axis=-1, keepdims=True))
+        assert np.array_equal(clipped, [0.0, 0.0])
+        with pytest.raises(ValidationError, match="empty shot table"):
+            mitigate_readout(np.vstack([counts, np.zeros(16)]), model)
 
 
 def test_mitigation_singular_confusion_raises():

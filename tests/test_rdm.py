@@ -245,17 +245,24 @@ def test_batched_bootstrap_matches_per_resample_loop():
     # rounding: the assembly is one matmul per block), and every resample's
     # energies from the stacked chain equal, bit for bit, those of the
     # per-pair chain that an objective evaluation runs (for LiH through the
-    # embedded pair)
+    # embedded pair).  Two resamples of the first block, neither its first
+    # row, are zeroed after their draws are compared, so they fail
+    # purification: their NaN rows go on through the stacked PT2 (for LiH its
+    # three-body full-space terms) beside the rows that purified
     for mol, r in (("h2", 2.0), ("lih", 1.5949)):
         spec = vqe.ScanSpec(molecule=mol, geometries=[r], shots=1024, noise=NoiseModel(),
                             seed=3)
         pipe = vqe.PointPipeline(spec, r)
-        _, tables = pipe.evaluate((0.4, -0.2, 0.1), 0)
+        tables = pipe.measure((0.4, -0.2, 0.1), 0)
         n = rdm._BOOTSTRAP_BLOCK + 5
-        raws = []
+        raws, chained = [], []
 
         def pipeline(raw):
             raws.extend(RdmPair(r1, r2, RdmMeta()) for r1, r2 in zip(raw.rho1, raw.rho2))
+            if not chained:
+                raw = RdmPair(raw.rho1.copy(), raw.rho2.copy(), raw.meta)
+                raw.rho1[[3, 11]] = raw.rho2[[3, 11]] = 0.0
+            chained.extend(RdmPair(r1, r2, RdmMeta()) for r1, r2 in zip(raw.rho1, raw.rho2))
             return pipe.bootstrap_pipeline(raw)
 
         ens = bootstrap(tables, pipe.schedule, n, pipeline, model=spec.noise, seed=3)
@@ -270,7 +277,8 @@ def test_batched_bootstrap_matches_per_resample_loop():
             assert np.abs(raw.rho1 - rho1).max() < 1e-12
             assert np.abs(raw.rho2 - rho2).max() < 1e-12
         assert set(ens.samples) == set(vqe.ENERGY_KEYS)
-        for i, raw in enumerate(raws):
+        assert ens.failed == {"e_raw": 0, "e_pure": 2, "e_pt2_frozen": 2, "e_pt2_full": 2}
+        for i, raw in enumerate(chained):
             expected = pipe._energies(raw)
             for key in vqe.ENERGY_KEYS:
                 want, got = expected.get(key), ens.samples[key][i]

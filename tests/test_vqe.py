@@ -426,6 +426,24 @@ def test_bootstrap_failures_are_counted_in_the_record(n_failed, monkeypatch):
     assert rec.combined_error.keys() == rec.last5.keys()
 
 
+def test_bootstrap_point_runs_the_chain_once_per_evaluation(monkeypatch):
+    # the bootstrap's tables are measured again at the best parameters, not
+    # taken from one more evaluation whose energies would be thrown away
+    real = vqe.PointPipeline._energies
+    calls = []
+
+    def counted(self, raw):
+        calls.append(1)
+        return real(self, raw)
+
+    monkeypatch.setattr(vqe.PointPipeline, "_energies", counted)
+    spec = ScanSpec(molecule="h2", geometries=[0.7], shots=256, noise=qsim.NoiseModel(),
+                    seed=1, optimizer=OptimizerSettings(maxfev=5), bootstrap_resamples=3)
+    rec = run_point(spec, 0.7)
+    assert rec.bootstrap["e_pure"]["failed"] == 0
+    assert len(calls) == rec.n_objective_calls == len(rec.iterations)
+
+
 def test_determinism_bit_identical_records_and_csv(tmp_path):
     spec = dict(molecule="h2", geometries=[0.7], shots=1024,
                 noise=qsim.NoiseModel(), seed=11,
@@ -553,7 +571,7 @@ def test_both_pt2_failures_are_noted_in_order(monkeypatch):
         raise errors.pop(0)
 
     monkeypatch.setattr(pt2, "rdm_pt2", degenerate)
-    rec, _ = pipe.evaluate((0.4, -0.3, 0.2), 0)
+    rec = pipe.evaluate((0.4, -0.3, 0.2), 0)
     assert rec["e_pure"] is not None
     assert rec["e_pt2_frozen"] is None and rec["e_pt2_full"] is None
     assert rec["note"] == f"{notes[0]}; {notes[1]}"
